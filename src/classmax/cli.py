@@ -6,16 +6,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
+
+import numpy as np
 
 from . import backend as backend_mod
 from . import cubic as cubic_mod
 from . import sweep
 from .backend import Backend, BackendError
 from .discriminants import IMAGINARY, REAL
-from .maxima import BucketSpec, MaximaEvent, ScanRecord, ShardResult, merge_shards, scan_collect
-from .metric import Epsilon, MetricValue, c_eps, format_value, root_mean
+from .maxima import BucketSpec, MaximaEvent, ShardResult, merge_shards, scan_collect
+from .metric import EPS_ZERO, Epsilon, MetricValue, c_eps, format_value, root_mean
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +85,8 @@ def parse_eps(text: str) -> Epsilon:
 
 
 def _sharded_scan(
-    records: list[ScanRecord],
+    keys,
+    scan_part: Callable[[int, int, MetricValue | None], tuple[list[MaximaEvent], int]],
     lo: int,
     hi: int,
     mode: str,
@@ -90,9 +94,14 @@ def _sharded_scan(
     shards: int,
     initial: MetricValue | None,
 ) -> tuple[list[MaximaEvent], int]:
-    """Split the key range into contiguous shards, scan each, merge globally."""
+    """Split the key range into contiguous shards, scan each, merge globally.
+
+    `keys` are the ascending stream keys; `scan_part(start, stop, initial)`
+    scans stream positions [start, stop) and returns its events, with nd
+    counted from start, and its record count.
+    """
     if shards <= 1:
-        return scan_collect(iter(records), mode, buckets, initial)
+        return scan_part(0, len(keys), initial)
     width = (hi - lo + 1 + shards - 1) // shards
     results = []
     for i in range(shards):
@@ -100,12 +109,47 @@ def _sharded_scan(
         s_hi = min(hi, s_lo + width - 1)
         if s_lo > hi:
             break
-        part = [r for r in records if s_lo <= r.key <= s_hi]
-        events, total = scan_collect(iter(part), mode, buckets, None)
+        start, stop = np.searchsorted(keys, [s_lo, s_hi + 1]).tolist()
+        events, total = scan_part(start, stop, None)
         results.append(
             ShardResult(lo=s_lo, hi=s_hi, events=tuple(events), total_records=total)
         )
     return merge_shards(results, mode, buckets, initial)
+
+
+def scan_triples(
+    triples: list[tuple[int, int, int]], config: ScanConfig
+) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
+    """One scan per eps over a quadratic (D, N, H) list.
+
+    Only the positions that sweep.QuadStream's certified float64 prefilter
+    keeps become records; the exact scan decides among them, and each event's
+    nd is mapped back to its position in the whole stream.
+    """
+    signature = IMAGINARY if config.family == QUAD_IMAGINARY else REAL
+    buckets = BucketSpec(config.buckets)
+    stream = sweep.QuadStream(triples, signature, config.metric_kind)
+    out = []
+    for eps in config.eps_list:
+
+        def scan_part(start, stop, initial):
+            # initial, when set, is C = 1
+            keep = stream.candidates(eps, config.mode, initial is not None, start, stop)
+            part = [triples[i] for i in keep.tolist()]
+            records = sweep.quad_records(part, signature, eps, config.metric_kind)
+            events, _ = scan_collect(iter(records), config.mode, buckets, initial)
+            remapped = [replace(ev, nd=int(keep[ev.nd - 1]) - start + 1) for ev in events]
+            return remapped, stop - start
+
+        # raw-metric records carry eps 0, and so must their starting value
+        initial_eps = EPS_ZERO if stream.raw else eps
+        initial = c_eps(1, 1, initial_eps) if config.compat_minima_init_one else None
+        events, total = _sharded_scan(
+            stream.keys, scan_part, config.lo, config.hi, config.mode, buckets,
+            config.shards, initial,
+        )
+        out.append((eps, events, total))
+    return out
 
 
 def _cubic_source(config: ScanConfig):
@@ -128,14 +172,7 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
     if config.family in (QUAD_IMAGINARY, QUAD_REAL):
         signature = IMAGINARY if config.family == QUAD_IMAGINARY else REAL
         triples = sweep.quad_triples(signature, config.lo, config.hi, workers=config.shards)
-        for eps in config.eps_list:
-            records = sweep.quad_records(triples, signature, eps, config.metric_kind)
-            initial = c_eps(1, 1, eps) if config.compat_minima_init_one else None
-            events, total = _sharded_scan(
-                records, config.lo, config.hi, config.mode, buckets, config.shards, initial
-            )
-            out.append((eps, events, total))
-        return out
+        return scan_triples(triples, config)
     source = _cubic_source(config)
     for eps in config.eps_list:
         records = list(
@@ -149,9 +186,14 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
                 skip_uncovered=config.fixtures_only,
             )
         )
+
+        def scan_part(start, stop, initial):
+            return scan_collect(iter(records[start:stop]), config.mode, buckets, initial)
+
         initial = c_eps(1, 1, eps) if config.compat_minima_init_one else None
         events, total = _sharded_scan(
-            records, config.lo, config.hi, config.mode, buckets, config.shards, initial
+            [r.key for r in records], scan_part, config.lo, config.hi, config.mode,
+            buckets, config.shards, initial,
         )
         out.append((eps, events, total))
     return out

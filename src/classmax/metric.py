@@ -78,18 +78,6 @@ class MetricValue:
     eps: Epsilon
     approx: object  # 120-bit mpf
 
-    @property
-    def numerator_h(self) -> Fraction:
-        """Exact h-component (product over members for family means)."""
-        return Fraction(self.h_num, self.h_den)
-
-    @property
-    def disc_abs(self) -> int:
-        return self.disc
-
-    def describe(self) -> str:
-        return f"(({self.h_num}/{self.h_den})/{self.disc}^({self.eps}/2))^(1/{self.root})"
-
 
 def _approx(h_num: int, h_den: int, disc: int, root: int, eps: Epsilon):
     val = _CTX.mpf(h_num)
@@ -173,11 +161,6 @@ def format_value(x, digits: int = 19) -> str:
     if not isinstance(x, mpmath.mpf) and not hasattr(x, "_mpf_"):
         x = _CTX.mpf(x)
     return mpmath.nstr(x, digits, strip_zeros=False)
-
-
-def mpf_of(text: str):
-    """Parse a decimal literal at the internal 120-bit precision."""
-    return _CTX.mpf(text)
 
 
 def rel_err(computed, reference) -> float:

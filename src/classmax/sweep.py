@@ -14,12 +14,13 @@ import multiprocessing
 import os
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from . import arith, classnum
 from .discriminants import IMAGINARY, REAL
-from .maxima import FieldRecord, ScanRecord
+from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, ScanRecord, scan
 from .metric import EPS_ZERO, Epsilon, c_eps
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,98 @@ def quad_records(
     return out
 
 
+# Slack of the record prefilter, in log space.  Twice the float64 error bound
+# of its values (2 * 2^-40, derived in QuadStream) lies far below it.
+MARGIN = 2.0**-30
+
+
+class QuadStream:
+    """A checked (D, N, H) triple list under one metric, with the float64
+    columns of the record prefilter.
+
+    Construction checks every row the way quad_records, c_eps and scan check
+    each record: at the first row either would reject, quad_records itself
+    raises its error; then keys must be strictly ascending.  A bad row thus
+    fails the run even where the prefilter would drop it.
+
+    Prefilter.  For an exponent e (0 for the raw metrics) and the metric's
+    h (H >> (N-1) for nongenus and raw-h, H otherwise), position i gets
+    v_i = log h_i - (e/2) log D_i in float64, negated in minima mode.  Write
+    x_i for the exact value of that expression: compare orders the metric
+    values exactly as x orders them.  A position is a candidate iff
+    v_i >= P_i - MARGIN, with P_i = max(s, v_j for j < i) and the seed s =
+    -inf, or s = 0 = log 1 when the running record starts at C = 1.
+
+    Error bound.  Let u = 2^-53.  D and h are int64, so 1 <= D, h < 2^63 and
+    |log D|, |log h|, |(e/2) log D| < 44.  Converting D or h to float64
+    moves its log by at most 1.01 u.  Each np.log call is allowed an absolute
+    error of 2^-42: 32 ulp at its largest results (one ulp is 2^-47 below
+    64), and far more below; the scalar and SIMD float64 logs numpy uses
+    stay within 4 ulp.  The
+    float e/2 is within u * e/2 < u of e/2, so the rounded product
+    fl(e/2 * log D) is within 44 u + 44 u + 2^-42 + 2^-52 of the exact
+    (e/2) log D, and the final subtraction of two terms below 44 adds at most
+    88 u.  In all, |v_i - x_i| <= delta < 2 (2^-42 + 2^-52) + 176 u < 2^-40,
+    and 2 delta < 2^-39 = MARGIN / 512.  Negation and max are exact.
+
+    Exactness.  A full scan makes i an event iff x_i > R_i = max(s, x_j for
+    j < i); ties never are.
+    - A dropped position lies strictly below an earlier value: v_i < v_j -
+      MARGIN for some j < i (or v_i < s - MARGIN) gives x_i <= v_i + delta <
+      x_j + 2 delta - MARGIN < x_j (or < s).  So it is no event, and it can
+      never move the running record.
+    - Every event is kept: x_i > R_i gives v_i >= x_i - delta > x_j - delta
+      >= v_j - 2 delta for each j < i, and v_i > s - delta, so v_i > P_i -
+      2 delta > P_i - MARGIN.
+    - So a scan over the candidates holds the same running record before
+      every candidate i: the position that first reached R_i is an event (or
+      R_i = s) and is kept.  It takes the same decisions, so it yields the
+      same events and bucket counts as a scan over every position.  Ties and
+      near-ties (within 2 delta) stay candidates, and compare settles them
+      exactly.
+    """
+
+    def __init__(
+        self, triples: list[tuple[int, int, int]], signature: str, metric_kind: str
+    ) -> None:
+        if metric_kind not in QUAD_METRICS:
+            raise ValueError(f"unknown metric {metric_kind!r}")
+        d, n, big_h = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        shifts = (n >= 1) & (n <= 63)
+        genus_rest = big_h & (np.left_shift(1, np.where(shifts, n - 1, 0)) - 1)
+        bad = ~shifts | (genus_rest != 0) | (big_h <= 0) | (d < 1)
+        if bad.any():
+            # raises the per-record error for the first bad row
+            quad_records([triples[int(np.argmax(bad))]], signature, EPS_ZERO, metric_kind)
+        unsorted = np.flatnonzero(d[1:] <= d[:-1])
+        if unsorted.size:
+            raise ValueError(f"stream keys not ascending at {d[unsorted[0] + 1]}")
+        h = big_h >> (n - 1) if metric_kind in (NONGENUS, RAW_SMALL_H) else big_h
+        self.keys = d
+        self.raw = metric_kind in (RAW_H, RAW_SMALL_H)
+        self.log_h = np.log(h.astype(np.float64))
+        self.log_d = np.log(d.astype(np.float64))
+
+    def candidates(
+        self,
+        eps: Epsilon,
+        mode: str,
+        from_one: bool = False,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> np.ndarray:
+        """Ascending positions in [start, stop) that contain every successive
+        record of a scan over those positions; the running record starts at
+        C = 1 when from_one, else at the first position."""
+        half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
+        v = self.log_h[start:stop] - half_eps * self.log_d[start:stop]
+        if mode == MINIMA:
+            v = -v
+        seed = 0.0 if from_one else -np.inf
+        prev = np.maximum.accumulate(np.concatenate(([seed], v)))[:-1]
+        return np.flatnonzero(v >= prev - MARGIN) + start
+
+
 # ---------------------------------------------------------------------------
 # prime-product genus families
 # ---------------------------------------------------------------------------
@@ -352,26 +445,6 @@ def genus_family_rows(
 # ---------------------------------------------------------------------------
 
 
-def count_events(
-    triples: list[tuple[int, int, int]],
-    signature: str,
-    eps: Epsilon,
-    metric_kind: str,
-    mode: str = "maxima",
-    stop_after: int | None = None,
-) -> int:
-    """Number of successive-record events for one eps (cheap rescan)."""
-    from .maxima import BucketSpec, scan
-
-    records = quad_records(triples, signature, eps, metric_kind)
-    count = 0
-    for _ in scan(iter(records), mode, BucketSpec(1)):
-        count += 1
-        if stop_after is not None and count >= stop_after:
-            break
-    return count
-
-
 def threshold_search(
     triples: list[tuple[int, int, int]],
     signature: str,
@@ -383,13 +456,17 @@ def threshold_search(
     Taken by bisection over the grid, assuming the event count is monotone
     nonincreasing in eps (true in practice for these streams); the endpoint
     is verified before returning.  None means even eps = 0 has < 2 events.
+    Each probe scans only the prefilter's candidates (see QuadStream).
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
+    stream = QuadStream(triples, signature, metric_kind)
 
     def plenty(k: int) -> bool:
         eps = Epsilon.of(grid_step * k)
-        return count_events(triples, signature, eps, metric_kind, stop_after=2) >= 2
+        keep = stream.candidates(eps, MAXIMA)
+        records = quad_records([triples[i] for i in keep.tolist()], signature, eps, metric_kind)
+        return len(list(islice(scan(iter(records), MAXIMA, BucketSpec(1)), 2))) >= 2
 
     k_hi = int(Fraction(2) / grid_step)
     while grid_step * k_hi >= 2:

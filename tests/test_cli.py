@@ -105,6 +105,23 @@ class TestScanCommand:
         want = [-int(r["D"]) for r in data_rows("imag_eps_1_minima_listed.csv") if int(r["D"]) <= 1012]
         assert got == want
 
+    def test_raw_metric_ignores_eps_with_compat_preset(self):
+        """Raw metrics compare at eps 0, so the preset starting value 1 must
+        too; any --eps then only changes the header line."""
+        outs = {}
+        for eps in ("0", "1/50"):
+            for mode in ("maxima", "minima"):
+                rc, out = run_cli(
+                    ["scan", "--family", "quad-real", "--min", "2", "--max", "1000",
+                     "--eps", eps, "--metric", "raw-H", "--mode", mode,
+                     "--compat-minima-init-one", "--counters"]
+                )
+                assert rc == 0
+                outs[eps, mode] = out.split("\n", 1)[1]
+        assert outs["0", "maxima"] == outs["1/50", "maxima"]
+        assert outs["0", "minima"] == outs["1/50", "minima"]
+        assert outs["0", "maxima"].startswith("D_K=12 H=2 ")
+
     def test_real_family(self):
         rc, out = run_cli(
             ["scan", "--family", "quad-real", "--min", "2", "--max", "1000",

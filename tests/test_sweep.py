@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from classmax import classnum, sweep
+from classmax import classnum, cli, sweep
 from classmax.discriminants import IMAGINARY, REAL, is_fundamental
-from classmax.maxima import scan_collect
-from classmax.metric import EPS_ZERO, Epsilon, c_eps
+from classmax.maxima import BucketSpec, scan_collect
+from classmax.metric import EPS_ZERO, Epsilon, c_eps, format_value
 
 
 class TestTables:
@@ -205,7 +209,9 @@ class TestThresholdSearch:
         k = 0
         while grid * k < 2:
             eps = Epsilon.of(grid * k)
-            if sweep.count_events(triples, IMAGINARY, eps, metric) >= 2:
+            records = sweep.quad_records(triples, IMAGINARY, eps, metric)
+            events, _ = scan_collect(iter(records), buckets=BucketSpec(1))
+            if len(events) >= 2:
                 best = grid * k
             k += 1
         return best
@@ -219,3 +225,161 @@ class TestThresholdSearch:
     def test_single_discriminant_sentinel(self):
         triples = sweep.quad_triples(IMAGINARY, 3, 3)
         assert sweep.threshold_search(triples, IMAGINARY, Fraction(1, 10)) is None
+
+
+# ---------------------------------------------------------------------------
+# certified float64 prefilter: the prefiltered CLI path against a scan of
+# every record
+# ---------------------------------------------------------------------------
+
+MODES = ("maxima", "minima")
+
+
+def summary(events):
+    return [
+        (e.record.key, e.nd, e.buckets, format_value(e.record.value.approx)) for e in events
+    ]
+
+
+def reference(triples, signature, eps, metric, mode, from_one, records=None):
+    """quad_records over every triple, then scan_collect: no prefilter."""
+    if records is None:
+        records = sweep.quad_records(triples, signature, eps, metric)
+    raw = metric in (sweep.RAW_H, sweep.RAW_SMALL_H)
+    initial = c_eps(1, 1, EPS_ZERO if raw else eps) if from_one else None
+    events, total = scan_collect(iter(records), mode, BucketSpec(3), initial)
+    return summary(events), total
+
+
+def prefiltered(triples, signature, eps, metric, mode, from_one, shards=1):
+    config = cli.ScanConfig(
+        family=cli.QUAD_IMAGINARY if signature == IMAGINARY else cli.QUAD_REAL,
+        eps_list=[eps],
+        lo=triples[0][0] if triples else 1,
+        hi=triples[-1][0] if triples else 1,
+        metric_kind=metric,
+        mode=mode,
+        shards=shards,
+        compat_minima_init_one=from_one,
+    )
+    [(_, events, total)] = cli.scan_triples(triples, config)
+    return summary(events), total
+
+
+def assert_equivalent(triples, signature, eps, metric, shards=(1,)):
+    records = sweep.quad_records(triples, signature, eps, metric)
+    for mode in MODES:
+        for from_one in (False, True):
+            want = reference(triples, signature, eps, metric, mode, from_one, records)
+            for n in shards:
+                got = prefiltered(triples, signature, eps, metric, mode, from_one, n)
+                assert got == want, (str(eps), metric, mode, from_one, n)
+
+
+@pytest.fixture(scope="module")
+def imag_200k():
+    return sweep.quad_triples(IMAGINARY, 1, 200_000)
+
+
+@pytest.fixture(scope="module")
+def real_30k():
+    return sweep.quad_triples(REAL, 2, 30_000)
+
+
+class TestPrefilterEquivalence:
+    @pytest.mark.parametrize("eps", ["0", "1/50", "1/20", "1", "5/4"])
+    def test_imaginary_stream(self, imag_200k, eps):
+        eps = Epsilon.of(Fraction(eps))
+        shards = (1, 3) if eps == Epsilon(1, 50) else (1,)
+        assert_equivalent(imag_200k, IMAGINARY, eps, sweep.NONGENUS, shards)
+
+    @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H])
+    def test_real_raw_ties(self, real_30k, metric):
+        assert_equivalent(real_30k, REAL, EPS_ZERO, metric, shards=(1, 2))
+
+    def test_exact_ties_at_eps_one(self):
+        triples = [(4, 1, 2), (9, 1, 3)]  # C = 2/2 = 3/3 = 1
+        assert_equivalent(triples, IMAGINARY, Epsilon(1, 1), sweep.FULL)
+        got, total = prefiltered(triples, IMAGINARY, Epsilon(1, 1), sweep.FULL, "maxima", False)
+        assert [e[0] for e in got] == [4] and total == 2
+        got, _ = prefiltered(triples, IMAGINARY, Epsilon(1, 1), sweep.FULL, "minima", True)
+        assert got == []
+
+    def test_equal_h_at_eps_zero(self):
+        triples = [(5, 1, 7), (8, 1, 7), (12, 2, 14), (13, 1, 14), (17, 1, 7)]
+        for metric in sweep.QUAD_METRICS:
+            assert_equivalent(triples, IMAGINARY, EPS_ZERO, metric, shards=(1, 2))
+        got, _ = prefiltered(triples, IMAGINARY, EPS_ZERO, sweep.RAW_H, "maxima", False)
+        assert [e[0] for e in got] == [5, 12]
+
+    def test_record_below_float64_resolution(self):
+        """10**17 and 10**17 + 1 round to the same float64; only the exact
+        comparator tells them apart, so the prefilter must keep both."""
+        big = 10**17
+        assert float(big) == float(big + 1)
+        up = [(5, 1, big), (8, 1, big + 1)]
+        down = [(5, 1, big + 1), (8, 1, big)]
+        for triples, mode in ((up, "maxima"), (down, "minima")):
+            got, _ = prefiltered(triples, IMAGINARY, EPS_ZERO, sweep.FULL, mode, False)
+            assert [(e[0], e[1]) for e in got] == [(5, 1), (8, 2)]
+            assert_equivalent(triples, IMAGINARY, EPS_ZERO, sweep.FULL, shards=(1, 2))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4)),
+            min_size=1,
+            max_size=40,
+        ),
+        eps=st.sampled_from(["0", "1/50", "1/2", "1", "3/2"]),
+        metric=st.sampled_from(sweep.QUAD_METRICS),
+        shards=st.integers(1, 3),
+    )
+    def test_random_streams_small_h(self, rows, eps, metric, shards):
+        triples = []
+        key = 2
+        for gap, n, h in rows:
+            key += gap
+            triples.append((key, n, h << (n - 1)))
+        assert_equivalent(triples, IMAGINARY, Epsilon.of(Fraction(eps)), metric, (shards,))
+
+
+class TestPrefilterValidation:
+    """Every row is checked, also one the prefilter would drop: each bad row
+    below sits after a larger value, so it is never a candidate."""
+
+    def raises_like_reference(self, triples, exc, message, metric=sweep.NONGENUS):
+        pattern = "^" + re.escape(message) + "$"
+        with pytest.raises(exc, match=pattern):
+            reference(triples, IMAGINARY, Epsilon(1, 20), metric, "maxima", False)
+        for shards in (1, 2):
+            with pytest.raises(exc, match=pattern):
+                prefiltered(triples, IMAGINARY, Epsilon(1, 20), metric, "maxima", False, shards)
+        with pytest.raises(exc, match=pattern):
+            sweep.threshold_search(triples, IMAGINARY, Fraction(1, 10), metric)
+
+    def test_genus_divisibility(self):
+        triples = [(3, 1, 50), (4, 1, 1), (7, 2, 3), (8, 2, 5)]
+        self.raises_like_reference(
+            triples, ArithmeticError, "genus number 2^1 does not divide H at D = 7"
+        )
+
+    def test_nonpositive_h(self):
+        self.raises_like_reference(
+            [(3, 1, 50), (4, 1, 1), (7, 2, 0)], ValueError, "need h > 0 and disc >= 1"
+        )
+
+    def test_disc_below_one(self):
+        self.raises_like_reference(
+            [(3, 1, 50), (4, 1, 1), (0, 1, 1)], ValueError, "need h > 0 and disc >= 1"
+        )
+
+    def test_unknown_metric(self):
+        self.raises_like_reference([(3, 1, 50), (4, 1, 1)], ValueError, "unknown metric '??'", "??")
+
+    def test_keys_not_ascending(self):
+        self.raises_like_reference(
+            [(3, 1, 50), (4, 1, 1), (4, 1, 1), (7, 1, 1)],
+            ValueError,
+            "stream keys not ascending at 4",
+        )
