@@ -17,27 +17,6 @@ import numpy as np
 from . import arith
 from .discriminants import is_fundamental
 
-_CACHE_LIMIT = 1 << 20
-_imag_cache: dict[int, int] = {}
-_real_cache: dict[int, int] = {}
-
-
-def set_cache_limit(limit: int) -> None:
-    """Bound the in-memory class-number caches (never changes results)."""
-    global _CACHE_LIMIT
-    _CACHE_LIMIT = max(0, limit)
-    if len(_imag_cache) > _CACHE_LIMIT:
-        _imag_cache.clear()
-    if len(_real_cache) > _CACHE_LIMIT:
-        _real_cache.clear()
-
-
-def _cache_put(cache: dict[int, int], key: int, value: int) -> None:
-    if len(cache) >= _CACHE_LIMIT:
-        cache.clear()
-    cache[key] = value
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
     """Primitive integral binary quadratic form a x^2 + b xy + c y^2."""
@@ -53,22 +32,6 @@ class QuadraticForm:
     @property
     def is_primitive(self) -> bool:
         return math.gcd(math.gcd(self.a, self.b), self.c) == 1
-
-
-@dataclass(frozen=True)
-class FormCycle:
-    """Reduced indefinite forms closed under rho; always of even length."""
-
-    forms: tuple[QuadraticForm, ...]
-
-    def __len__(self) -> int:
-        return len(self.forms)
-
-    def __iter__(self):
-        return iter(self.forms)
-
-    def __getitem__(self, i):
-        return self.forms[i]
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +51,6 @@ def class_number_imaginary(d: int) -> int:
         raise ValueError("imaginary class number needs d < 0")
     if not is_fundamental(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    cached = _imag_cache.get(d)
-    if cached is not None:
-        return cached
     n = -d
     count = 0
     for b in range(n & 1, math.isqrt(n // 3) + 1, 2):
@@ -104,7 +64,6 @@ def class_number_imaginary(d: int) -> int:
             if math.gcd(math.gcd(a, b), c) != 1:
                 continue
             count += 1 if (b == 0 or b == a or a == c) else 2
-    _cache_put(_imag_cache, d, count)
     return count
 
 
@@ -248,11 +207,12 @@ def rho_step(form: QuadraticForm, d: int) -> QuadraticForm:
     return nxt
 
 
-def form_cycles(d: int) -> list[FormCycle]:
-    """Partition of the reduced indefinite forms into rho-cycles."""
+def form_cycles(d: int) -> list[tuple[QuadraticForm, ...]]:
+    """Partition of the reduced indefinite forms into rho-cycles, each of
+    even length."""
     forms = reduced_indefinite_forms(d)
     seen: set[QuadraticForm] = set()
-    cycles: list[FormCycle] = []
+    cycles: list[tuple[QuadraticForm, ...]] = []
     for start in sorted(forms, key=lambda f: (f.a, f.b, f.c)):
         if start in seen:
             continue
@@ -265,15 +225,10 @@ def form_cycles(d: int) -> list[FormCycle]:
             cycle.append(current)
             seen.add(current)
             current = rho_step(current, d)
-        cycles.append(FormCycle(tuple(cycle)))
+        cycles.append(tuple(cycle))
     return cycles
 
 
 def narrow_class_number_real(d: int) -> int:
     """H+ for fundamental d > 0: the number of rho-cycles of reduced forms."""
-    cached = _real_cache.get(d)
-    if cached is not None:
-        return cached
-    count = len(form_cycles(d))
-    _cache_put(_real_cache, d, count)
-    return count
+    return len(form_cycles(d))

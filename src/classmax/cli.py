@@ -86,7 +86,7 @@ def parse_eps(text: str) -> Epsilon:
 
 def _sharded_scan(
     keys,
-    scan_part: Callable[[int, int, MetricValue | None], tuple[list[MaximaEvent], int]],
+    scan_part: Callable[[int, int], tuple[list[MaximaEvent], int]],
     lo: int,
     hi: int,
     mode: str,
@@ -96,21 +96,17 @@ def _sharded_scan(
 ) -> tuple[list[MaximaEvent], int]:
     """Split the key range into contiguous shards, scan each, merge globally.
 
-    `keys` are the ascending stream keys; `scan_part(start, stop, initial)`
-    scans stream positions [start, stop) and returns its events, with nd
-    counted from start, and its record count.
+    `keys` are the ascending stream keys; `scan_part(start, stop)` scans
+    stream positions [start, stop) from a fresh running record and returns
+    its events, with nd counted from start, and its record count.  The
+    starting value `initial` is applied by merge_shards alone.
     """
-    if shards <= 1:
-        return scan_part(0, len(keys), initial)
-    width = (hi - lo + 1 + shards - 1) // shards
+    width = (hi - lo + shards) // shards
     results = []
-    for i in range(shards):
-        s_lo = lo + i * width
+    for s_lo in range(lo, hi + 1, width):
         s_hi = min(hi, s_lo + width - 1)
-        if s_lo > hi:
-            break
         start, stop = np.searchsorted(keys, [s_lo, s_hi + 1]).tolist()
-        events, total = scan_part(start, stop, None)
+        events, total = scan_part(start, stop)
         results.append(
             ShardResult(lo=s_lo, hi=s_hi, events=tuple(events), total_records=total)
         )
@@ -132,12 +128,11 @@ def scan_triples(
     out = []
     for eps in config.eps_list:
 
-        def scan_part(start, stop, initial):
-            # initial, when set, is C = 1
-            keep = stream.candidates(eps, config.mode, initial is not None, start, stop)
+        def scan_part(start, stop):
+            keep = stream.candidates(eps, config.mode, start, stop)
             part = [triples[i] for i in keep.tolist()]
             records = sweep.quad_records(part, signature, eps, config.metric_kind)
-            events, _ = scan_collect(iter(records), config.mode, buckets, initial)
+            events, _ = scan_collect(records, config.mode, buckets)
             remapped = [replace(ev, nd=int(keep[ev.nd - 1]) - start + 1) for ev in events]
             return remapped, stop - start
 
@@ -187,8 +182,8 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
             )
         )
 
-        def scan_part(start, stop, initial):
-            return scan_collect(iter(records[start:stop]), config.mode, buckets, initial)
+        def scan_part(start, stop):
+            return scan_collect(records[start:stop], config.mode, buckets)
 
         initial = c_eps(1, 1, eps) if config.compat_minima_init_one else None
         events, total = _sharded_scan(
@@ -423,6 +418,8 @@ def _cmd_genus_family(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    if args.shards < 1:
+        raise ValueError("shards must be >= 1")
     signature = IMAGINARY if args.family == QUAD_IMAGINARY else REAL
     grid = Fraction(args.grid)
     triples = sweep.quad_triples(signature, args.lo, args.hi, workers=args.shards)

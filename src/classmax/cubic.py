@@ -18,7 +18,7 @@ from . import arith
 from .discriminants import is_cyclic_conductor
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import FieldRecord, ScanRecord
-from .metric import Epsilon, MetricValue, c_eps, compare, geometric_mean, root_mean
+from .metric import Epsilon, MetricValue, c_eps, compare, geometric_mean
 
 EXACT_CONDUCTOR = "exact_conductor"
 DIVISORS = "divisors"
@@ -48,10 +48,6 @@ class CubicField:
     b: int
     coeffs: tuple[int, int, int]  # monic x^3 + c2 x^2 + c1 x + c0
     e3: int
-
-    @property
-    def field_disc(self) -> int:
-        return self.f * self.f
 
     def __str__(self) -> str:
         c2, c1, c0 = self.coeffs
@@ -236,17 +232,6 @@ def class_number_cubic(field: CubicField, source: ClassNumberSource) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyAggregate:
-    f: int
-    scope: str
-    members: tuple[tuple[CubicField, int], ...]
-    nK: int
-    mean_H: object
-    mean_h: object
-    mean_C: object
-
-
 def _member_data(
     f: int, scope: str, eps: Epsilon, source: ClassNumberSource
 ) -> list[tuple[CubicField, int, int, MetricValue, MetricValue]]:
@@ -267,29 +252,6 @@ def _member_data(
             )
         )
     return rows
-
-
-def family_aggregate(
-    f: int,
-    scope: str,
-    eps: Epsilon,
-    source: ClassNumberSource,
-    metric_kind: str = NONGENUS,
-) -> FamilyAggregate:
-    data = _member_data(f, scope, eps, source)
-    n_k = len(data)
-    prod_big = math.prod(r[1] for r in data)
-    prod_small = math.prod(r[2] for r in data)
-    mean_c = geometric_mean([r[3] if metric_kind == NONGENUS else r[4] for r in data])
-    return FamilyAggregate(
-        f=f,
-        scope=scope,
-        members=tuple((r[0], r[1]) for r in data),
-        nK=n_k,
-        mean_H=root_mean(prod_big, 1, n_k),
-        mean_h=root_mean(prod_small, 1, n_k),
-        mean_C=mean_c.approx,
-    )
 
 
 def family_scan_record(

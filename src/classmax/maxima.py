@@ -116,17 +116,8 @@ def scan_collect(
     initial: MetricValue | None = None,
 ) -> tuple[list[MaximaEvent], int]:
     """Run scan to exhaustion; return (events, total records consumed)."""
-    events: list[MaximaEvent] = []
-    nd = 0
-
-    def counting(stream: Iterable[ScanRecord]) -> Iterator[ScanRecord]:
-        nonlocal nd
-        for rec in stream:
-            nd += 1
-            yield rec
-
-    events.extend(scan(counting(records), mode, buckets, initial))
-    return events, nd
+    records = list(records)
+    return list(scan(records, mode, buckets, initial)), len(records)
 
 
 def merge_shards(

@@ -51,10 +51,6 @@ class Epsilon:
         frac = Fraction(value)
         return cls(frac.numerator, frac.denominator)
 
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 

@@ -213,6 +213,8 @@ def quad_triples(
 
     H is the ordinary class number for imaginary fields and the narrow class
     number for real fields, exactly as the per-discriminant routines compute.
+    The real sweep forks at most os.cpu_count() workers; the result does not
+    depend on their number.
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
@@ -224,6 +226,7 @@ def quad_triples(
         return list(zip(ds.tolist(), om[ds].tolist(), table[ds].tolist()))
     if signature != REAL:
         raise ValueError(f"unknown signature {signature!r}")
+    workers = min(workers, os.cpu_count() or 1)
     _init_real_tables(hi)
     try:
         if workers <= 1:
@@ -313,8 +316,8 @@ class QuadStream:
     v_i = log h_i - (e/2) log D_i in float64, negated in minima mode.  Write
     x_i for the exact value of that expression: compare orders the metric
     values exactly as x orders them.  A position is a candidate iff
-    v_i >= P_i - MARGIN, with P_i = max(s, v_j for j < i) and the seed s =
-    -inf, or s = 0 = log 1 when the running record starts at C = 1.
+    v_i >= P_i - MARGIN, with P_i = max(v_j for j < i), and P_i = -inf at
+    the first position.
 
     Error bound.  Let u = 2^-53.  D and h are int64, so 1 <= D, h < 2^63 and
     |log D|, |log h|, |(e/2) log D| < 44.  Converting D or h to float64
@@ -328,21 +331,22 @@ class QuadStream:
     88 u.  In all, |v_i - x_i| <= delta < 2 (2^-42 + 2^-52) + 176 u < 2^-40,
     and 2 delta < 2^-39 = MARGIN / 512.  Negation and max are exact.
 
-    Exactness.  A full scan makes i an event iff x_i > R_i = max(s, x_j for
-    j < i); ties never are.
+    Exactness.  A fresh full scan makes the first position an event, and a
+    later i an event iff x_i > R_i = max(x_j for j < i); ties never are.
     - A dropped position lies strictly below an earlier value: v_i < v_j -
-      MARGIN for some j < i (or v_i < s - MARGIN) gives x_i <= v_i + delta <
-      x_j + 2 delta - MARGIN < x_j (or < s).  So it is no event, and it can
-      never move the running record.
-    - Every event is kept: x_i > R_i gives v_i >= x_i - delta > x_j - delta
-      >= v_j - 2 delta for each j < i, and v_i > s - delta, so v_i > P_i -
-      2 delta > P_i - MARGIN.
+      MARGIN for some j < i gives x_i <= v_i + delta < x_j + 2 delta -
+      MARGIN < x_j.  So it is no event, and it can never move the running
+      record.
+    - Every event is kept: the first position has P_i = -inf, and a later
+      x_i > R_i gives v_i >= x_i - delta > x_j - delta >= v_j - 2 delta for
+      each j < i, so v_i > P_i - 2 delta > P_i - MARGIN.
     - So a scan over the candidates holds the same running record before
-      every candidate i: the position that first reached R_i is an event (or
-      R_i = s) and is kept.  It takes the same decisions, so it yields the
-      same events and bucket counts as a scan over every position.  Ties and
-      near-ties (within 2 delta) stay candidates, and compare settles them
-      exactly.
+      every candidate i: the position that first reached R_i is an event and
+      is kept.  It takes the same decisions, so it yields the same events
+      and bucket counts as a scan over every position.  Ties and near-ties
+      (within 2 delta) stay candidates, and compare settles them exactly.
+    A preset starting value, such as C = 1, is applied afterwards by
+    maxima.merge_shards, which takes fresh scans.
     """
 
     def __init__(
@@ -367,22 +371,15 @@ class QuadStream:
         self.log_d = np.log(d.astype(np.float64))
 
     def candidates(
-        self,
-        eps: Epsilon,
-        mode: str,
-        from_one: bool = False,
-        start: int = 0,
-        stop: int | None = None,
+        self, eps: Epsilon, mode: str, start: int = 0, stop: int | None = None
     ) -> np.ndarray:
         """Ascending positions in [start, stop) that contain every successive
-        record of a scan over those positions; the running record starts at
-        C = 1 when from_one, else at the first position."""
+        record of a fresh scan over those positions."""
         half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
         v = self.log_h[start:stop] - half_eps * self.log_d[start:stop]
         if mode == MINIMA:
             v = -v
-        seed = 0.0 if from_one else -np.inf
-        prev = np.maximum.accumulate(np.concatenate(([seed], v)))[:-1]
+        prev = np.maximum.accumulate(np.concatenate(([-np.inf], v)))[:-1]
         return np.flatnonzero(v >= prev - MARGIN) + start
 
 

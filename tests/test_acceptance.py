@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from classmax import arith, classnum, cubic, sweep
+from classmax import arith, classnum, cli, cubic, sweep
 from classmax.classnum import (
     QuadraticForm,
     class_number_imaginary,
@@ -46,6 +46,16 @@ def criterion(number: int, budget_seconds: float, description: str):
     )
 
 
+def scan_imaginary(triples, eps):
+    """Nongenus maxima over imaginary (D, N, H) triples by the CLI's scan path:
+    the certified prefilter, then the exact scan of its candidates."""
+    config = cli.ScanConfig(
+        family=cli.QUAD_IMAGINARY, eps_list=[eps], lo=1, hi=triples[-1][0]
+    )
+    [(_, events, total)] = cli.scan_triples(triples, config)
+    return events, total
+
+
 def test_criterion_01_fundamental_stream():
     with criterion(1, 1.0, "fundamental discriminant stream |D| <= 68"):
         got = [q.abs for q in iter_fundamental(IMAGINARY, 1, 68)]
@@ -66,8 +76,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_eps_1_20_records(request, data_rows):
     with criterion(3, 300.0, "eps=1/20 nongenus records through D=-1190591"):
         imag_triples = request.getfixturevalue("imag_triples")
-        records = sweep.quad_records(imag_triples, IMAGINARY, Epsilon(1, 20), sweep.NONGENUS)
-        events, total = scan_collect(iter(records))
+        events, total = scan_imaginary(imag_triples, Epsilon(1, 20))
         gold = [r for r in data_rows("imag_eps_1_20_nongenus_listed.csv") if int(r["D"]) <= 1_200_000]
         assert len(gold) == 12
         by_key = {e.record.key: (i, e) for i, e in enumerate(events)}
@@ -181,8 +190,7 @@ def test_criterion_09_high_eps(request, data_rows):
     with criterion(9, 120.0, "eps=5/4 yields exactly three records below 1e6"):
         imag_triples = request.getfixturevalue("imag_triples")
         triples = [t for t in imag_triples if t[0] <= 1_000_000]
-        records = sweep.quad_records(triples, IMAGINARY, Epsilon(5, 4), sweep.NONGENUS)
-        events, _ = scan_collect(iter(records))
+        events, _ = scan_imaginary(triples, Epsilon(5, 4))
         gold = data_rows("imag_eps_5_4_nongenus_listed.csv")
         assert [e.record.key for e in events] == [3, 311, 479]
         for ev, r in zip(events, gold):

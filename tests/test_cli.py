@@ -35,19 +35,22 @@ class TestScanCommand:
         assert out == EXPECTED_SCAN_200
 
     def test_byte_stable_across_shards(self):
-        base = None
-        for shards in (1, 2, 5):
-            rc, out = run_cli(
-                [
-                    "scan", "--family", "quad-imaginary", "--max", "500",
-                    "--eps", "0.05", "--shards", str(shards),
-                ]
-            )
-            assert rc == 0
-            if base is None:
-                base = out
-            else:
-                assert out == base
+        inputs = [
+            ["--family", "quad-imaginary", "--max", "500", "--eps", "0.05"],
+            ["--family", "cubic", "--fixtures-only", "--max", "1500", "--eps", "1/100"],
+            ["--family", "quad-imaginary", "--max", "500", "--mode", "minima",
+             "--eps", "1", "--compat-minima-init-one"],
+        ]
+        for argv in inputs:
+            base = None
+            for shards in (1, 2, 5):
+                rc, out = run_cli(["scan", *argv, "--shards", str(shards)])
+                assert rc == 0
+                assert "D_K=" in out or "f=" in out
+                if base is None:
+                    base = out
+                else:
+                    assert out == base, (argv, shards)
 
     def test_decimal_eps_equals_rational(self):
         _, a = run_cli(["scan", "--family", "quad-imaginary", "--max", "200", "--eps", "0.05"])
@@ -222,6 +225,13 @@ class TestGenusFamilyCommand:
 
 
 class TestThresholdCommand:
+    def test_rejects_shards_below_one(self):
+        rc, out = run_cli(
+            ["threshold", "--family", "quad-imaginary", "--max", "2000", "--grid", "1/4",
+             "--shards", "0"]
+        )
+        assert rc == cli.EXIT_CONFIG and out == ""
+
     def test_small_range(self):
         rc, out = run_cli(
             ["threshold", "--family", "quad-imaginary", "--max", "2000", "--grid", "1/4"]

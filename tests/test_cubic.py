@@ -1,6 +1,6 @@
 import pytest
 
-from classmax import arith, cubic
+from classmax import arith
 from classmax.cubic import (
     ClassNumberUnavailable,
     DIVISORS,
@@ -14,7 +14,6 @@ from classmax.cubic import (
     iter_conductors,
     iter_family_records,
 )
-from classmax.cubic import family_aggregate
 from classmax.maxima import BucketSpec, scan_collect
 from classmax.metric import Epsilon, rel_err, root_mean
 
@@ -162,6 +161,7 @@ class TestFamilyRecords:
         rec = family_scan_record(63, DIVISORS, Epsilon(1, 50), "full", bundled_fixtures)
         p = rec.payload
         assert p.n_fields == 4
+        assert p.H_prod == 9
         assert rel_err(root_mean(p.H_prod, 1, p.n_fields), "1.7320508075688772936") < 1e-12
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
@@ -187,22 +187,6 @@ class TestFamilyRecords:
         store.load_text("\n".join(rows))
         with pytest.raises(ArithmeticError):
             family_scan_record(91, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", store)
-
-
-class TestFamilyAggregate:
-    def test_aggregate_means(self, bundled_fixtures):
-        agg = cubic.family_aggregate(
-            63, DIVISORS, Epsilon(1, 50), bundled_fixtures, metric_kind="full"
-        )
-        assert agg.nK == 4
-        assert sorted(h for _, h in agg.members) == [1, 1, 3, 3]
-        assert rel_err(agg.mean_H, "1.7320508075688772936") < 1e-12
-        assert rel_err(agg.mean_C, "1.627685591700590660") < 1e-12
-
-    def test_single_field_aggregate(self, bundled_fixtures):
-        agg = cubic.family_aggregate(7, EXACT_CONDUCTOR, Epsilon(1, 100), bundled_fixtures)
-        assert agg.nK == 1 and agg.members[0][1] == 1
-        assert rel_err(agg.mean_h, 1) < 1e-25
 
 
 class TestFixtureStreams:

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -80,6 +81,32 @@ class TestTriples:
         two = sweep.quad_triples(REAL, 2, 30000, workers=2)
         assert one == two
 
+    def test_fork_pool_capped_at_core_count(self, monkeypatch):
+        """The fake context maps in this process, so no process is started."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(sweep.multiprocessing, "get_context", lambda method: FakeContext())
+        got = sweep.quad_triples(REAL, 2, 3000, workers=10_000)
+        cores = os.cpu_count() or 1
+        assert sizes == ([cores] if cores > 1 else [])
+        assert got == sweep.quad_triples(REAL, 2, 3000, workers=1)
+
     def test_ascending_and_complete(self):
         triples = sweep.quad_triples(IMAGINARY, 1, 3000)
         ds = [t[0] for t in triples]
@@ -160,8 +187,10 @@ class TestEpsOneListing:
         from classmax.metric import rel_err
 
         triples = [t for t in imag_triples if t[0] <= 1_000_000]
-        records = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 1), sweep.NONGENUS)
-        events, _ = scan_collect(iter(records))
+        config = cli.ScanConfig(
+            family=cli.QUAD_IMAGINARY, eps_list=[Epsilon(1, 1)], lo=1, hi=1_000_000
+        )
+        [(_, events, _)] = cli.scan_triples(triples, config)
         gold = [r for r in data_rows("imag_eps_1_nongenus_listed.csv") if int(r["D"]) <= 1_000_000]
         assert [e.record.key for e in events] == [int(r["D"]) for r in gold]
         for ev, r in zip(events, gold):
