@@ -99,17 +99,22 @@ def _sharded_scan(
     `keys` are the ascending stream keys; `scan_part(start, stop)` scans
     stream positions [start, stop) from a fresh running record and returns
     its events, with nd counted from start, and its record count.  The
-    starting value `initial` is applied by merge_shards alone.
+    starting value `initial` is applied by merge_shards alone.  Shards that
+    hold no key are not scanned, so there are never more scans than keys.
     """
     width = (hi - lo + shards) // shards
+    keys = np.asarray(keys, dtype=np.int64)
+    start, end = np.searchsorted(keys, [lo, hi + 1]).tolist()
     results = []
-    for s_lo in range(lo, hi + 1, width):
+    while start < end:
+        s_lo = lo + (int(keys[start]) - lo) // width * width  # shard of keys[start]
         s_hi = min(hi, s_lo + width - 1)
-        start, stop = np.searchsorted(keys, [s_lo, s_hi + 1]).tolist()
+        stop = int(np.searchsorted(keys, s_hi + 1))
         events, total = scan_part(start, stop)
         results.append(
             ShardResult(lo=s_lo, hi=s_hi, events=tuple(events), total_records=total)
         )
+        start = stop
     return merge_shards(results, mode, buckets, initial)
 
 

@@ -115,72 +115,109 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, data
 
 
+# Divisor candidates per segment of the real sweep; a segment's arrays then
+# take a few MB whatever the range (see _narrow_chunk).
+SEGMENT = 2**15
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(n)) of an int64 array with entries below 2^52."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _reduced_forms(
+    ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 arrays (j, a, b): the reduced indefinite forms (a, b, c) with
+    a > 0 of each discriminant ds[j], in (j, b, a) order.
+
+    For each b = D mod 2 in (0, sqrt D), the candidates a are the divisors of
+    m = (D - b^2) / 4, read from the CSR divisor table in ascending order; a
+    form is reduced iff |sqrt(D) - 2a| < b, tested exactly in integers.
+    """
+    b0 = 2 - (ds & 1)
+    nb = (_isqrt(ds) - b0) // 2 + 1
+    pj = np.repeat(np.arange(len(ds)), nb)
+    b = b0[pj] + 2 * (np.arange(len(pj)) - np.repeat(np.cumsum(nb) - nb, nb))
+    m = (ds[pj] - b * b) >> 2
+    starts = indptr[m]
+    cnts = indptr[m + 1] - starts
+    j = np.repeat(pj, cnts)
+    b = np.repeat(b, cnts)
+    gather = np.repeat(starts - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(j))
+    a = ddata[gather].astype(np.int64)
+    d = ds[j]
+    t1 = 2 * a + b
+    t2 = 2 * a - b
+    keep = (t1 * t1 > d) & ((t2 < 0) | (t2 * t2 < d))
+    return j[keep], a[keep], b[keep]
+
+
 def reduced_form_pairs(
     d: int, indptr: np.ndarray, ddata: np.ndarray
 ) -> tuple[list[int], list[int]]:
-    """(a, b) with a > 0 for the reduced indefinite forms of fundamental d > 0;
-    each pair stands for the sign class pair (a, b, c) and (-a, b, -c)."""
-    s = math.isqrt(d)
-    b0 = 2 - (d & 1)
-    bs = np.arange(b0, s + 1, 2, dtype=np.int64)
-    ms = (d - bs * bs) >> 2
-    starts = indptr[ms]
-    cnts = (indptr[ms + 1] - starts).astype(np.int64)
-    total = int(cnts.sum())
-    if total == 0:
-        return [], []
-    pos = np.arange(total, dtype=np.int64)
-    seg = np.repeat(np.cumsum(cnts) - cnts, cnts)
-    gather = np.repeat(starts, cnts) + (pos - seg)
-    gs = ddata[gather].astype(np.int64)
-    brep = np.repeat(bs, cnts)
-    t1 = 2 * gs + brep
-    t2 = 2 * gs - brep
-    keep = (t1 * t1 > d) & ((t2 < 0) | (t2 * t2 < d))
-    return gs[keep].tolist(), brep[keep].tolist()
+    """(a, b) with a > 0 for the reduced indefinite forms of fundamental d > 0,
+    in (b, a) order; each pair stands for the sign class pair (a, b, c) and
+    (-a, b, -c)."""
+    _, a, b = _reduced_forms(np.array([d], dtype=np.int64), indptr, ddata)
+    return a.tolist(), b.tolist()
 
 
-def _narrow_from_tables(d: int, indptr: np.ndarray, ddata: np.ndarray) -> int:
-    """Narrow class number of fundamental d > 0 using the divisor table.
+def _candidate_counts(lo: int, hi: int, indptr: np.ndarray) -> np.ndarray:
+    """Divisor candidates _reduced_forms reads for each D in [lo, hi]: the
+    sum of d((D - b^2) / 4) over 0 < b < sqrt D with b = D mod 2."""
+    dcount = np.diff(indptr)
+    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    for b in range(1, math.isqrt(hi) + 1):
+        m0 = max(1, (lo - b * b + 3) // 4)
+        m1 = (hi - b * b) // 4
+        if m0 <= m1:
+            out[b * b + 4 * m0 - lo :: 4][: m1 - m0 + 1] += dcount[m0 : m1 + 1]
+    return out
 
-    Same reduced-form set and rho walk as classnum.narrow_class_number_real;
-    primitivity is automatic for fundamental discriminants.
-    """
-    a_list, b_list = reduced_form_pairs(d, indptr, ddata)
-    if not a_list:
-        return 0
-    s = math.isqrt(d)
-    # integer-keyed form set over both sign classes
-    stride = 2 * s + 2
-    pending = set()
-    for a, b in zip(a_list, b_list):
-        pending.add((a + s) * stride + b)
-        pending.add((s - a) * stride + b)
-    max_steps = len(pending) + 1
-    cycles = 0
-    while pending:
-        start_key = next(iter(pending))
-        pending.discard(start_key)
-        a = start_key // stride - s
-        b = start_key % stride
-        steps = 0
-        key = None
-        while key != start_key:
-            c = (b * b - d) // (4 * a)
-            ac = -c if c < 0 else c
-            w = s - 2 * ac + 1
-            b = w + (-b - w) % (2 * ac)
-            a = c
-            steps += 1
-            if steps > max_steps:
-                raise ArithmeticError(f"rho walk escaped the reduced set at d = {d}")
-            key = (a + s) * stride + b
-            if key != start_key:
-                pending.discard(key)
-        if steps & 1:
-            raise ArithmeticError(f"odd rho cycle length at d = {d}")
-        cycles += 1
-    return cycles
+
+def _fail_at(bad: np.ndarray, what: str, ds: np.ndarray, j: np.ndarray) -> None:
+    """Raise ArithmeticError naming the discriminant of the first bad form."""
+    if bad.any():
+        raise ArithmeticError(f"{what} at d = {ds[j[np.argmax(bad)]]}")
+
+
+def _narrow_segment(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np.ndarray:
+    """H+ of each fundamental discriminant in ds (see _narrow_chunk)."""
+    j, a, b = _reduced_forms(ds, indptr, ddata)
+    n = len(j)
+    if n == 0:
+        return np.zeros(len(ds), dtype=np.int64)
+    s = _isqrt(ds)[j]
+    c = (b * b - ds[j]) // (4 * a)
+    _fail_at(c >= 0, "odd rho cycle length", ds, j)
+    # sigma(a, b) = (|c|, b'): one rho step, then negation back to a > 0
+    ac = -c
+    w = s - 2 * ac + 1
+    bp = w + (-b - w) % (2 * ac)
+    width = int(s.max()) + 1  # 0 < a, b <= s for every reduced form
+    keys = (j * width + b) * width + a  # ascending: forms come in (j, b, a) order
+    target = (j * width + bp) * width + ac
+    sigma = np.minimum(np.searchsorted(keys, target), n - 1)
+    found = (keys[sigma] == target) & (bp > 0) & (ac <= s)
+    _fail_at(~found, "rho walk escaped the reduced set", ds, j)
+    _fail_at(np.bincount(sigma, minlength=n) != 1, "rho is not a permutation", ds, j)
+    # label[i] = least index among the first 2^k forms of i's sigma^2 orbit
+    q = sigma[sigma]
+    label = np.arange(n)
+    for _ in range((n - 1).bit_length() + 2):
+        nxt = np.minimum(label, label[q])
+        changed = nxt != label
+        if not changed.any():
+            break
+        label = nxt
+        q = q[q]
+    else:
+        _fail_at(changed, "pointer doubling did not converge", ds, j)
+    return np.bincount(j[label == np.arange(n)], minlength=len(ds))
 
 
 # worker globals (populated before fork, shared copy-on-write)
@@ -194,16 +231,46 @@ def _init_real_tables(limit: int) -> None:
 
 
 def _narrow_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int]]:
+    """(D, N, H+) for every fundamental D in [lo, hi], one D-segment at a time.
+
+    Segments are cut in D order so that each reads at most SEGMENT divisor
+    candidates (a single D may exceed that alone).  Within a segment, the
+    positive half of the reduced indefinite forms, (a, b) with a > 0 and
+    c = (b^2 - D) / 4a, is indexed in (D, b, a) order.  sigma = negation o rho
+    maps it to itself, and sigma o sigma = rho o rho, because rho commutes
+    with negation and every reduced form has ac < 0.  So each rho cycle, of
+    even length 2k, meets the positive half in one sigma^2 cycle of length k,
+    and H+ is the number of sigma^2 cycles (Cohen, A Course in Computational
+    Algebraic Number Theory, 5.6).  They are counted by pointer doubling
+    (Hillis and Steele, CACM 1986): label = minimum(label, label[q]),
+    q = q[q], until a round changes no label; H+ is then the number of forms
+    that are their own label.
+
+    Four checks keep the failure modes of a walk form by form, each raising
+    ArithmeticError that names the first bad D:
+    - every c < 0, so rho alternates the sign of a and every rho cycle is even;
+    - every successor sigma(a, b) is a form of the segment, with the same D;
+    - sigma hits every form exactly once, so it is a permutation;
+    - the doubling ends within ceil(log2 n) + 2 rounds for n forms.
+
+    Memory.  A segment holds a dozen int64 arrays of at most max(SEGMENT,
+    candidates of one D) entries, about 3 MB at SEGMENT = 2^15, plus the
+    per-D arrays of the chunk.
+    """
     lo, hi = bounds
-    fund = _W["fund"]
-    om = _W["omega"]
-    indptr = _W["indptr"]
-    ddata = _W["ddata"]
-    out = []
-    for d in np.nonzero(fund[lo : hi + 1])[0]:
-        dd = int(d) + lo
-        out.append((dd, int(om[dd]), _narrow_from_tables(dd, indptr, ddata)))
-    return out
+    indptr, ddata = _W["indptr"], _W["ddata"]
+    ds = np.flatnonzero(_W["fund"][lo : hi + 1]) + lo
+    cand = _candidate_counts(lo, hi, indptr)[ds - lo]
+    ends = np.cumsum(cand)
+    parts = []
+    start = 0
+    while start < len(ds):
+        stop = int(np.searchsorted(ends, ends[start] - cand[start] + SEGMENT, "right"))
+        stop = max(stop, start + 1)
+        parts.append(_narrow_segment(ds[start:stop], indptr, ddata))
+        start = stop
+    hs = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return list(zip(ds.tolist(), _W["omega"][ds].tolist(), hs.tolist()))
 
 
 def quad_triples(

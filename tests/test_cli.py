@@ -43,7 +43,7 @@ class TestScanCommand:
         ]
         for argv in inputs:
             base = None
-            for shards in (1, 2, 5):
+            for shards in (1, 2, 5, 1000):  # 1000 shards: more than keys
                 rc, out = run_cli(["scan", *argv, "--shards", str(shards)])
                 assert rc == 0
                 assert "D_K=" in out or "f=" in out

@@ -1,9 +1,11 @@
+import math
 import os
 import random
 from fractions import Fraction
 
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,16 +40,9 @@ class TestTables:
             assert int(table[d]) == classnum.class_number_imaginary(-d), d
 
     def test_narrow_from_tables_matches_cycles(self):
-        sweep._init_real_tables(6000)
-        try:
-            indptr, ddata = sweep._W["indptr"], sweep._W["ddata"]
-            mask = sweep._W["fund"]
-            for d in np.nonzero(mask)[0]:
-                d = int(d)
-                got = sweep._narrow_from_tables(d, indptr, ddata)
-                assert got == classnum.narrow_class_number_real(d), d
-        finally:
-            sweep._W.clear()
+        """The vectorized sweep agrees with the per-D rho walk, the reference."""
+        for d, _, big_h in sweep.quad_triples(REAL, 2, 6000):
+            assert big_h == classnum.narrow_class_number_real(d), d
 
     def test_reduced_form_pairs_match_module(self):
         sweep._init_real_tables(2000)
@@ -112,6 +107,99 @@ class TestTriples:
         ds = [t[0] for t in triples]
         assert ds == sorted(ds)
         assert set(ds) == {d for d in range(1, 3001) if is_fundamental(-d)}
+
+
+class TestRealSegments:
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return sweep.quad_triples(REAL, 2, 30000)
+
+    def test_ranges_match_slices(self, reference):
+        rng = random.Random(2024)
+        # (6, 6), (2, 2), (2, 4) and (9, 11) hold no fundamental D
+        ranges = [(5, 5), (6, 6), (2, 4), (9, 11), (2, 2), (29999, 30000)]
+        for _ in range(6):
+            lo = rng.randint(2, 30000)
+            ranges.append((lo, rng.randint(lo, min(30000, lo + rng.choice([50, 3000, 20000])))))
+        for lo, hi in ranges:
+            want = [t for t in reference if lo <= t[0] <= hi]
+            assert sweep.quad_triples(REAL, lo, hi) == want, (lo, hi)
+        lo, hi = ranges[-1]
+        two = sweep.quad_triples(REAL, lo, hi, workers=2)
+        assert two == [t for t in reference if lo <= t[0] <= hi]
+
+    @pytest.mark.parametrize("segment", [1, 2**20])
+    def test_segment_size_does_not_change_results(self, reference, segment, monkeypatch):
+        monkeypatch.setattr(sweep, "SEGMENT", segment)
+        assert sweep.quad_triples(REAL, 2, 5000) == [t for t in reference if t[0] <= 5000]
+
+    def test_corrupted_divisor_table_raises(self, monkeypatch):
+        """A wrong divisor drops the form (2, 2, -3) of D = 28 from the
+        reduced set, so the rho successor of (3, 2, -2) is missing."""
+        table = sweep.divisor_table
+
+        def corrupted(limit):
+            indptr, ddata = table(limit)
+            ddata = ddata.copy()
+            assert list(ddata[indptr[6] : indptr[7]]) == [1, 2, 3, 6]
+            ddata[indptr[6] + 1] = 4
+            return indptr, ddata
+
+        monkeypatch.setattr(sweep, "divisor_table", corrupted)
+        with pytest.raises(ArithmeticError, match="escaped the reduced set at d = 28$"):
+            sweep.quad_triples(REAL, 2, 100)
+
+
+def fundamental_unit(d: int) -> tuple[int, int, int]:
+    """(x, y, N) with eps = (x + y sqrt d) / 2 > 1 the fundamental unit of
+    discriminant d > 0, and N = (x^2 - d y^2) / 4 = +-1 its norm.
+
+    The convergents p/q of omega = (d mod 2 + sqrt d) / 2 come from its
+    complete quotients (P + sqrt d) / Q (Cohen 5.7).  A unit p - q conj(omega)
+    > 1 has |omega - p/q| < 1 / (2 q^2) for d > 5 (and 1/1 is a convergent at
+    d = 5), so p/q is a convergent; the first of norm +-1 gives eps.
+    """
+    r = math.isqrt(d)
+    big_p, big_q = d % 2, 2
+    p_prev, p = 0, 1  # p_{-2}, p_{-1}
+    q_prev, q = 1, 0
+    while True:
+        a = (big_p + r) // big_q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        x, y = 2 * p - (d % 2) * q, q
+        if abs(x * x - d * y * y) == 4:
+            return x, y, (x * x - d * y * y) // 4
+        big_p = a * big_q - big_p
+        big_q = (d - big_p * big_p) // big_q
+
+
+def narrow_class_number_analytic(d: int) -> float:
+    """H+ of fundamental d > 0 from H+ log eps+ = -sum_{a<d} chi(a) log sin(pi a/d),
+    with eps+ the least totally positive unit > 1.  Shares no code with the
+    reduced forms or rho."""
+    chi = classnum.kronecker_table(d)
+    a = np.arange(1, d)
+    s = -float(np.dot(chi[1:], np.log(np.sin(np.pi * a / d))))
+    x, y, norm = fundamental_unit(d)
+    with mpmath.workdps(40):
+        log_eps = mpmath.log((x + y * mpmath.sqrt(d)) / 2)
+    return s / float(log_eps if norm == 1 else 2 * log_eps)
+
+
+class TestNarrowOracle:
+    def test_fundamental_units(self):
+        assert fundamental_unit(5) == (1, 1, -1)
+        assert fundamental_unit(8) == (2, 1, -1)
+        assert fundamental_unit(12) == (4, 1, 1)
+        assert fundamental_unit(13) == (3, 1, -1)
+        assert fundamental_unit(136) == (70, 6, 1)  # 35 + 3 sqrt 34
+
+    def test_analytic_formula_matches_sweep(self):
+        triples = {d: big_h for d, _, big_h in sweep.quad_triples(REAL, 2, 20000)}
+        sample = random.Random(31).sample(sorted(triples), 100) + [5, 8, 12, 136, 1596]
+        for d in sample:
+            assert abs(narrow_class_number_analytic(d) - triples[d]) < 1e-6, d
 
 
 class TestRecords:
