@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -119,9 +120,9 @@ def _sharded_scan(
 
 
 def scan_triples(
-    triples: list[tuple[int, int, int]], config: ScanConfig
+    triples: Sequence[tuple[int, int, int]], config: ScanConfig
 ) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
-    """One scan per eps over a quadratic (D, N, H) list.
+    """One scan per eps over a quadratic (D, N, H) table or row sequence.
 
     Only the positions that sweep.QuadStream's certified float64 prefilter
     keeps become records; the exact scan decides among them, and each event's

@@ -1,5 +1,5 @@
 """Bulk range sweeps: sieved discriminant tables, batch class numbers, and
-materialized (D, N, H) triple lists that the scans and the CLI consume.
+columnar (D, N, H) tables that the scans and the CLI consume.
 
 The per-discriminant routines in `classnum` are the reference semantics; the
 batch routines here must agree with them bit for bit (the test suite checks
@@ -9,10 +9,12 @@ be sharded across worker processes; chunk boundaries never change results.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -29,10 +31,20 @@ from .metric import EPS_ZERO, Epsilon, c_eps
 
 
 def omega_table(limit: int) -> np.ndarray:
-    """omega(n) for 0 <= n <= limit (omega(0) = omega(1) = 0)."""
+    """omega(n) for 0 <= n <= limit (omega(0) = omega(1) = 0).
+
+    Divides every prime p <= sqrt(limit), with its powers, out of an int32
+    remainder; what is left above 1 is one prime larger than sqrt(limit).
+    """
     om = np.zeros(limit + 1, dtype=np.uint8)
-    for p in arith.primes_upto(limit):
+    rest = np.arange(limit + 1, dtype=np.int32)
+    for p in arith.primes_upto(math.isqrt(limit)):
         om[p::p] += 1
+        pk = p
+        while pk <= limit:
+            rest[pk::pk] //= p
+            pk *= p
+    om += rest > 1
     return om
 
 
@@ -48,37 +60,35 @@ def fundamental_mask(limit: int, signature: str) -> np.ndarray:
     """mask[D] for 2 <= D <= limit: is +-D a fundamental discriminant.
 
     Must match discriminants.is_fundamental value for value = -D (imaginary)
-    or +D (real); the suite asserts bit-identical agreement.
+    or +D (real); the suite asserts bit-identical agreement.  Built from
+    strided slices of the squarefree mask: D = n with n = 3 (imaginary) or
+    1 (real) mod 4, and D = 4m with m = 1, 2 (imaginary) or 2, 3 (real)
+    mod 4, that is D = 4r mod 16 for those residues r of m.
     """
     sq = squarefree_mask(limit)
-    n = np.arange(limit + 1, dtype=np.int64)
     mask = np.zeros(limit + 1, dtype=bool)
-    odd_res = 3 if signature == IMAGINARY else 1
-    mask |= ((n & 3) == odd_res) & sq
-    div4 = (n & 3) == 0
-    m = n >> 2
-    m_res = np.zeros(limit + 1, dtype=bool)
-    if signature == IMAGINARY:
-        wanted = ((m & 3) == 1) | ((m & 3) == 2)
-    else:
-        wanted = ((m & 3) == 3) | ((m & 3) == 2)
-    m_res[div4] = wanted[div4] & sq[m[div4]]
-    mask |= m_res
+    odd_res, m_res = (3, (1, 2)) if signature == IMAGINARY else (1, (2, 3))
+    mask[odd_res::4] = sq[odd_res::4]
+    for r in m_res:
+        dst = mask[4 * r :: 16]
+        dst[:] = sq[r::4][: len(dst)]
     mask[:3] = False
     return mask
 
 
-def imag_class_table(limit: int) -> np.ndarray:
+def imag_class_table(limit: int, first: int = 1, stride: int = 1) -> np.ndarray:
     """H(-D) for all fundamental 3 <= D <= limit, by a form-count sieve.
 
     Counts reduced positive-definite forms (0 <= b <= a <= c with weight 2,
     minus the b = 0, b = a and a = c boundary overcounts) for every D at
     once; entries at non-fundamental indices are unnormalized raw counts and
-    must not be read.
+    must not be read.  Only the forms with a = first, first + stride, ...
+    are counted, so the tables of the residues of a mod stride sum to the
+    full table.
     """
     counts = np.zeros(limit + 1, dtype=np.int32)
     amax = math.isqrt(limit // 3)
-    for a in range(1, amax + 1):
+    for a in range(first, amax + 1, stride):
         step = 4 * a
         base = 4 * a * a
         for b in range(0, a + 1):
@@ -100,18 +110,31 @@ def imag_class_table(limit: int) -> np.ndarray:
 
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, data): divisors of m are data[indptr[m]:indptr[m+1]], ascending."""
+    """(indptr, data): divisors of m are data[indptr[m]:indptr[m+1]], ascending.
+
+    One pass per a <= sqrt(limit): a divides a^2 once, and each m = a k with
+    k > a twice, as a and as k.  The small divisors a fill m's row ascending
+    from the front, the cofactors k descending from the back.
+    """
     dcount = np.zeros(limit + 1, dtype=np.int32)
-    for a in range(1, limit + 1):
-        dcount[a::a] += 1
+    root = math.isqrt(limit)
+    for a in range(1, root + 1):
+        dcount[a * a] += 1
+        dcount[a * (a + 1) :: a] += 2
     indptr = np.zeros(limit + 2, dtype=np.int64)
     np.cumsum(dcount, out=indptr[1:])
+    del dcount
     data = np.empty(int(indptr[-1]), dtype=np.int32)
     offs = indptr[:-1].copy()
-    for a in range(1, limit + 1):
-        idx = offs[a::a]
-        data[idx] = a
-        offs[a::a] += 1
+    for a in range(1, root + 1):
+        pos = offs[a * a :: a]
+        data[pos] = a
+        pos += 1
+    np.subtract(indptr[1:], 1, out=offs)
+    for a in range(1, root + 1):
+        pos = offs[a * (a + 1) :: a]
+        data[pos] = np.arange(a + 1, limit // a + 1, dtype=np.int32)
+        pos -= 1
     return indptr, data
 
 
@@ -169,8 +192,8 @@ def reduced_form_pairs(
 def _candidate_counts(lo: int, hi: int, indptr: np.ndarray) -> np.ndarray:
     """Divisor candidates _reduced_forms reads for each D in [lo, hi]: the
     sum of d((D - b^2) / 4) over 0 < b < sqrt D with b = D mod 2."""
-    dcount = np.diff(indptr)
-    out = np.zeros(hi - lo + 1, dtype=np.int64)
+    dcount = np.diff(indptr).astype(np.int32)
+    out = np.zeros(hi - lo + 1, dtype=np.int32)
     for b in range(1, math.isqrt(hi) + 1):
         m0 = max(1, (lo - b * b + 3) // 4)
         m1 = (hi - b * b) // 4
@@ -230,8 +253,9 @@ def _init_real_tables(limit: int) -> None:
     _W["omega"] = omega_table(limit)
 
 
-def _narrow_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int]]:
-    """(D, N, H+) for every fundamental D in [lo, hi], one D-segment at a time.
+def _narrow_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (D, N, H+) for every fundamental D in [lo, hi], one D-segment
+    at a time.
 
     Segments are cut in D order so that each reads at most SEGMENT divisor
     candidates (a single D may exceed that alone).  Within a segment, the
@@ -262,55 +286,114 @@ def _narrow_chunk(bounds: tuple[int, int]) -> list[tuple[int, int, int]]:
     ds = np.flatnonzero(_W["fund"][lo : hi + 1]) + lo
     cand = _candidate_counts(lo, hi, indptr)[ds - lo]
     ends = np.cumsum(cand)
-    parts = []
+    parts = [np.zeros(0, dtype=np.int64)]
     start = 0
     while start < len(ds):
         stop = int(np.searchsorted(ends, ends[start] - cand[start] + SEGMENT, "right"))
         stop = max(stop, start + 1)
         parts.append(_narrow_segment(ds[start:stop], indptr, ddata))
         start = stop
-    hs = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return list(zip(ds.tolist(), _W["omega"][ds].tolist(), hs.tolist()))
+    return ds, _W["omega"][ds], np.concatenate(parts)
 
 
-def quad_triples(
-    signature: str, lo: int, hi: int, workers: int = 1
-) -> list[tuple[int, int, int]]:
-    """Materialized (D, N, H) for every fundamental |D| in [lo, hi], ascending.
+def _imag_part(first: int) -> np.ndarray:
+    """int32 form counts at the fundamental D for a = first mod the stride."""
+    return imag_class_table(_W["hi"], first, _W["stride"])[_W["ds"]]
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items], on a fork pool of `workers` processes if >= 2."""
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(fn, items)
+
+
+# glibc's malloc moves its mmap and trim thresholds up to the largest block
+# freed so far, so without pinning, whether each sweep segment reuses heap
+# memory or faults its arrays in afresh would depend on which table was
+# built and freed before it.  Pinned values, for mallopt's M_MMAP_THRESHOLD
+# (-3) and M_TRIM_THRESHOLD (-1).
+MALLOC_THRESHOLDS = ((-3, 4 << 20), (-1, 8 << 20))
+
+
+def _pin_malloc() -> None:
+    """Set MALLOC_THRESHOLDS through mallopt; a no-op where there is none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in MALLOC_THRESHOLDS:
+        mallopt(param, value)
+
+
+class QuadTable(Sequence):
+    """(D, N, H) columns: int64 D ascending, N = omega(D) (uint8 from
+    quad_triples), int64 H.
+
+    It also reads as a sequence of (D, N, H) tuples of Python ints: indexing
+    gives a tuple, iteration yields tuples, and a slice is a QuadTable of
+    column views.  Vectorized readers such as QuadStream use the columns.
+    """
+
+    __slots__ = ("d", "n", "h")
+
+    def __init__(self, d: np.ndarray, n: np.ndarray, h: np.ndarray) -> None:
+        self.d, self.n, self.h = d, n, h
+
+    @classmethod
+    def of(cls, rows: Sequence[tuple[int, int, int]]) -> QuadTable:
+        """rows itself if it is a QuadTable, else its int64 columns."""
+        if isinstance(rows, cls):
+            return rows
+        d, n, h = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        return cls(d, n, h)
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return QuadTable(self.d[i], self.n[i], self.h[i])
+        return int(self.d[i]), int(self.n[i]), int(self.h[i])
+
+    def __iter__(self):
+        block = 1 << 16
+        for i in range(0, len(self.d), block):
+            cols = (c[i : i + block].tolist() for c in (self.d, self.n, self.h))
+            yield from zip(*cols)
+
+
+def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTable:
+    """(D, N, H) for every fundamental |D| in [lo, hi], ascending.
 
     H is the ordinary class number for imaginary fields and the narrow class
     number for real fields, exactly as the per-discriminant routines compute.
-    The real sweep forks at most os.cpu_count() workers; the result does not
-    depend on their number.
+    Both sweeps fork at most min(workers, os.cpu_count()) workers; the result
+    does not depend on their number.  The imaginary form-count table is split
+    by a mod the worker count, the real sweep by ranges of D.
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
-    if signature == IMAGINARY:
-        mask = fundamental_mask(hi, IMAGINARY)
-        om = omega_table(hi)
-        table = imag_class_table(hi)
-        ds = np.nonzero(mask[lo : hi + 1])[0] + lo
-        return list(zip(ds.tolist(), om[ds].tolist(), table[ds].tolist()))
-    if signature != REAL:
+    if signature not in (IMAGINARY, REAL):
         raise ValueError(f"unknown signature {signature!r}")
-    workers = min(workers, os.cpu_count() or 1)
-    _init_real_tables(hi)
+    workers = max(1, min(workers, os.cpu_count() or 1))
+    _pin_malloc()
     try:
-        if workers <= 1:
-            return _narrow_chunk((max(lo, 2), hi))
-        chunk_edges = np.linspace(max(lo, 2), hi + 1, workers * 8 + 1, dtype=np.int64)
-        chunks = [
-            (int(chunk_edges[i]), int(chunk_edges[i + 1]) - 1)
-            for i in range(len(chunk_edges) - 1)
-            if chunk_edges[i] <= chunk_edges[i + 1] - 1
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.map(_narrow_chunk, chunks)
-        out: list[tuple[int, int, int]] = []
-        for part in parts:
-            out.extend(part)
-        return out
+        if signature == IMAGINARY:
+            ds = np.flatnonzero(fundamental_mask(hi, IMAGINARY)[lo : hi + 1]) + lo
+            n = omega_table(hi)[ds]
+            _W.update(hi=hi, stride=workers, ds=ds)
+            parts = _fork_map(_imag_part, list(range(1, workers + 1)), workers)
+            return QuadTable(ds, n, np.sum(parts, axis=0, dtype=np.int64))
+        _init_real_tables(hi)
+        lo = max(lo, 2)
+        edges = np.linspace(lo, hi + 1, 8 * workers + 1 if workers > 1 else 2, dtype=np.int64)
+        chunks = [(int(x), int(y) - 1) for x, y in zip(edges, edges[1:]) if x < y]
+        parts = _fork_map(_narrow_chunk, chunks or [(lo, hi)], workers)
+        return QuadTable(*(np.concatenate(col) for col in zip(*parts)))
     finally:
         _W.clear()
 
@@ -328,7 +411,7 @@ QUAD_METRICS = (NONGENUS, FULL, RAW_H, RAW_SMALL_H)
 
 
 def quad_records(
-    triples: list[tuple[int, int, int]],
+    triples: Sequence[tuple[int, int, int]],
     signature: str,
     eps: Epsilon,
     metric_kind: str,
@@ -370,8 +453,8 @@ MARGIN = 2.0**-30
 
 
 class QuadStream:
-    """A checked (D, N, H) triple list under one metric, with the float64
-    columns of the record prefilter.
+    """A checked (D, N, H) table (a QuadTable, or any sequence of rows) under
+    one metric, with the float64 columns of the record prefilter.
 
     Construction checks every row the way quad_records, c_eps and scan check
     each record: at the first row either would reject, quad_records itself
@@ -417,11 +500,12 @@ class QuadStream:
     """
 
     def __init__(
-        self, triples: list[tuple[int, int, int]], signature: str, metric_kind: str
+        self, triples: Sequence[tuple[int, int, int]], signature: str, metric_kind: str
     ) -> None:
         if metric_kind not in QUAD_METRICS:
             raise ValueError(f"unknown metric {metric_kind!r}")
-        d, n, big_h = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        table = QuadTable.of(triples)
+        d, n, big_h = table.d, table.n.astype(np.int64), table.h
         shifts = (n >= 1) & (n <= 63)
         genus_rest = big_h & (np.left_shift(1, np.where(shifts, n - 1, 0)) - 1)
         bad = ~shifts | (genus_rest != 0) | (big_h <= 0) | (d < 1)
@@ -510,7 +594,7 @@ def genus_family_rows(
 
 
 def threshold_search(
-    triples: list[tuple[int, int, int]],
+    triples: Sequence[tuple[int, int, int]],
     signature: str,
     grid_step: Fraction,
     metric_kind: str = NONGENUS,

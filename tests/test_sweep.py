@@ -1,6 +1,9 @@
 import math
 import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import re
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classmax import classnum, cli, sweep
+from classmax import arith, classnum, cli, sweep
 from classmax.discriminants import IMAGINARY, REAL, is_fundamental
 from classmax.maxima import BucketSpec, scan_collect
 from classmax.metric import EPS_ZERO, Epsilon, c_eps, format_value
@@ -24,13 +27,23 @@ class TestTables:
         for d in range(2, 20001):
             assert bool(mask_i[d]) == is_fundamental(-d), d
             assert bool(mask_r[d]) == is_fundamental(d), d
+        # every limit 0..64, so each strided slice starts and ends at every residue
+        for limit in range(65):
+            for signature, sign in ((IMAGINARY, -1), (REAL, 1)):
+                mask = sweep.fundamental_mask(limit, signature)
+                want = [d >= 2 and is_fundamental(sign * d) for d in range(limit + 1)]
+                assert mask.tolist() == want, (limit, signature)
 
     def test_omega_table(self):
-        om = sweep.omega_table(10000)
-        for n in (1, 2, 12, 4199, 9240):
-            from classmax.arith import omega
-
-            assert int(om[n]) == omega(n)
+        """Every n <= 20000, and every limit 0..64 and limits at p^2, 2^k and
+        p q with q > sqrt(limit), where the cofactor left after dividing out
+        the p <= sqrt(limit) counts."""
+        limits = list(range(65)) + [49, 121, 961, 2**10, 2**13, 2**14, 3 * 4099, 97 * 101]
+        for limit in limits + [20000]:
+            om = sweep.omega_table(limit)
+            assert len(om) == limit + 1
+            assert om[0] == 0
+            assert om[1:].tolist() == [arith.omega(n) for n in range(1, limit + 1)], limit
 
     def test_imag_table_matches_form_count(self):
         table = sweep.imag_class_table(20000)
@@ -64,17 +77,41 @@ class TestTables:
 class TestTriples:
     def test_imaginary_triples_prefix(self):
         triples = sweep.quad_triples(IMAGINARY, 1, 25)
-        assert triples[:5] == [(3, 1, 1), (4, 1, 1), (7, 1, 1), (8, 1, 1), (11, 1, 1)]
+        assert list(triples[:5]) == [(3, 1, 1), (4, 1, 1), (7, 1, 1), (8, 1, 1), (11, 1, 1)]
         assert (15, 2, 2) in triples and (23, 1, 3) in triples
 
     def test_real_triples_prefix(self):
         triples = sweep.quad_triples(REAL, 2, 20)
-        assert triples[:5] == [(5, 1, 1), (8, 1, 1), (12, 2, 2), (13, 1, 1), (17, 1, 1)]
+        assert list(triples[:5]) == [(5, 1, 1), (8, 1, 1), (12, 2, 2), (13, 1, 1), (17, 1, 1)]
+
+    @pytest.mark.parametrize("signature", [IMAGINARY, REAL])
+    def test_rows_match_per_discriminant_routines(self, signature):
+        """The column table reads as the (D, N, H) tuple list of Python ints
+        that the per-D routines give."""
+        lo, hi = 2, 3000
+        sign, class_number = {
+            IMAGINARY: (-1, lambda d: classnum.class_number_imaginary(-d)),
+            REAL: (1, classnum.narrow_class_number_real),
+        }[signature]
+        want = [
+            (d, arith.omega(d), class_number(d))
+            for d in range(lo, hi + 1)
+            if is_fundamental(sign * d)
+        ]
+        table = sweep.quad_triples(signature, lo, hi)
+        assert (table.d.dtype, table.n.dtype, table.h.dtype) == (np.int64, np.uint8, np.int64)
+        assert len(table) == len(want)
+        assert list(table) == want
+        assert [table[i] for i in range(len(want))] == want
+        assert table[-1] == want[-1] and list(table[10:20]) == want[10:20]
+        assert all(type(x) is int for x in table[7] + next(iter(table)))
 
     def test_worker_count_invariance(self):
-        one = sweep.quad_triples(REAL, 2, 30000, workers=1)
-        two = sweep.quad_triples(REAL, 2, 30000, workers=2)
-        assert one == two
+        for signature, hi in ((REAL, 30000), (IMAGINARY, 200_000)):
+            one = sweep.quad_triples(signature, 2, hi, workers=1)
+            two = sweep.quad_triples(signature, 2, hi, workers=2)
+            for col in ("d", "n", "h"):
+                assert np.array_equal(getattr(one, col), getattr(two, col)), (signature, col)
 
     def test_fork_pool_capped_at_core_count(self, monkeypatch):
         """The fake context maps in this process, so no process is started."""
@@ -97,16 +134,54 @@ class TestTriples:
             Pool = FakePool
 
         monkeypatch.setattr(sweep.multiprocessing, "get_context", lambda method: FakeContext())
-        got = sweep.quad_triples(REAL, 2, 3000, workers=10_000)
         cores = os.cpu_count() or 1
-        assert sizes == ([cores] if cores > 1 else [])
-        assert got == sweep.quad_triples(REAL, 2, 3000, workers=1)
+        for signature in (REAL, IMAGINARY):
+            sizes.clear()
+            got = sweep.quad_triples(signature, 2, 3000, workers=10_000)
+            assert sizes == ([cores] if cores > 1 else []), signature
+            assert list(got) == list(sweep.quad_triples(signature, 2, 3000, workers=1))
 
     def test_ascending_and_complete(self):
         triples = sweep.quad_triples(IMAGINARY, 1, 3000)
         ds = [t[0] for t in triples]
         assert ds == sorted(ds)
         assert set(ds) == {d for d in range(1, 3001) if is_fundamental(-d)}
+
+
+class TestSweepMemory:
+    def test_imaginary_table_peak(self):
+        """No int64 array of length max: the sieves, the form counts and the
+        columns of 303,968 D to 1e6 peak below 16 MB of traced allocations."""
+        tracemalloc.start()
+        try:
+            table = sweep.quad_triples(IMAGINARY, 1, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 303_968
+        assert peak < 16 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+    def test_real_sweep_reuses_heap_memory(self):
+        """With glibc's thresholds pinned, the real sweep's segments reuse heap
+        memory instead of faulting their arrays in afresh.  A fresh interpreter
+        keeps the thresholds' history to the small warm-up, as a CLI run does;
+        unpinned, the measured call took about 584,000 minor faults."""
+        probe = (
+            "import resource\n"
+            "from classmax import sweep\n"
+            "sweep.quad_triples('real', 2, 2000, workers=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "sweep.quad_triples('real', 2, 150000, workers=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sweep.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert int(out.stdout) < 20_000
 
 
 class TestRealSegments:
@@ -123,15 +198,15 @@ class TestRealSegments:
             ranges.append((lo, rng.randint(lo, min(30000, lo + rng.choice([50, 3000, 20000])))))
         for lo, hi in ranges:
             want = [t for t in reference if lo <= t[0] <= hi]
-            assert sweep.quad_triples(REAL, lo, hi) == want, (lo, hi)
+            assert list(sweep.quad_triples(REAL, lo, hi)) == want, (lo, hi)
         lo, hi = ranges[-1]
         two = sweep.quad_triples(REAL, lo, hi, workers=2)
-        assert two == [t for t in reference if lo <= t[0] <= hi]
+        assert list(two) == [t for t in reference if lo <= t[0] <= hi]
 
     @pytest.mark.parametrize("segment", [1, 2**20])
     def test_segment_size_does_not_change_results(self, reference, segment, monkeypatch):
         monkeypatch.setattr(sweep, "SEGMENT", segment)
-        assert sweep.quad_triples(REAL, 2, 5000) == [t for t in reference if t[0] <= 5000]
+        assert list(sweep.quad_triples(REAL, 2, 5000)) == [t for t in reference if t[0] <= 5000]
 
     def test_corrupted_divisor_table_raises(self, monkeypatch):
         """A wrong divisor drops the form (2, 2, -3) of D = 28 from the
