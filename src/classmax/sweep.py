@@ -138,8 +138,8 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, data
 
 
-# Divisor candidates per segment of the real sweep; a segment's arrays then
-# take a few MB whatever the range (see _narrow_chunk).
+# (D, b) rows per segment of the real sweep; a segment's arrays then take a
+# few MB whatever the range (see _narrow_chunk).
 SEGMENT = 2**15
 
 
@@ -151,26 +151,71 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return s
 
 
+def _row_counts(ds: np.ndarray) -> np.ndarray:
+    """The number of rows (D, b) of each D in ds: b = b0, b0 + 2, ...,
+    isqrt(D), with b0 = 2 - D mod 2 the least b = D mod 2 in (0, sqrt D)."""
+    return (_isqrt(ds) - 2 + (ds & 1)) // 2 + 1
+
+
+def _last_at_most(
+    values: np.ndarray, start: np.ndarray, end: np.ndarray, key: np.ndarray
+) -> np.ndarray:
+    """Per i, the last position p in [start[i], end[i]) with values[p] <=
+    key[i], or start[i] - 1 if there is none; each range must be ascending.
+
+    A vectorized bisection, one step per power of two up to the longest
+    range.  A probe at or past end[i] never moves i, so no value outside
+    i's own range is used.
+    """
+    last = start - 1
+    step = 1 << (int((end - start).max(initial=1)).bit_length() - 1)
+    while step:
+        probe = last + step
+        up = probe < end
+        up &= values.take(probe, mode="clip") <= key
+        last += up * step
+        step >>= 1
+    return last
+
+
 def _reduced_forms(
     ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int64 arrays (j, a, b): the reduced indefinite forms (a, b, c) with
     a > 0 of each discriminant ds[j], in (j, b, a) order.
 
-    For each b = D mod 2 in (0, sqrt D), the candidates a are the divisors of
-    m = (D - b^2) / 4, read from the CSR divisor table in ascending order; a
-    form is reduced iff |sqrt(D) - 2a| < b, tested exactly in integers.
+    A form is reduced iff |sqrt(D) - 2a| < b < sqrt(D).  Row (D, b), for
+    b = D mod 2 in (0, sqrt D), holds the forms with that b: their a are the
+    divisors of m = (D - b^2) / 4, read from m's ascending row of the CSR
+    divisor table.  Only a middle slice of that row is reduced:
+    - a divisor s <= sqrt(m) has 2s <= sqrt(D - b^2) < sqrt(D), so
+      |2s - b| < sqrt(D), and it is reduced iff 2s + b > sqrt(D), that is
+      iff s (s + b) > m, or, as sqrt(D) is irrational, iff s > t with
+      t = (isqrt(D) - b) // 2;
+    - its cofactor m / s >= sqrt(m) has (2 m/s + b)^2 >= D + 4b m/s > D,
+      and (2 m/s - b)^2 < D iff (m/s) (m/s - b) < m iff m/s < s + b iff
+      s (s + b) > m: the same test;
+    - so if k small divisors are at most t, the first k and the last k
+      divisors of the row fail and the slice between them is reduced.
+    The small divisors are the first ceil(d(m) / 2) of the row, and k is
+    found by a bisection over them (_last_at_most).  Only the slice is
+    gathered, and the exact integer test of |sqrt(D) - 2a| < b is applied to
+    it anyway; on a true table it drops nothing.
     """
+    rows = _row_counts(ds)
     b0 = 2 - (ds & 1)
-    nb = (_isqrt(ds) - b0) // 2 + 1
-    pj = np.repeat(np.arange(len(ds)), nb)
-    b = b0[pj] + 2 * (np.arange(len(pj)) - np.repeat(np.cumsum(nb) - nb, nb))
-    m = (ds[pj] - b * b) >> 2
+    pj = np.repeat(np.arange(len(ds)), rows)
+    b = 2 * np.arange(len(pj)) + np.repeat(b0 - 2 * (np.cumsum(rows) - rows), rows)
+    m = (np.repeat(ds, rows) - b * b) >> 2
+    t = (np.repeat(_isqrt(ds), rows) - b) >> 1
     starts = indptr[m]
-    cnts = indptr[m + 1] - starts
+    ends = indptr[m + 1]
+    # the slice [first, ends - (first - starts)) after the small divisors <= t
+    first = _last_at_most(ddata, starts, (starts + ends + 1) >> 1, t) + 1
+    cnts = np.maximum(ends + starts - 2 * first, 0)  # negative only on a bad table
     j = np.repeat(pj, cnts)
     b = np.repeat(b, cnts)
-    gather = np.repeat(starts - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(j))
+    gather = np.repeat(first - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(j))
     a = ddata[gather].astype(np.int64)
     d = ds[j]
     t1 = 2 * a + b
@@ -189,19 +234,6 @@ def reduced_form_pairs(
     return a.tolist(), b.tolist()
 
 
-def _candidate_counts(lo: int, hi: int, indptr: np.ndarray) -> np.ndarray:
-    """Divisor candidates _reduced_forms reads for each D in [lo, hi]: the
-    sum of d((D - b^2) / 4) over 0 < b < sqrt D with b = D mod 2."""
-    dcount = np.diff(indptr).astype(np.int32)
-    out = np.zeros(hi - lo + 1, dtype=np.int32)
-    for b in range(1, math.isqrt(hi) + 1):
-        m0 = max(1, (lo - b * b + 3) // 4)
-        m1 = (hi - b * b) // 4
-        if m0 <= m1:
-            out[b * b + 4 * m0 - lo :: 4][: m1 - m0 + 1] += dcount[m0 : m1 + 1]
-    return out
-
-
 def _fail_at(bad: np.ndarray, what: str, ds: np.ndarray, j: np.ndarray) -> None:
     """Raise ArithmeticError naming the discriminant of the first bad form."""
     if bad.any():
@@ -214,19 +246,25 @@ def _narrow_segment(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np
     n = len(j)
     if n == 0:
         return np.zeros(len(ds), dtype=np.int64)
+    rows = _row_counts(ds)
+    row = (np.cumsum(rows) - rows)[j] + ((b - 1) >> 1)
+    offs = np.zeros(int(rows.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(offs) - 1), out=offs[1:])
     s = _isqrt(ds)[j]
     c = (b * b - ds[j]) // (4 * a)
     _fail_at(c >= 0, "odd rho cycle length", ds, j)
-    # sigma(a, b) = (|c|, b'): one rho step, then negation back to a > 0
+    # sigma(a, b) = (|c|, b'): one rho step, then negation back to a > 0.
+    # b' <= s and b' = b mod 2, so if b' > 0 it is looked up in row
+    # row + (b' - b) / 2 of the same D, whose forms a[start:end] ascend in a.
     ac = -c
     w = s - 2 * ac + 1
     bp = w + (-b - w) % (2 * ac)
-    width = int(s.max()) + 1  # 0 < a, b <= s for every reduced form
-    keys = (j * width + b) * width + a  # ascending: forms come in (j, b, a) order
-    target = (j * width + bp) * width + ac
-    sigma = np.minimum(np.searchsorted(keys, target), n - 1)
-    found = (keys[sigma] == target) & (bp > 0) & (ac <= s)
-    _fail_at(~found, "rho walk escaped the reduced set", ds, j)
+    inside = bp > 0
+    target = np.where(inside, row + ((bp - b) >> 1), 0)
+    start, end = offs[target], offs[target + 1]
+    sigma = _last_at_most(a, start, end, ac)
+    inside &= (sigma >= start) & (a.take(sigma, mode="clip") == ac)
+    _fail_at(~inside, "rho walk escaped the reduced set", ds, j)
     _fail_at(np.bincount(sigma, minlength=n) != 1, "rho is not a permutation", ds, j)
     # label[i] = least index among the first 2^k forms of i's sigma^2 orbit
     q = sigma[sigma]
@@ -257,10 +295,11 @@ def _narrow_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.n
     """Columns (D, N, H+) for every fundamental D in [lo, hi], one D-segment
     at a time.
 
-    Segments are cut in D order so that each reads at most SEGMENT divisor
-    candidates (a single D may exceed that alone).  Within a segment, the
-    positive half of the reduced indefinite forms, (a, b) with a > 0 and
-    c = (b^2 - D) / 4a, is indexed in (D, b, a) order.  sigma = negation o rho
+    Segments are cut in D order so that each has at most SEGMENT rows (D, b)
+    (a single D, with about sqrt(D) / 2 rows, may exceed that alone; see
+    _reduced_forms).  Within a segment, the positive half of the reduced
+    indefinite forms, (a, b) with a > 0 and c = (b^2 - D) / 4a, is indexed
+    in (D, b, a) order.  sigma = negation o rho
     maps it to itself, and sigma o sigma = rho o rho, because rho commutes
     with negation and every reduced form has ac < 0.  So each rho cycle, of
     even length 2k, meets the positive half in one sigma^2 cycle of length k,
@@ -273,23 +312,30 @@ def _narrow_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.n
     Four checks keep the failure modes of a walk form by form, each raising
     ArithmeticError that names the first bad D:
     - every c < 0, so rho alternates the sign of a and every rho cycle is even;
-    - every successor sigma(a, b) is a form of the segment, with the same D;
+    - every successor sigma(a, b) is a reduced form of the same D: it is
+      looked up by bisection in its own row (D, b'), whose forms the segment
+      holds contiguously, ascending in a, at offsets from a cumsum of a
+      bincount of the form rows;
     - sigma hits every form exactly once, so it is a permutation;
     - the doubling ends within ceil(log2 n) + 2 rounds for n forms.
 
-    Memory.  A segment holds a dozen int64 arrays of at most max(SEGMENT,
-    candidates of one D) entries, about 3 MB at SEGMENT = 2^15, plus the
-    per-D arrays of the chunk.
+    Memory.  A segment's arrays are int64 with one entry per row or one per
+    reduced form, about fifteen of each at most at a time.  Rows are at most
+    max(SEGMENT, rows of one D), and only the middle slice of each row's
+    divisors is ever gathered, so no array holds a divisor that is not a
+    form.  There are about 1.2 forms per row up to 1e6 (at most about 1.3
+    per segment), so at SEGMENT = 2^15 each array takes at most about
+    350 kB and a segment a few MB, plus the per-D arrays of the chunk.
     """
     lo, hi = bounds
     indptr, ddata = _W["indptr"], _W["ddata"]
     ds = np.flatnonzero(_W["fund"][lo : hi + 1]) + lo
-    cand = _candidate_counts(lo, hi, indptr)[ds - lo]
-    ends = np.cumsum(cand)
+    rows = _row_counts(ds)
+    ends = np.cumsum(rows)
     parts = [np.zeros(0, dtype=np.int64)]
     start = 0
     while start < len(ds):
-        stop = int(np.searchsorted(ends, ends[start] - cand[start] + SEGMENT, "right"))
+        stop = int(np.searchsorted(ends, ends[start] - rows[start] + SEGMENT, "right"))
         stop = max(stop, start + 1)
         parts.append(_narrow_segment(ds[start:stop], indptr, ddata))
         start = stop
@@ -451,6 +497,10 @@ def quad_records(
 # of its values (2 * 2^-40, derived in QuadStream) lies far below it.
 MARGIN = 2.0**-30
 
+# Rows per block of QuadStream's row checks and logs: its temporaries then
+# take a few MB whatever the table's length.
+STREAM_BLOCK = 2**16
+
 
 class QuadStream:
     """A checked (D, N, H) table (a QuadTable, or any sequence of rows) under
@@ -459,7 +509,9 @@ class QuadStream:
     Construction checks every row the way quad_records, c_eps and scan check
     each record: at the first row either would reject, quad_records itself
     raises its error; then keys must be strictly ascending.  A bad row thus
-    fails the run even where the prefilter would drop it.
+    fails the run even where the prefilter would drop it.  The checks and
+    logs run over blocks of STREAM_BLOCK rows into the preallocated float64
+    columns, so the temporaries do not grow with the table.
 
     Prefilter.  For an exponent e (0 for the raw metrics) and the metric's
     h (H >> (N-1) for nongenus and raw-h, H otherwise), position i gets
@@ -505,21 +557,28 @@ class QuadStream:
         if metric_kind not in QUAD_METRICS:
             raise ValueError(f"unknown metric {metric_kind!r}")
         table = QuadTable.of(triples)
-        d, n, big_h = table.d, table.n.astype(np.int64), table.h
-        shifts = (n >= 1) & (n <= 63)
-        genus_rest = big_h & (np.left_shift(1, np.where(shifts, n - 1, 0)) - 1)
-        bad = ~shifts | (genus_rest != 0) | (big_h <= 0) | (d < 1)
-        if bad.any():
-            # raises the per-record error for the first bad row
-            quad_records([triples[int(np.argmax(bad))]], signature, EPS_ZERO, metric_kind)
+        by_genus = metric_kind in (NONGENUS, RAW_SMALL_H)
+        self.keys = table.d
+        self.raw = metric_kind in (RAW_H, RAW_SMALL_H)
+        self.log_h = np.empty(len(table))
+        self.log_d = np.empty(len(table))
+        for i in range(0, len(table), STREAM_BLOCK):
+            block = slice(i, i + STREAM_BLOCK)
+            d, n, big_h = table.d[block], table.n[block].astype(np.int64), table.h[block]
+            shifts = (n >= 1) & (n <= 63)
+            genus_rest = big_h & (np.left_shift(1, np.where(shifts, n - 1, 0)) - 1)
+            bad = ~shifts | (genus_rest != 0) | (big_h <= 0) | (d < 1)
+            if bad.any():
+                # raises the per-record error for the first bad row
+                row = triples[i + int(np.argmax(bad))]
+                quad_records([row], signature, EPS_ZERO, metric_kind)
+            h = big_h >> (n - 1) if by_genus else big_h
+            np.log(h.astype(np.float64), out=self.log_h[block])
+            np.log(d.astype(np.float64), out=self.log_d[block])
+        d = self.keys
         unsorted = np.flatnonzero(d[1:] <= d[:-1])
         if unsorted.size:
             raise ValueError(f"stream keys not ascending at {d[unsorted[0] + 1]}")
-        h = big_h >> (n - 1) if metric_kind in (NONGENUS, RAW_SMALL_H) else big_h
-        self.keys = d
-        self.raw = metric_kind in (RAW_H, RAW_SMALL_H)
-        self.log_h = np.log(h.astype(np.float64))
-        self.log_d = np.log(d.astype(np.float64))
 
     def candidates(
         self, eps: Epsilon, mode: str, start: int = 0, stop: int | None = None

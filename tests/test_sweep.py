@@ -58,10 +58,11 @@ class TestTables:
             assert big_h == classnum.narrow_class_number_real(d), d
 
     def test_reduced_form_pairs_match_module(self):
-        sweep._init_real_tables(2000)
+        """Every fundamental D <= 3000, against the per-D enumeration."""
+        sweep._init_real_tables(3000)
         try:
             indptr, ddata = sweep._W["indptr"], sweep._W["ddata"]
-            for d in (5, 8, 12, 136, 316, 1596):
+            for d in np.flatnonzero(sweep._W["fund"]).tolist():
                 a_list, b_list = sweep.reduced_form_pairs(d, indptr, ddata)
                 got = set()
                 for a, b in zip(a_list, b_list):
@@ -72,6 +73,34 @@ class TestTables:
                 assert got == want, d
         finally:
             sweep._W.clear()
+
+    def test_reduced_forms_match_brute_force(self):
+        """_reduced_forms gathers only the middle slice of each divisor row;
+        the reference tries every a <= sqrt(D) dividing (D - b^2) / 4 for
+        every b, with the exact test |sqrt(D) - 2a| < b, for every
+        fundamental D <= 20000, and must give the same forms in the same
+        order.  (A reduced form has 2a < sqrt(D) + b < 2 sqrt(D).)"""
+        limit = 20000
+        ds = np.flatnonzero(sweep.fundamental_mask(limit, REAL))
+        want = []
+        for j, d in enumerate(ds.tolist()):
+            b = np.arange(2 - d % 2, math.isqrt(d) + 1, 2)[:, None]
+            a = np.arange(1, math.isqrt(d) + 1)[None, :]
+            t1, t2 = 2 * a + b, 2 * a - b
+            ok = ((d - b * b) // 4 % a == 0) & (t1 * t1 > d) & ((t2 < 0) | (t2 * t2 < d))
+            bi, ai = np.nonzero(ok)  # row-major: b ascending, then a
+            want += zip([j] * len(bi), a[0, ai].tolist(), b[bi, 0].tolist())
+        j, a, b = sweep._reduced_forms(ds, *sweep.divisor_table(limit // 4 + 1))
+        assert list(zip(j.tolist(), a.tolist(), b.tolist())) == want
+
+    def test_last_at_most_stays_in_range(self):
+        values = np.array([1, 3, 3, 7, 2, 4, 9, 5, 6], dtype=np.int64)
+        start = np.array([0, 0, 0, 4, 4, 7, 7, 7, 9], dtype=np.int64)
+        end = np.array([4, 4, 4, 7, 4, 9, 7, 9, 9], dtype=np.int64)
+        key = np.array([0, 3, 8, 4, 9, 5, 9, 9, 9], dtype=np.int64)
+        got = sweep._last_at_most(values, start, end, key)
+        # empty ranges [4, 4), [7, 7) and [9, 9) give start - 1 whatever follows
+        assert got.tolist() == [-1, 2, 3, 5, 3, 7, 6, 8, 8]
 
 
 class TestTriples:
@@ -223,6 +252,25 @@ class TestRealSegments:
         monkeypatch.setattr(sweep, "divisor_table", corrupted)
         with pytest.raises(ArithmeticError, match="escaped the reduced set at d = 28$"):
             sweep.quad_triples(REAL, 2, 100)
+
+    def test_successor_lookup_stays_in_its_row(self, monkeypatch):
+        """Emptying row (85, 5) of D = 85, whose forms are (3, 5, -5) and
+        (5, 5, -3), leaves two rho successors missing.  The next row (85, 7)
+        starts with the same a = 3, so a lookup that read past the end of the
+        empty row would find (3, 7, -3) there instead of failing."""
+        table = sweep.divisor_table
+        assert sweep.reduced_form_pairs(85, *table(22)) == ([3, 5, 3, 1], [5, 5, 7, 9])
+
+        def corrupted(limit):
+            indptr, ddata = table(limit)
+            ddata = ddata.copy()
+            assert list(ddata[indptr[15] : indptr[16]]) == [1, 3, 5, 15]
+            ddata[indptr[15] : indptr[16]] = 1  # m = (85 - 5^2) / 4 = 15
+            return indptr, ddata
+
+        monkeypatch.setattr(sweep, "divisor_table", corrupted)
+        with pytest.raises(ArithmeticError, match="escaped the reduced set at d = 85$"):
+            sweep.quad_triples(REAL, 85, 85)
 
 
 def fundamental_unit(d: int) -> tuple[int, int, int]:
@@ -575,3 +623,21 @@ class TestPrefilterValidation:
             ValueError,
             "stream keys not ascending at 4",
         )
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_bad_row_in_later_block(self, monkeypatch, block):
+        """The row checks run block by block; the first bad row still raises
+        its own error, wherever it falls in a block."""
+        monkeypatch.setattr(sweep, "STREAM_BLOCK", block)
+        triples = [(3, 1, 50), (4, 1, 1), (7, 1, 1), (8, 1, 1), (11, 2, 3), (15, 2, 5)]
+        self.raises_like_reference(
+            triples, ArithmeticError, "genus number 2^1 does not divide H at D = 11"
+        )
+
+    def test_block_size_does_not_change_logs(self, monkeypatch):
+        table = sweep.quad_triples(IMAGINARY, 1, 5000)
+        want = sweep.QuadStream(table, IMAGINARY, sweep.NONGENUS)
+        monkeypatch.setattr(sweep, "STREAM_BLOCK", 7)
+        got = sweep.QuadStream(table, IMAGINARY, sweep.NONGENUS)
+        assert np.array_equal(got.log_h, want.log_h) and np.array_equal(got.log_d, want.log_d)
+        assert got.keys is table.d
