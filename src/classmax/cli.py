@@ -9,9 +9,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
 
 from . import backend as backend_mod
 from . import cubic as cubic_mod
@@ -19,7 +16,7 @@ from . import sweep
 from .backend import Backend, BackendError
 from .discriminants import IMAGINARY, REAL
 from .maxima import BucketSpec, MaximaEvent, ShardResult, merge_shards, scan_collect
-from .metric import EPS_ZERO, Epsilon, MetricValue, c_eps, format_value, root_mean
+from .metric import EPS_ZERO, Epsilon, c_eps, format_value, root_mean
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,9 +72,16 @@ class ScanConfig:
             raise ValueError("buckets must be >= 1")
 
 
-def parse_eps(text: str) -> Epsilon:
+def parse_fraction(text: str) -> Fraction:
     """Exact parse of 'p/q' or a decimal literal (no float round-trip)."""
-    return Epsilon.of(Fraction(text))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def parse_eps(text: str) -> Epsilon:
+    return Epsilon.of(parse_fraction(text))
 
 
 # ---------------------------------------------------------------------------
@@ -85,38 +89,14 @@ def parse_eps(text: str) -> Epsilon:
 # ---------------------------------------------------------------------------
 
 
-def _sharded_scan(
-    keys,
-    scan_part: Callable[[int, int], tuple[list[MaximaEvent], int]],
-    lo: int,
-    hi: int,
-    mode: str,
-    buckets: BucketSpec,
-    shards: int,
-    initial: MetricValue | None,
+def _merge(
+    events: list[MaximaEvent], total: int, config: ScanConfig, initial_eps: Epsilon
 ) -> tuple[list[MaximaEvent], int]:
-    """Split the key range into contiguous shards, scan each, merge globally.
-
-    `keys` are the ascending stream keys; `scan_part(start, stop)` scans
-    stream positions [start, stop) from a fresh running record and returns
-    its events, with nd counted from start, and its record count.  The
-    starting value `initial` is applied by merge_shards alone.  Shards that
-    hold no key are not scanned, so there are never more scans than keys.
-    """
-    width = (hi - lo + shards) // shards
-    keys = np.asarray(keys, dtype=np.int64)
-    start, end = np.searchsorted(keys, [lo, hi + 1]).tolist()
-    results = []
-    while start < end:
-        s_lo = lo + (int(keys[start]) - lo) // width * width  # shard of keys[start]
-        s_hi = min(hi, s_lo + width - 1)
-        stop = int(np.searchsorted(keys, s_hi + 1))
-        events, total = scan_part(start, stop)
-        results.append(
-            ShardResult(lo=s_lo, hi=s_hi, events=tuple(events), total_records=total)
-        )
-        start = stop
-    return merge_shards(results, mode, buckets, initial)
+    """Merge the fresh scan of the whole range [lo, hi] as its one shard, so
+    that merge_shards alone applies the --compat-minima-init-one value C = 1."""
+    initial = c_eps(1, 1, initial_eps) if config.compat_minima_init_one else None
+    shard = ShardResult(config.lo, config.hi, tuple(events), total)
+    return merge_shards([shard], config.mode, BucketSpec(config.buckets), initial)
 
 
 def scan_triples(
@@ -133,30 +113,26 @@ def scan_triples(
     stream = sweep.QuadStream(triples, signature, config.metric_kind)
     out = []
     for eps in config.eps_list:
-
-        def scan_part(start, stop):
-            keep = stream.candidates(eps, config.mode, start, stop)
-            part = [triples[i] for i in keep.tolist()]
-            records = sweep.quad_records(part, signature, eps, config.metric_kind)
-            events, _ = scan_collect(records, config.mode, buckets)
-            remapped = [replace(ev, nd=int(keep[ev.nd - 1]) - start + 1) for ev in events]
-            return remapped, stop - start
-
+        keep = stream.candidates(eps, config.mode).tolist()
+        part = [triples[i] for i in keep]
+        records = sweep.quad_records(part, signature, eps, config.metric_kind)
+        events, _ = scan_collect(records, config.mode, buckets)
+        events = [replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events]
         # raw-metric records carry eps 0, and so must their starting value
         initial_eps = EPS_ZERO if stream.raw else eps
-        initial = c_eps(1, 1, initial_eps) if config.compat_minima_init_one else None
-        events, total = _sharded_scan(
-            stream.keys, scan_part, config.lo, config.hi, config.mode, buckets,
-            config.shards, initial,
-        )
-        out.append((eps, events, total))
+        out.append((eps, *_merge(events, len(stream.keys), config, initial_eps)))
     return out
 
 
 def _cubic_source(config: ScanConfig):
     fixtures = cubic_mod.FixtureStore.bundled()
     if config.fixtures_path:
-        fixtures.merge(cubic_mod.FixtureStore.from_path(config.fixtures_path))
+        path = config.fixtures_path
+        try:
+            extra = cubic_mod.FixtureStore.from_path(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
+        fixtures.merge(extra)
     if config.fixtures_only:
         return fixtures
     if config.backend_cmd or config.cache_path:
@@ -176,27 +152,17 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
         return scan_triples(triples, config)
     source = _cubic_source(config)
     for eps in config.eps_list:
-        records = list(
-            cubic_mod.iter_family_records(
-                config.lo,
-                config.hi,
-                config.scope,
-                eps,
-                config.metric_kind,
-                source,
-                skip_uncovered=config.fixtures_only,
-            )
+        records = cubic_mod.iter_family_records(
+            config.lo,
+            config.hi,
+            config.scope,
+            eps,
+            config.metric_kind,
+            source,
+            skip_uncovered=config.fixtures_only,
         )
-
-        def scan_part(start, stop):
-            return scan_collect(records[start:stop], config.mode, buckets)
-
-        initial = c_eps(1, 1, eps) if config.compat_minima_init_one else None
-        events, total = _sharded_scan(
-            [r.key for r in records], scan_part, config.lo, config.hi, config.mode,
-            buckets, config.shards, initial,
-        )
-        out.append((eps, events, total))
+        events, total = scan_collect(records, config.mode, buckets)
+        out.append((eps, *_merge(events, total, config, eps)))
     return out
 
 
@@ -386,11 +352,6 @@ def _cmd_scan(args) -> int:
         cache_path=args.cache,
         compat_minima_init_one=args.compat_minima_init_one,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     results = run_scan(config)
     buckets = BucketSpec(config.buckets)
     for eps, events, total in results:
@@ -427,7 +388,7 @@ def _cmd_threshold(args) -> int:
     if args.shards < 1:
         raise ValueError("shards must be >= 1")
     signature = IMAGINARY if args.family == QUAD_IMAGINARY else REAL
-    grid = Fraction(args.grid)
+    grid = parse_fraction(args.grid)
     triples = sweep.quad_triples(signature, args.lo, args.hi, workers=args.shards)
     found = sweep.threshold_search(triples, signature, grid, _METRIC_FLAGS[args.metric])
     if found is None:

@@ -580,17 +580,15 @@ class QuadStream:
         if unsorted.size:
             raise ValueError(f"stream keys not ascending at {d[unsorted[0] + 1]}")
 
-    def candidates(
-        self, eps: Epsilon, mode: str, start: int = 0, stop: int | None = None
-    ) -> np.ndarray:
-        """Ascending positions in [start, stop) that contain every successive
-        record of a fresh scan over those positions."""
+    def candidates(self, eps: Epsilon, mode: str) -> np.ndarray:
+        """Ascending positions that contain every successive record of a
+        fresh scan over the whole stream."""
         half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
-        v = self.log_h[start:stop] - half_eps * self.log_d[start:stop]
+        v = self.log_h - half_eps * self.log_d
         if mode == MINIMA:
             v = -v
         prev = np.maximum.accumulate(np.concatenate(([-np.inf], v)))[:-1]
-        return np.flatnonzero(v >= prev - MARGIN) + start
+        return np.flatnonzero(v >= prev - MARGIN)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,36 @@ class TestScanCommand:
                 else:
                     assert out == base, (argv, shards)
 
+    def test_one_scan_pass_per_eps(self, monkeypatch):
+        """--shards sets only the sweep's workers: each eps gets one scan and
+        one merge of a single ShardResult covering [--min, --max]."""
+        scans, merges = [], []
+        real_scan, real_merge = cli.scan_collect, cli.merge_shards
+
+        def counting_scan(records, *args, **kwargs):
+            scans.append(1)
+            return real_scan(records, *args, **kwargs)
+
+        def counting_merge(shards, *args, **kwargs):
+            merges.append([(s.lo, s.hi) for s in shards])
+            return real_merge(shards, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "scan_collect", counting_scan)
+        monkeypatch.setattr(cli, "merge_shards", counting_merge)
+        cases = [
+            (["--family", "quad-imaginary", "--max", "5000", "--eps", "1/20",
+              "--eps", "5/4", "--shards", "1000"], 5000, 2),
+            (["--family", "cubic", "--fixtures-only", "--max", "1500", "--eps", "1/100",
+              "--shards", "5"], 1500, 1),
+        ]
+        for argv, hi, n_eps in cases:
+            scans.clear()
+            merges.clear()
+            rc, out = run_cli(["scan", *argv])
+            assert rc == 0 and out.count("eps=") == n_eps
+            assert len(scans) == n_eps, argv
+            assert merges == [[(1, hi)]] * n_eps, argv
+
     def test_decimal_eps_equals_rational(self):
         _, a = run_cli(["scan", "--family", "quad-imaginary", "--max", "200", "--eps", "0.05"])
         _, b = run_cli(["scan", "--family", "quad-imaginary", "--max", "200", "--eps", "1/20"])
@@ -197,6 +227,38 @@ class TestScanConfigErrors:
     def test_bad_eps(self):
         rc, _ = run_cli(["scan", "--family", "quad-imaginary", "--max", "100", "--eps", "x"])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--shards", "0"], "config error: shards must be >= 1"),
+            (["--min", "5", "--max", "4"], "config error: need 1 <= min <= max"),
+        ],
+    )
+    def test_config_error_line(self, capsys, argv, message):
+        rc, out = run_cli(["scan", "--family", "quad-imaginary", "--max", "100", *argv])
+        assert rc == cli.EXIT_CONFIG and out == ""
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--family", "quad-imaginary", "--max", "100", "--eps", "1/0"],
+            ["genus-family", "--primes", "2,3", "--eps", "1/0"],
+            ["threshold", "--family", "quad-imaginary", "--max", "100", "--grid", "1/0"],
+        ],
+        ids=["scan-eps", "genus-family-eps", "threshold-grid"],
+    )
+    def test_zero_denominator(self, argv):
+        rc, out = run_cli(argv)
+        assert rc == cli.EXIT_CONFIG and out == ""
+
+    def test_missing_fixture_file(self, tmp_path):
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--fixtures-only",
+             "--fixtures", str(tmp_path / "missing.txt")]
+        )
+        assert rc == cli.EXIT_CONFIG and out == ""
 
     def test_argparse_exit_code(self):
         with pytest.raises(SystemExit) as err:
