@@ -113,9 +113,7 @@ def scan_triples(
     stream = sweep.QuadStream(triples, signature, config.metric_kind)
     out = []
     for eps in config.eps_list:
-        keep = stream.candidates(eps, config.mode).tolist()
-        part = [triples[i] for i in keep]
-        records = sweep.quad_records(part, signature, eps, config.metric_kind)
+        keep, records = stream.records(eps, config.mode)
         events, _ = scan_collect(records, config.mode, buckets)
         events = [replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events]
         # raw-metric records carry eps 0, and so must their starting value
@@ -389,6 +387,8 @@ def _cmd_threshold(args) -> int:
         raise ValueError("shards must be >= 1")
     signature = IMAGINARY if args.family == QUAD_IMAGINARY else REAL
     grid = parse_fraction(args.grid)
+    if grid <= 0:
+        raise ValueError("grid step must be positive")
     triples = sweep.quad_triples(signature, args.lo, args.hi, workers=args.shards)
     found = sweep.threshold_search(triples, signature, grid, _METRIC_FLAGS[args.metric])
     if found is None:
@@ -420,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except ValueError as exc:
+    except (ValueError, cubic_mod.ClassNumberUnavailable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     parser.error(f"unknown command {args.command!r}")

@@ -340,8 +340,10 @@ def iter_family_records(
     """
     eps = Epsilon.of(eps)
     for f in iter_conductors(lo, hi):
-        if skip_uncovered:
-            members = family_members(f, scope)
-            if any(source.get(m) is None for m in members):
+        try:
+            record = family_scan_record(f, scope, eps, metric_kind, source)
+        except ClassNumberUnavailable:
+            if skip_uncovered:
                 continue
-        yield family_scan_record(f, scope, eps, metric_kind, source)
+            raise
+        yield record

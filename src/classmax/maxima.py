@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .metric import MetricValue, compare
@@ -129,9 +129,14 @@ def merge_shards(
     """Merge per-shard scans into the event list a single sequential scan yields.
 
     Each shard must have been scanned with a fresh running record over its own
-    key range; ranges must be disjoint and ascending.  A shard event survives
-    iff it beats the global running record, and counters are rebuilt globally.
+    key range; ranges must be disjoint and ascending.  scan runs over the
+    shard events in order, so one survives iff it beats the global running
+    record, and counters are rebuilt globally; each nd is then offset by the
+    records of the shards before it.
     """
+    records: list[ScanRecord] = []
+    nds: list[int] = []
+    nd_offset = 0
     prev_hi = None
     for shard in shards:
         if shard.lo > shard.hi:
@@ -139,21 +144,8 @@ def merge_shards(
         if prev_hi is not None and shard.lo <= prev_hi:
             raise ValueError("shard ranges overlap or are out of order")
         prev_hi = shard.hi
-    running = initial
-    counts = [0] * buckets.n_buckets
-    merged: list[MaximaEvent] = []
-    nd_offset = 0
-    for shard in shards:
-        for event in shard.events:
-            if running is None or _beats(event.record.value, running, mode):
-                running = event.record.value
-                counts[buckets.index(event.record.payload.n_ramified)] += 1
-                merged.append(
-                    MaximaEvent(
-                        record=event.record,
-                        nd=nd_offset + event.nd,
-                        buckets=tuple(counts),
-                    )
-                )
+        records.extend(event.record for event in shard.events)
+        nds.extend(nd_offset + event.nd for event in shard.events)
         nd_offset += shard.total_records
+    merged = [replace(ev, nd=nds[ev.nd - 1]) for ev in scan(records, mode, buckets, initial)]
     return merged, nd_offset

@@ -285,15 +285,9 @@ def _narrow_segment(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np
 _W: dict = {}
 
 
-def _init_real_tables(limit: int) -> None:
-    _W["indptr"], _W["ddata"] = divisor_table(limit // 4 + 1)
-    _W["fund"] = fundamental_mask(limit, REAL)
-    _W["omega"] = omega_table(limit)
-
-
-def _narrow_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (D, N, H+) for every fundamental D in [lo, hi], one D-segment
-    at a time.
+def _narrow_chunk(bounds: tuple[int, int]) -> np.ndarray:
+    """H+ of the fundamental discriminants ds[i:j] of the sweep, for
+    bounds = (i, j), one D-segment at a time.
 
     Segments are cut in D order so that each has at most SEGMENT rows (D, b)
     (a single D, with about sqrt(D) / 2 rows, may exceed that alone; see
@@ -327,9 +321,9 @@ def _narrow_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.n
     per segment), so at SEGMENT = 2^15 each array takes at most about
     350 kB and a segment a few MB, plus the per-D arrays of the chunk.
     """
-    lo, hi = bounds
+    i, j = bounds
     indptr, ddata = _W["indptr"], _W["ddata"]
-    ds = np.flatnonzero(_W["fund"][lo : hi + 1]) + lo
+    ds = _W["ds"][i:j]
     rows = _row_counts(ds)
     ends = np.cumsum(rows)
     parts = [np.zeros(0, dtype=np.int64)]
@@ -339,7 +333,7 @@ def _narrow_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.n
         stop = max(stop, start + 1)
         parts.append(_narrow_segment(ds[start:stop], indptr, ddata))
         start = stop
-    return ds, _W["omega"][ds], np.concatenate(parts)
+    return np.concatenate(parts)
 
 
 def _imag_part(first: int) -> np.ndarray:
@@ -380,8 +374,9 @@ class QuadTable(Sequence):
     quad_triples), int64 H.
 
     It also reads as a sequence of (D, N, H) tuples of Python ints: indexing
-    gives a tuple, iteration yields tuples, and a slice is a QuadTable of
-    column views.  Vectorized readers such as QuadStream use the columns.
+    gives a tuple, iteration yields tuples, and a slice (an index array) is
+    a QuadTable of column views (copies).  Vectorized readers such as
+    QuadStream use the columns.
     """
 
     __slots__ = ("d", "n", "h")
@@ -401,7 +396,7 @@ class QuadTable(Sequence):
         return len(self.d)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
+        if isinstance(i, (slice, np.ndarray)):
             return QuadTable(self.d[i], self.n[i], self.h[i])
         return int(self.d[i]), int(self.n[i]), int(self.h[i])
 
@@ -417,9 +412,12 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
 
     H is the ordinary class number for imaginary fields and the narrow class
     number for real fields, exactly as the per-discriminant routines compute.
-    Both sweeps fork at most min(workers, os.cpu_count()) workers; the result
-    does not depend on their number.  The imaginary form-count table is split
-    by a mod the worker count, the real sweep by ranges of D.
+    The D column and N = omega(D) are sieved here, once for either
+    signature; the workers compute only H.  Both sweeps fork at most
+    min(workers, os.cpu_count()) workers; the result does not depend on
+    their number.  The imaginary form-count table is split by a mod the
+    worker count, the real sweep into 8 equal index slices of the D column
+    per worker (one slice with a single worker).
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
@@ -427,19 +425,18 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
         raise ValueError(f"unknown signature {signature!r}")
     workers = max(1, min(workers, os.cpu_count() or 1))
     _pin_malloc()
+    ds = np.flatnonzero(fundamental_mask(hi, signature)[lo : hi + 1]) + lo
+    n = omega_table(hi)[ds]
     try:
+        _W["ds"] = ds
         if signature == IMAGINARY:
-            ds = np.flatnonzero(fundamental_mask(hi, IMAGINARY)[lo : hi + 1]) + lo
-            n = omega_table(hi)[ds]
-            _W.update(hi=hi, stride=workers, ds=ds)
+            _W.update(hi=hi, stride=workers)
             parts = _fork_map(_imag_part, list(range(1, workers + 1)), workers)
             return QuadTable(ds, n, np.sum(parts, axis=0, dtype=np.int64))
-        _init_real_tables(hi)
-        lo = max(lo, 2)
-        edges = np.linspace(lo, hi + 1, 8 * workers + 1 if workers > 1 else 2, dtype=np.int64)
-        chunks = [(int(x), int(y) - 1) for x, y in zip(edges, edges[1:]) if x < y]
-        parts = _fork_map(_narrow_chunk, chunks or [(lo, hi)], workers)
-        return QuadTable(*(np.concatenate(col) for col in zip(*parts)))
+        _W["indptr"], _W["ddata"] = divisor_table(hi // 4 + 1)
+        edges = np.linspace(0, len(ds), 8 * workers + 1 if workers > 1 else 2, dtype=np.int64)
+        parts = _fork_map(_narrow_chunk, list(zip(edges.tolist(), edges[1:].tolist())), workers)
+        return QuadTable(ds, n, np.concatenate(parts))
     finally:
         _W.clear()
 
@@ -456,6 +453,14 @@ RAW_SMALL_H = "raw_h"
 QUAD_METRICS = (NONGENUS, FULL, RAW_H, RAW_SMALL_H)
 
 
+def metric_terms(metric_kind: str) -> tuple[bool, bool]:
+    """(by_genus, raw) of a quadratic metric: its h is H / 2^(N-1) if
+    by_genus, else H, and its exponent is 0 if raw, else eps."""
+    if metric_kind not in QUAD_METRICS:
+        raise ValueError(f"unknown metric {metric_kind!r}")
+    return metric_kind in (NONGENUS, RAW_SMALL_H), metric_kind in (RAW_H, RAW_SMALL_H)
+
+
 def quad_records(
     triples: Sequence[tuple[int, int, int]],
     signature: str,
@@ -463,8 +468,8 @@ def quad_records(
     metric_kind: str,
 ) -> list[ScanRecord]:
     """Turn (D, N, H) triples into scan records under one metric."""
-    if metric_kind not in QUAD_METRICS:
-        raise ValueError(f"unknown metric {metric_kind!r}")
+    by_genus, raw = metric_terms(metric_kind)
+    exponent = EPS_ZERO if raw else eps
     sign = -1 if signature == IMAGINARY else 1
     out = []
     for d, n, big_h in triples:
@@ -472,14 +477,7 @@ def quad_records(
         if big_h % g:
             raise ArithmeticError(f"genus number 2^{n - 1} does not divide H at D = {d}")
         small_h = big_h // g
-        if metric_kind == NONGENUS:
-            value = c_eps(small_h, d, eps)
-        elif metric_kind == FULL:
-            value = c_eps(big_h, d, eps)
-        elif metric_kind == RAW_H:
-            value = c_eps(big_h, d, EPS_ZERO)
-        else:
-            value = c_eps(small_h, d, EPS_ZERO)
+        value = c_eps(small_h if by_genus else big_h, d, exponent)
         payload = FieldRecord(
             f=d,
             d_signed=sign * d,
@@ -554,12 +552,10 @@ class QuadStream:
     def __init__(
         self, triples: Sequence[tuple[int, int, int]], signature: str, metric_kind: str
     ) -> None:
-        if metric_kind not in QUAD_METRICS:
-            raise ValueError(f"unknown metric {metric_kind!r}")
-        table = QuadTable.of(triples)
-        by_genus = metric_kind in (NONGENUS, RAW_SMALL_H)
+        by_genus, self.raw = metric_terms(metric_kind)
+        self.table = table = QuadTable.of(triples)
+        self.signature, self.metric_kind = signature, metric_kind
         self.keys = table.d
-        self.raw = metric_kind in (RAW_H, RAW_SMALL_H)
         self.log_h = np.empty(len(table))
         self.log_d = np.empty(len(table))
         for i in range(0, len(table), STREAM_BLOCK):
@@ -570,7 +566,7 @@ class QuadStream:
             bad = ~shifts | (genus_rest != 0) | (big_h <= 0) | (d < 1)
             if bad.any():
                 # raises the per-record error for the first bad row
-                row = triples[i + int(np.argmax(bad))]
+                row = table[i + int(np.argmax(bad))]
                 quad_records([row], signature, EPS_ZERO, metric_kind)
             h = big_h >> (n - 1) if by_genus else big_h
             np.log(h.astype(np.float64), out=self.log_h[block])
@@ -589,6 +585,13 @@ class QuadStream:
             v = -v
         prev = np.maximum.accumulate(np.concatenate(([-np.inf], v)))[:-1]
         return np.flatnonzero(v >= prev - MARGIN)
+
+    def records(self, eps: Epsilon, mode: str) -> tuple[list[int], list[ScanRecord]]:
+        """(keep, records): the candidates, and the quad_records of their rows
+        under eps, record i of row keep[i]; a scan over the records takes the
+        decisions of a scan over the whole stream (see Exactness)."""
+        keep = self.candidates(eps, mode)
+        return keep.tolist(), quad_records(self.table[keep], self.signature, eps, self.metric_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +671,7 @@ def threshold_search(
     stream = QuadStream(triples, signature, metric_kind)
 
     def plenty(k: int) -> bool:
-        eps = Epsilon.of(grid_step * k)
-        keep = stream.candidates(eps, MAXIMA)
-        records = quad_records([triples[i] for i in keep.tolist()], signature, eps, metric_kind)
+        _, records = stream.records(Epsilon.of(grid_step * k), MAXIMA)
         return len(list(islice(scan(iter(records), MAXIMA, BucketSpec(1)), 2))) >= 2
 
     k_hi = int(Fraction(2) / grid_step)

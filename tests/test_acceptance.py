@@ -256,37 +256,33 @@ def test_criterion_12_property_suites(request):
             assert big_h % (1 << (n - 1)) == 0, d
 
         # form cycles: even length, exact partition, all fundamental D <= 1e5
-        sweep._init_real_tables(100_000)
-        try:
-            indptr, ddata = sweep._W["indptr"], sweep._W["ddata"]
-            import numpy as np
+        indptr, ddata = sweep.divisor_table(100_000 // 4 + 1)
+        import numpy as np
 
-            for d in np.nonzero(sweep._W["fund"])[0]:
-                d = int(d)
-                a_list, b_list = sweep.reduced_form_pairs(d, indptr, ddata)
-                forms = set()
-                for a, b in zip(a_list, b_list):
-                    c = (b * b - d) // (4 * a)
-                    forms.add((a, b, c))
-                    forms.add((-a, b, -c))
-                remaining = set(forms)
-                n_cycles = 0
-                while remaining:
-                    start = remaining.pop()
-                    length = 1
-                    cur = rho_step(QuadraticForm(*start), d)
-                    while (cur.a, cur.b, cur.c) != start:
-                        key = (cur.a, cur.b, cur.c)
-                        assert key in remaining, (d, key)  # partition exactness
-                        remaining.discard(key)
-                        cur = rho_step(cur, d)
-                        length += 1
-                    assert length % 2 == 0, d
-                    n_cycles += 1
-                if d <= 2000:
-                    assert n_cycles == classnum.narrow_class_number_real(d)
-        finally:
-            sweep._W.clear()
+        for d in np.nonzero(sweep.fundamental_mask(100_000, REAL))[0]:
+            d = int(d)
+            a_list, b_list = sweep.reduced_form_pairs(d, indptr, ddata)
+            forms = set()
+            for a, b in zip(a_list, b_list):
+                c = (b * b - d) // (4 * a)
+                forms.add((a, b, c))
+                forms.add((-a, b, -c))
+            remaining = set(forms)
+            n_cycles = 0
+            while remaining:
+                start = remaining.pop()
+                length = 1
+                cur = rho_step(QuadraticForm(*start), d)
+                while (cur.a, cur.b, cur.c) != start:
+                    key = (cur.a, cur.b, cur.c)
+                    assert key in remaining, (d, key)  # partition exactness
+                    remaining.discard(key)
+                    cur = rho_step(cur, d)
+                    length += 1
+                assert length % 2 == 0, d
+                n_cycles += 1
+            if d <= 2000:
+                assert n_cycles == classnum.narrow_class_number_real(d)
 
         # shard-merge equivalence on 100 randomized streams
         rng = random.Random(1234)

@@ -4,7 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from classmax import cli
+from classmax import cli, sweep
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -54,9 +54,15 @@ class TestScanCommand:
 
     def test_one_scan_pass_per_eps(self, monkeypatch):
         """--shards sets only the sweep's workers: each eps gets one scan and
-        one merge of a single ShardResult covering [--min, --max]."""
-        scans, merges = [], []
+        one merge of a single ShardResult covering [--min, --max], and a
+        quadratic eps builds its records in one sweep.quad_records call."""
+        scans, merges, builds = [], [], []
         real_scan, real_merge = cli.scan_collect, cli.merge_shards
+        real_records = sweep.quad_records
+
+        def counting_records(*args, **kwargs):
+            builds.append(1)
+            return real_records(*args, **kwargs)
 
         def counting_scan(records, *args, **kwargs):
             scans.append(1)
@@ -68,19 +74,22 @@ class TestScanCommand:
 
         monkeypatch.setattr(cli, "scan_collect", counting_scan)
         monkeypatch.setattr(cli, "merge_shards", counting_merge)
+        monkeypatch.setattr(sweep, "quad_records", counting_records)
         cases = [
             (["--family", "quad-imaginary", "--max", "5000", "--eps", "1/20",
-              "--eps", "5/4", "--shards", "1000"], 5000, 2),
+              "--eps", "5/4", "--shards", "1000"], 5000, 2, 2),
             (["--family", "cubic", "--fixtures-only", "--max", "1500", "--eps", "1/100",
-              "--shards", "5"], 1500, 1),
+              "--shards", "5"], 1500, 1, 0),
         ]
-        for argv, hi, n_eps in cases:
+        for argv, hi, n_eps, n_builds in cases:
             scans.clear()
             merges.clear()
+            builds.clear()
             rc, out = run_cli(["scan", *argv])
             assert rc == 0 and out.count("eps=") == n_eps
             assert len(scans) == n_eps, argv
             assert merges == [[(1, hi)]] * n_eps, argv
+            assert len(builds) == n_builds, argv
 
     def test_decimal_eps_equals_rational(self):
         _, a = run_cli(["scan", "--family", "quad-imaginary", "--max", "200", "--eps", "0.05"])
@@ -260,6 +269,14 @@ class TestScanConfigErrors:
         )
         assert rc == cli.EXIT_CONFIG and out == ""
 
+    def test_uncovered_cubic_conductor(self, capsys):
+        """Without --fixtures-only or a backend, the first conductor the
+        bundled fixtures miss is a config error, not a traceback."""
+        rc, out = run_cli(["scan", "--family", "cubic", "--max", "1500", "--eps", "1/100"])
+        assert rc == cli.EXIT_CONFIG and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "f=13," in err
+
     def test_argparse_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["scan", "--family", "martian", "--max", "100"])
@@ -293,6 +310,16 @@ class TestThresholdCommand:
              "--shards", "0"]
         )
         assert rc == cli.EXIT_CONFIG and out == ""
+
+    @pytest.mark.parametrize("grid", ["--grid=0", "--grid=-1/10"])
+    def test_rejects_nonpositive_grid_before_sweep(self, monkeypatch, capsys, grid):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the grid step was checked")
+
+        monkeypatch.setattr(sweep, "quad_triples", no_sweep)
+        rc, out = run_cli(["threshold", "--family", "quad-imaginary", "--max", "2000", grid])
+        assert rc == cli.EXIT_CONFIG and out == ""
+        assert capsys.readouterr().err == "config error: grid step must be positive\n"
 
     def test_small_range(self):
         rc, out = run_cli(

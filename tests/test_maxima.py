@@ -5,6 +5,8 @@ import pytest
 from classmax.classnum import class_number_imaginary
 from classmax.discriminants import IMAGINARY, iter_fundamental
 from classmax.maxima import (
+    MAXIMA,
+    MINIMA,
     BucketSpec,
     FieldRecord,
     ScanRecord,
@@ -126,7 +128,9 @@ class TestBucketSpec:
         assert spec.index(6) == spec.index(17) == 5
 
 
-def shard_stream(records: list[ScanRecord], edges: list[int]) -> list[ShardResult]:
+def shard_stream(
+    records: list[ScanRecord], edges: list[int], mode: str = MAXIMA
+) -> list[ShardResult]:
     lo = records[0].key
     hi = records[-1].key
     cuts = sorted({e for e in edges if lo - 1 < e < hi})
@@ -135,7 +139,7 @@ def shard_stream(records: list[ScanRecord], edges: list[int]) -> list[ShardResul
     for i in range(len(bounds) - 1):
         s_lo, s_hi = bounds[i] + 1, bounds[i + 1]
         part = [r for r in records if s_lo <= r.key <= s_hi]
-        events, total = scan_collect(iter(part))
+        events, total = scan_collect(iter(part), mode)
         shards.append(ShardResult(lo=s_lo, hi=s_hi, events=tuple(events), total_records=total))
     return shards
 
@@ -182,15 +186,18 @@ class TestMergeShards:
         eps = Epsilon(1, 50)
         for trial in range(40):
             records = synthetic_stream(rng, rng.randint(1, 300), eps)
-            direct, total = scan_collect(iter(records))
             n_cuts = rng.randint(1, 7)
             keys = [r.key for r in records]
             edges = sorted(rng.sample(range(keys[0], keys[-1] + 1), min(n_cuts, len(keys))))
-            merged, merged_total = merge_shards(shard_stream(records, edges))
-            assert merged_total == total
-            assert [e.record.key for e in merged] == [e.record.key for e in direct]
-            assert [e.nd for e in merged] == [e.nd for e in direct]
-            assert [e.buckets for e in merged] == [e.buckets for e in direct]
+            one = c_eps(1, 1, eps)
+            for mode, initial in ((MAXIMA, None), (MAXIMA, one), (MINIMA, one)):
+                direct, total = scan_collect(iter(records), mode, BucketSpec(3), initial)
+                shards = shard_stream(records, edges, mode)
+                merged, merged_total = merge_shards(shards, mode, BucketSpec(3), initial)
+                assert merged_total == total
+                assert [e.record.key for e in merged] == [e.record.key for e in direct]
+                assert [e.nd for e in merged] == [e.nd for e in direct]
+                assert [e.buckets for e in merged] == [e.buckets for e in direct]
 
     def test_overlapping_ranges_rejected(self):
         records = quad_stream(50, Epsilon(1, 20))

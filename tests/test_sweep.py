@@ -59,20 +59,16 @@ class TestTables:
 
     def test_reduced_form_pairs_match_module(self):
         """Every fundamental D <= 3000, against the per-D enumeration."""
-        sweep._init_real_tables(3000)
-        try:
-            indptr, ddata = sweep._W["indptr"], sweep._W["ddata"]
-            for d in np.flatnonzero(sweep._W["fund"]).tolist():
-                a_list, b_list = sweep.reduced_form_pairs(d, indptr, ddata)
-                got = set()
-                for a, b in zip(a_list, b_list):
-                    c = (b * b - d) // (4 * a)
-                    got.add((a, b, c))
-                    got.add((-a, b, -c))
-                want = {(f.a, f.b, f.c) for f in classnum.reduced_indefinite_forms(d)}
-                assert got == want, d
-        finally:
-            sweep._W.clear()
+        indptr, ddata = sweep.divisor_table(3000 // 4 + 1)
+        for d in np.flatnonzero(sweep.fundamental_mask(3000, REAL)).tolist():
+            a_list, b_list = sweep.reduced_form_pairs(d, indptr, ddata)
+            got = set()
+            for a, b in zip(a_list, b_list):
+                c = (b * b - d) // (4 * a)
+                got.add((a, b, c))
+                got.add((-a, b, -c))
+            want = {(f.a, f.b, f.c) for f in classnum.reduced_indefinite_forms(d)}
+            assert got == want, d
 
     def test_reduced_forms_match_brute_force(self):
         """_reduced_forms gathers only the middle slice of each divisor row;
@@ -225,12 +221,11 @@ class TestRealSegments:
         for _ in range(6):
             lo = rng.randint(2, 30000)
             ranges.append((lo, rng.randint(lo, min(30000, lo + rng.choice([50, 3000, 20000])))))
+        # two workers cut 16 index slices, so the short ranges have empty ones
         for lo, hi in ranges:
             want = [t for t in reference if lo <= t[0] <= hi]
-            assert list(sweep.quad_triples(REAL, lo, hi)) == want, (lo, hi)
-        lo, hi = ranges[-1]
-        two = sweep.quad_triples(REAL, lo, hi, workers=2)
-        assert list(two) == [t for t in reference if lo <= t[0] <= hi]
+            for workers in (1, 2):
+                assert list(sweep.quad_triples(REAL, lo, hi, workers)) == want, (lo, hi, workers)
 
     @pytest.mark.parametrize("segment", [1, 2**20])
     def test_segment_size_does_not_change_results(self, reference, segment, monkeypatch):
