@@ -68,7 +68,8 @@ class ResultCache:
                     continue
                 try:
                     key, rest = line.split(",", 1)
-                    result, _ts = rest.rsplit(",", 1)
+                    result, ts = rest.rsplit(",", 1)
+                    int(ts)
                 except ValueError:
                     continue  # torn tail line from a crash
                 self._data[key] = result
@@ -80,8 +81,13 @@ class ResultCache:
         self._data[key] = result
         if not self.path:
             return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(f"{key},{result},{int(time.time())}\n")
+        line = f"{key},{result},{int(time.time())}\n"
+        with open(self.path, "ab+") as fh:
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line  # never glue onto a torn tail line
+            fh.write(line.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -122,18 +128,21 @@ class Backend:
 
     # -- process plumbing ---------------------------------------------------
 
-    def _ensure_proc(self) -> subprocess.Popen:
+    def _ensure_proc(self, key: str) -> subprocess.Popen:
         if self._proc is not None and self._proc.poll() is None:
             return self._proc
         if not self.command:
             raise BackendError("no backend command configured and result not cached")
         self._buf = b""
-        self._proc = subprocess.Popen(
-            shlex.split(self.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            bufsize=0,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                shlex.split(self.command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                bufsize=0,
+            )
+        except OSError as exc:
+            raise BackendError(f"cannot start backend {self.command!r}: {exc}", key) from exc
         return self._proc
 
     def _readline(self, proc: subprocess.Popen, key: str) -> str:
@@ -191,7 +200,7 @@ class Backend:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-            proc = self._ensure_proc()
+            proc = self._ensure_proc(key)
             req_id = self._next_id
             self._next_id += 1
             line = f"Q {req_id} {kind} {' '.join(str(a) for a in args)}\n"

@@ -233,24 +233,16 @@ def class_number_cubic(field: CubicField, source: ClassNumberSource) -> int:
 
 
 def _member_data(
-    f: int, scope: str, eps: Epsilon, source: ClassNumberSource
-) -> list[tuple[CubicField, int, int, MetricValue, MetricValue]]:
-    """(field, H, h, C_nongenus, C_full) per member."""
+    f: int, scope: str, eps: Epsilon, source: ClassNumberSource, by_genus: bool
+) -> list[tuple[CubicField, int, int, MetricValue]]:
+    """(field, H, h, C) per member, with C = c_eps(h) if by_genus, else
+    c_eps(H)."""
     rows = []
     for member in family_members(f, scope):
         big_h = class_number_cubic(member, source)
-        n_mem = arith.omega(member.f)
-        small_h = nongenus_part(big_h, genus_number_cyclic(3, n_mem))
-        disc = member.f * member.f
-        rows.append(
-            (
-                member,
-                big_h,
-                small_h,
-                c_eps(small_h, disc, eps),
-                c_eps(big_h, disc, eps),
-            )
-        )
+        small_h = nongenus_part(big_h, genus_number_cyclic(3, arith.omega(member.f)))
+        value = c_eps(small_h if by_genus else big_h, member.f * member.f, eps)
+        rows.append((member, big_h, small_h, value))
     return rows
 
 
@@ -267,26 +259,24 @@ def family_scan_record(
     H / sqrt(D)^eps over the members; per_field_max takes the largest member
     value of the nongenus metric (the uncorrected per-field record scan).
     """
+    if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
+        raise ValueError(f"unknown cubic metric {metric_kind!r}")
     eps = Epsilon.of(eps)
-    data = _member_data(f, scope, eps, source)
+    data = _member_data(f, scope, eps, source, metric_kind != FULL)
     n_k = len(data)
     n_f = arith.omega(f)
     prod_big = math.prod(r[1] for r in data)
     prod_small = math.prod(r[2] for r in data)
-    if metric_kind == NONGENUS:
-        value = geometric_mean([r[3] for r in data])
-    elif metric_kind == FULL:
-        value = geometric_mean([r[4] for r in data])
-    elif metric_kind == PER_FIELD_MAX:
+    if metric_kind == PER_FIELD_MAX:
         best = data[0]
         for row in data[1:]:
             if compare(row[3], best[3]) > 0:
                 best = row
         value = best[3]
     else:
-        raise ValueError(f"unknown cubic metric {metric_kind!r}")
+        value = geometric_mean([r[3] for r in data])
     if metric_kind == PER_FIELD_MAX:
-        field, big_h, small_h, _, _ = best
+        field, big_h, small_h, _ = best
         payload = FieldRecord(
             f=f,
             d_signed=None,

@@ -138,8 +138,8 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, data
 
 
-# (D, b) rows per segment of the real sweep; a segment's arrays then take a
-# few MB whatever the range (see _narrow_chunk).
+# (D, b) rows per segment of the real sweep, the only cut of its D list; a
+# segment's arrays then take a few MB whatever the range (see _narrow_segment).
 SEGMENT = 2**15
 
 
@@ -240,9 +240,58 @@ def _fail_at(bad: np.ndarray, what: str, ds: np.ndarray, j: np.ndarray) -> None:
         raise ArithmeticError(f"{what} at d = {ds[j[np.argmax(bad)]]}")
 
 
-def _narrow_segment(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np.ndarray:
-    """H+ of each fundamental discriminant in ds (see _narrow_chunk)."""
-    j, a, b = _reduced_forms(ds, indptr, ddata)
+def _segments(ds: np.ndarray) -> list[tuple[int, int]]:
+    """Bounds (i, j) of the runs ds[i:j] that tile [0, len(ds)) in order,
+    cut greedily in D order so that each holds at most SEGMENT rows (D, b),
+    or is a single D that alone has more (about sqrt(D) / 2 rows)."""
+    before = np.concatenate(([0], np.cumsum(_row_counts(ds))))
+    cuts = [0]
+    while cuts[-1] < len(ds):
+        i = cuts[-1]
+        cuts.append(max(int(np.searchsorted(before, before[i] + SEGMENT, "right")) - 1, i + 1))
+    return list(zip(cuts, cuts[1:]))
+
+
+# worker globals (populated before fork, shared copy-on-write)
+_W: dict = {}
+
+
+def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
+    """H+ of the fundamental discriminants ds[i:j] of the sweep, for
+    bounds = (i, j), one of the runs of _segments.
+
+    Within the segment, the positive half of the reduced indefinite forms,
+    (a, b) with a > 0 and c = (b^2 - D) / 4a, is indexed in (D, b, a) order
+    (see _reduced_forms).  sigma = negation o rho maps it to itself, and
+    sigma o sigma = rho o rho, because rho commutes with negation and every
+    reduced form has ac < 0.  So each rho cycle, of even length 2k, meets
+    the positive half in one sigma^2 cycle of length k, and H+ is the number
+    of sigma^2 cycles (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.6).  They are counted by pointer doubling
+    (Hillis and Steele, CACM 1986): label = minimum(label, label[q]),
+    q = q[q], until a round changes no label; H+ is then the number of forms
+    that are their own label.
+
+    Four checks keep the failure modes of a walk form by form, each raising
+    ArithmeticError that names the first bad D:
+    - every c < 0, so rho alternates the sign of a and every rho cycle is even;
+    - every successor sigma(a, b) is a reduced form of the same D: it is
+      looked up by bisection in its own row (D, b'), whose forms the segment
+      holds contiguously, ascending in a, at offsets from a cumsum of a
+      bincount of the form rows;
+    - sigma hits every form exactly once, so it is a permutation;
+    - the doubling ends within ceil(log2 n) + 2 rounds for n forms.
+
+    Memory.  A segment's arrays are int64 with one entry per D, per row or
+    per reduced form, about fifteen of each at most at a time.  Rows are at
+    most max(SEGMENT, rows of one D), and only the middle slice of each
+    row's divisors is ever gathered, so no array holds a divisor that is not
+    a form.  There are about 1.2 forms per row up to 1e6 (at most about 1.3
+    per segment), so at SEGMENT = 2^15 each array takes at most about
+    350 kB and a segment a few MB, whatever the length of the sweep.
+    """
+    ds = _W["ds"][slice(*bounds)]
+    j, a, b = _reduced_forms(ds, _W["indptr"], _W["ddata"])
     n = len(j)
     if n == 0:
         return np.zeros(len(ds), dtype=np.int64)
@@ -281,61 +330,6 @@ def _narrow_segment(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np
     return np.bincount(j[label == np.arange(n)], minlength=len(ds))
 
 
-# worker globals (populated before fork, shared copy-on-write)
-_W: dict = {}
-
-
-def _narrow_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    """H+ of the fundamental discriminants ds[i:j] of the sweep, for
-    bounds = (i, j), one D-segment at a time.
-
-    Segments are cut in D order so that each has at most SEGMENT rows (D, b)
-    (a single D, with about sqrt(D) / 2 rows, may exceed that alone; see
-    _reduced_forms).  Within a segment, the positive half of the reduced
-    indefinite forms, (a, b) with a > 0 and c = (b^2 - D) / 4a, is indexed
-    in (D, b, a) order.  sigma = negation o rho
-    maps it to itself, and sigma o sigma = rho o rho, because rho commutes
-    with negation and every reduced form has ac < 0.  So each rho cycle, of
-    even length 2k, meets the positive half in one sigma^2 cycle of length k,
-    and H+ is the number of sigma^2 cycles (Cohen, A Course in Computational
-    Algebraic Number Theory, 5.6).  They are counted by pointer doubling
-    (Hillis and Steele, CACM 1986): label = minimum(label, label[q]),
-    q = q[q], until a round changes no label; H+ is then the number of forms
-    that are their own label.
-
-    Four checks keep the failure modes of a walk form by form, each raising
-    ArithmeticError that names the first bad D:
-    - every c < 0, so rho alternates the sign of a and every rho cycle is even;
-    - every successor sigma(a, b) is a reduced form of the same D: it is
-      looked up by bisection in its own row (D, b'), whose forms the segment
-      holds contiguously, ascending in a, at offsets from a cumsum of a
-      bincount of the form rows;
-    - sigma hits every form exactly once, so it is a permutation;
-    - the doubling ends within ceil(log2 n) + 2 rounds for n forms.
-
-    Memory.  A segment's arrays are int64 with one entry per row or one per
-    reduced form, about fifteen of each at most at a time.  Rows are at most
-    max(SEGMENT, rows of one D), and only the middle slice of each row's
-    divisors is ever gathered, so no array holds a divisor that is not a
-    form.  There are about 1.2 forms per row up to 1e6 (at most about 1.3
-    per segment), so at SEGMENT = 2^15 each array takes at most about
-    350 kB and a segment a few MB, plus the per-D arrays of the chunk.
-    """
-    i, j = bounds
-    indptr, ddata = _W["indptr"], _W["ddata"]
-    ds = _W["ds"][i:j]
-    rows = _row_counts(ds)
-    ends = np.cumsum(rows)
-    parts = [np.zeros(0, dtype=np.int64)]
-    start = 0
-    while start < len(ds):
-        stop = int(np.searchsorted(ends, ends[start] - rows[start] + SEGMENT, "right"))
-        stop = max(stop, start + 1)
-        parts.append(_narrow_segment(ds[start:stop], indptr, ddata))
-        start = stop
-    return np.concatenate(parts)
-
-
 def _imag_part(first: int) -> np.ndarray:
     """int32 form counts at the fundamental D for a = first mod the stride."""
     return imag_class_table(_W["hi"], first, _W["stride"])[_W["ds"]]
@@ -357,16 +351,20 @@ def _fork_map(fn, items: list, workers: int) -> list:
 MALLOC_THRESHOLDS = ((-3, 4 << 20), (-1, 8 << 20))
 
 
-def _pin_malloc() -> None:
-    """Set MALLOC_THRESHOLDS through mallopt; a no-op where there is none."""
+def _reset_malloc() -> None:
+    """Set MALLOC_THRESHOLDS through mallopt, then return the free heap to
+    the system through malloc_trim; a no-op where there are none."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        mallopt, trim = libc.mallopt, libc.malloc_trim
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
+    trim.argtypes = (ctypes.c_size_t,)
+    mallopt.restype = trim.restype = ctypes.c_int
     for param, value in MALLOC_THRESHOLDS:
         mallopt(param, value)
+    trim(0)
 
 
 class QuadTable(Sequence):
@@ -416,15 +414,16 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
     signature; the workers compute only H.  Both sweeps fork at most
     min(workers, os.cpu_count()) workers; the result does not depend on
     their number.  The imaginary form-count table is split by a mod the
-    worker count, the real sweep into 8 equal index slices of the D column
-    per worker (one slice with a single worker).
+    worker count.  The real sweep cuts the D column once, into the runs of
+    _segments, and the workers take those runs one at a time (a single
+    worker maps them in this process).
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
     if signature not in (IMAGINARY, REAL):
         raise ValueError(f"unknown signature {signature!r}")
     workers = max(1, min(workers, os.cpu_count() or 1))
-    _pin_malloc()
+    _reset_malloc()
     ds = np.flatnonzero(fundamental_mask(hi, signature)[lo : hi + 1]) + lo
     n = omega_table(hi)[ds]
     try:
@@ -433,10 +432,11 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
             _W.update(hi=hi, stride=workers)
             parts = _fork_map(_imag_part, list(range(1, workers + 1)), workers)
             return QuadTable(ds, n, np.sum(parts, axis=0, dtype=np.int64))
+        bounds = _segments(ds)
         _W["indptr"], _W["ddata"] = divisor_table(hi // 4 + 1)
-        edges = np.linspace(0, len(ds), 8 * workers + 1 if workers > 1 else 2, dtype=np.int64)
-        parts = _fork_map(_narrow_chunk, list(zip(edges.tolist(), edges[1:].tolist())), workers)
-        return QuadTable(ds, n, np.concatenate(parts))
+        _reset_malloc()  # neither the map nor the forked workers keep the freed sieve heap
+        parts = _fork_map(_narrow_segment, bounds, workers)
+        return QuadTable(ds, n, np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
     finally:
         _W.clear()
 

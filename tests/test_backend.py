@@ -104,6 +104,13 @@ class TestQueries:
                 bk.classno_quad(-99991)
             assert "CLASSNO_QUAD:-99991" in str(err.value)
 
+    def test_unstartable_command_surfaces_key(self, tmp_path):
+        bk = Backend(command="/nonexistent/adapter", cache_path=str(tmp_path / "cache.txt"))
+        with pytest.raises(BackendError) as err:
+            bk.classno_cubic((1, -2, -1))
+        assert err.value.request_key == "CLASSNO_CUBIC:1:-2:-1"
+        assert "/nonexistent/adapter" in str(err.value)
+
     def test_timeout(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path, mode="sleep", timeout=0.3) as bk:
             with pytest.raises(BackendError) as err:
@@ -151,6 +158,22 @@ class TestResultCache:
         path.write_text("CLASSNO_QUAD:-23,3,100\nCLASSNO_QUAD:-47")
         assert ResultCache(str(path)).get("CLASSNO_QUAD:-23") == "3"
         assert ResultCache(str(path)).get("CLASSNO_QUAD:-47") is None
+
+    def test_put_after_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("CLASSNO_CUBIC:1:-2:1,1,1700000000\nCLASSNO_CUBIC:0:-21:-35,1")
+        ResultCache(str(path)).put("CLASSNO_CUBIC:0:-21:7", "3")
+        cache = ResultCache(str(path))
+        assert cache.get("CLASSNO_CUBIC:0:-21:7") == "3"
+        assert cache.get("CLASSNO_CUBIC:0:-21:-35") is None
+        assert cache.get("CLASSNO_CUBIC:1:-2:1") == "1"
+
+    def test_torn_line_without_integer_timestamp_ignored(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("SUBCYCLO:7:3,x^3+x^2-2*x-1,100\nSUBCYCLO:91:3,x^3-a,x^3")
+        cache = ResultCache(str(path))
+        assert cache.get("SUBCYCLO:7:3") == "x^3+x^2-2*x-1"
+        assert cache.get("SUBCYCLO:91:3") is None
 
     def test_result_may_contain_commas(self, tmp_path):
         path = str(tmp_path / "c.txt")

@@ -354,3 +354,12 @@ class TestBackendExitCode:
              "--backend-cmd", "false", "--cache", str(tmp_path / "c.txt")]
         )
         assert rc == cli.EXIT_BACKEND
+
+    def test_unstartable_backend_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.delenv("CLASSMAX_CACHE", raising=False)
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
+             "--backend-cmd", "/nonexistent/adapter"]
+        )
+        assert (rc, out) == (cli.EXIT_BACKEND, "")
+        assert capsys.readouterr().err.startswith("backend error: cannot start backend")

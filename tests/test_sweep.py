@@ -221,11 +221,29 @@ class TestRealSegments:
         for _ in range(6):
             lo = rng.randint(2, 30000)
             ranges.append((lo, rng.randint(lo, min(30000, lo + rng.choice([50, 3000, 20000])))))
-        # two workers cut 16 index slices, so the short ranges have empty ones
+        # a range with no fundamental D has no segment, a short one a single
+        # segment, so on two workers the pool maps none or one
         for lo, hi in ranges:
             want = [t for t in reference if lo <= t[0] <= hi]
             for workers in (1, 2):
                 assert list(sweep.quad_triples(REAL, lo, hi, workers)) == want, (lo, hi, workers)
+
+    @pytest.mark.parametrize("segment", [1, 2**15, 2**30])
+    def test_segment_bounds_tile_the_column(self, segment, monkeypatch):
+        """The runs tile [0, len(ds)) in order; each holds at most SEGMENT
+        rows or a single D, and could not take the next D without exceeding
+        SEGMENT rows."""
+        monkeypatch.setattr(sweep, "SEGMENT", segment)
+        for lo, hi in ((6, 6), (5, 5), (2, 150_000)):
+            ds = np.flatnonzero(sweep.fundamental_mask(hi, REAL)[lo : hi + 1]) + lo
+            # rows (D, b): b = D mod 2 in (0, sqrt D)
+            rows = [len(range(2 - d % 2, math.isqrt(d) + 1, 2)) for d in ds.tolist()]
+            bounds = sweep._segments(ds)
+            edges = [0] + [j for _, j in bounds]
+            assert bounds == list(zip(edges, edges[1:])) and edges[-1] == len(ds), (lo, hi)
+            for i, j in bounds:
+                assert i < j and (sum(rows[i:j]) <= segment or j - i == 1), (lo, hi, i, j)
+                assert j == len(ds) or sum(rows[i : j + 1]) > segment, (lo, hi, i, j)
 
     @pytest.mark.parametrize("segment", [1, 2**20])
     def test_segment_size_does_not_change_results(self, reference, segment, monkeypatch):
