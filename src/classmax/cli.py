@@ -104,21 +104,22 @@ def scan_triples(
 ) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
     """One scan per eps over a quadratic (D, N, H) table or row sequence.
 
-    Only the positions that sweep.QuadStream's certified float64 prefilter
-    keeps become records; the exact scan decides among them, and each event's
-    nd is mapped back to its position in the whole stream.
+    One sweep.QuadStream pass for config.mode finds the positions that can
+    hold a record at any eps; per eps, only those its certified float64
+    prefilter keeps become records.  The exact scan decides among them, and
+    each event's nd is mapped back to its position in the whole stream.
     """
     signature = IMAGINARY if config.family == QUAD_IMAGINARY else REAL
     buckets = BucketSpec(config.buckets)
-    stream = sweep.QuadStream(triples, signature, config.metric_kind)
+    stream = sweep.QuadStream(triples, signature, config.metric_kind, config.mode)
     out = []
     for eps in config.eps_list:
-        keep, records = stream.records(eps, config.mode)
+        keep, records = stream.records(eps)
         events, _ = scan_collect(records, config.mode, buckets)
         events = [replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events]
         # raw-metric records carry eps 0, and so must their starting value
         initial_eps = EPS_ZERO if stream.raw else eps
-        out.append((eps, *_merge(events, len(stream.keys), config, initial_eps)))
+        out.append((eps, *_merge(events, len(stream.table), config, initial_eps)))
     return out
 
 

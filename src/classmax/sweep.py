@@ -495,21 +495,38 @@ def quad_records(
 # of its values (2 * 2^-40, derived in QuadStream) lies far below it.
 MARGIN = 2.0**-30
 
-# Rows per block of QuadStream's row checks and logs: its temporaries then
-# take a few MB whatever the table's length.
+# Rows per block of QuadStream's one pass: its temporaries then take a few
+# MB whatever the table's length.
 STREAM_BLOCK = 2**16
+
+
+def _prefilter(
+    log_h: np.ndarray, log_d: np.ndarray, half_e: float, mode: str, top: float = -np.inf
+) -> tuple[np.ndarray, float]:
+    """(kept, top) for a run of positions after earlier ones whose largest
+    v is top: the mask of QuadStream's prefilter test v >= P - MARGIN, with
+    v at exponent 2 half_e, and the largest v up to the end of the run."""
+    v = log_h - half_e * log_d
+    if mode == MINIMA:
+        v = -v
+    prev = np.maximum.accumulate(np.concatenate(([top], v)))
+    return v >= prev[:-1] - MARGIN, prev[-1]
 
 
 class QuadStream:
     """A checked (D, N, H) table (a QuadTable, or any sequence of rows) under
-    one metric, with the float64 columns of the record prefilter.
+    one metric and one mode, with the rows that can hold a record at any eps.
 
-    Construction checks every row the way quad_records, c_eps and scan check
+    Construction makes one pass over the table, in blocks of STREAM_BLOCK
+    rows.  It checks every row the way quad_records, c_eps and scan check
     each record: at the first row either would reject, quad_records itself
     raises its error; then keys must be strictly ascending.  A bad row thus
-    fails the run even where the prefilter would drop it.  The checks and
-    logs run over blocks of STREAM_BLOCK rows into the preallocated float64
-    columns, so the temporaries do not grow with the table.
+    fails the run even where the prefilter would drop it.  The same pass
+    runs the prefilter at one exponent e0 (see Lifetimes) and keeps only its
+    candidates: their ascending positions `support`, S, and the float64 logs
+    of their h and D, `log_h` and `log_d`.  The running maximum carries
+    across blocks, so S does not depend on the block size, and no array but
+    S and its logs grows with the table.
 
     Prefilter.  For an exponent e (0 for the raw metrics) and the metric's
     h (H >> (N-1) for nongenus and raw-h, H otherwise), position i gets
@@ -547,17 +564,33 @@ class QuadStream:
       (within 2 delta) stay candidates, and compare settles them exactly.
     A preset starting value, such as C = 1, is applied afterwards by
     maxima.merge_shards, which takes fresh scans.
+
+    Lifetimes.  Write x_i(e) for x_i at exponent e.  Keys ascend, so
+    log(D_i / D_j) > 0 for j < i, and in maxima mode x_i(e) > x_j(e) iff
+    log(h_i / h_j) > (e/2) log(D_i / D_j), whose right side grows with e.
+    So a position that beats every earlier one at some e >= 0 also does at
+    e = 0: every event at any eps is an event at e0 = 0.  In minima mode the
+    inequality turns, and every event at any eps < 2 is an event at e0 = 2.
+    The raw metrics do not depend on eps, and e0 = 0 in both modes.  By
+    Exactness at e0, S holds every event of every eps.
+
+    Per eps.  candidates(eps) runs the prefilter test on S alone, with P_i
+    the maximum of v over the earlier positions of S.  That never exceeds
+    the maximum over all earlier positions, so within S it keeps a superset
+    of what the prefilter over the whole stream keeps, and every event at
+    eps is in S.  Exactness then holds word for word with S for the stream:
+    the position that first reached R_i is an event, so it lies in S and is
+    kept.
     """
 
     def __init__(
-        self, triples: Sequence[tuple[int, int, int]], signature: str, metric_kind: str
+        self, triples: Sequence[tuple[int, int, int]], signature: str, metric_kind: str, mode: str
     ) -> None:
         by_genus, self.raw = metric_terms(metric_kind)
         self.table = table = QuadTable.of(triples)
-        self.signature, self.metric_kind = signature, metric_kind
-        self.keys = table.d
-        self.log_h = np.empty(len(table))
-        self.log_d = np.empty(len(table))
+        self.signature, self.metric_kind, self.mode = signature, metric_kind, mode
+        half_e0 = 1.0 if mode == MINIMA and not self.raw else 0.0
+        top, unsorted, parts = -np.inf, [], [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0))]
         for i in range(0, len(table), STREAM_BLOCK):
             block = slice(i, i + STREAM_BLOCK)
             d, n, big_h = table.d[block], table.n[block].astype(np.int64), table.h[block]
@@ -568,29 +601,27 @@ class QuadStream:
                 # raises the per-record error for the first bad row
                 row = table[i + int(np.argmax(bad))]
                 quad_records([row], signature, EPS_ZERO, metric_kind)
+            edge = table.d[max(i - 1, 0) : i + STREAM_BLOCK]
+            unsorted.extend(edge[1:][edge[1:] <= edge[:-1]][:1])
             h = big_h >> (n - 1) if by_genus else big_h
-            np.log(h.astype(np.float64), out=self.log_h[block])
-            np.log(d.astype(np.float64), out=self.log_d[block])
-        d = self.keys
-        unsorted = np.flatnonzero(d[1:] <= d[:-1])
-        if unsorted.size:
-            raise ValueError(f"stream keys not ascending at {d[unsorted[0] + 1]}")
+            log_h, log_d = np.log(h.astype(np.float64)), np.log(d.astype(np.float64))
+            kept, top = _prefilter(log_h, log_d, half_e0, mode, top)
+            parts.append((np.flatnonzero(kept) + i, log_h[kept], log_d[kept]))
+        if unsorted:
+            raise ValueError(f"stream keys not ascending at {unsorted[0]}")
+        self.support, self.log_h, self.log_d = (np.concatenate(col) for col in zip(*parts))
 
-    def candidates(self, eps: Epsilon, mode: str) -> np.ndarray:
-        """Ascending positions that contain every successive record of a
-        fresh scan over the whole stream."""
+    def candidates(self, eps: Epsilon) -> np.ndarray:
+        """Ascending positions, all in support, that contain every successive
+        record of a fresh scan over the whole stream at eps (see Per eps)."""
         half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
-        v = self.log_h - half_eps * self.log_d
-        if mode == MINIMA:
-            v = -v
-        prev = np.maximum.accumulate(np.concatenate(([-np.inf], v)))[:-1]
-        return np.flatnonzero(v >= prev - MARGIN)
+        return self.support[_prefilter(self.log_h, self.log_d, half_eps, self.mode)[0]]
 
-    def records(self, eps: Epsilon, mode: str) -> tuple[list[int], list[ScanRecord]]:
+    def records(self, eps: Epsilon) -> tuple[list[int], list[ScanRecord]]:
         """(keep, records): the candidates, and the quad_records of their rows
         under eps, record i of row keep[i]; a scan over the records takes the
         decisions of a scan over the whole stream (see Exactness)."""
-        keep = self.candidates(eps, mode)
+        keep = self.candidates(eps)
         return keep.tolist(), quad_records(self.table[keep], self.signature, eps, self.metric_kind)
 
 
@@ -659,35 +690,38 @@ def threshold_search(
     grid_step: Fraction,
     metric_kind: str = NONGENUS,
 ) -> Fraction | None:
-    """Largest grid multiple of grid_step (< 2) with >= 2 maxima events.
+    """Largest grid multiple of grid_step (< 2) with >= 2 maxima events, or
+    None if even eps = 0 has fewer.
 
-    Taken by bisection over the grid, assuming the event count is monotone
-    nonincreasing in eps (true in practice for these streams); the endpoint
-    is verified before returning.  None means even eps = 0 has < 2 events.
-    Each probe scans only the prefilter's candidates (see QuadStream).
+    Position 0 is always an event.  There is a second at e iff some i >= 1
+    beats position 0 at e, for then the first such i beats every earlier
+    position.  With x_i(e) as in QuadStream, x_i(e) > x_0(e) iff
+    e < s_i = 2 log(h_i / h_0) / log(D_i / D_0) (for the raw metrics, which
+    do not depend on e, iff h_i > h_0), so the event count is >= 2 exactly
+    below max s_i, and by QuadStream's Lifetimes that maximum is reached on
+    its support.  k is guessed from the float64 maximum over
+    the support, then moved up while k + 1 has >= 2 events and down while k
+    has not.  Each of those decisions is an exact scan over the candidates
+    at k * grid_step, so float64 only picks where the probes start.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
-    stream = QuadStream(triples, signature, metric_kind)
+    stream = QuadStream(triples, signature, metric_kind, MAXIMA)
+    if len(stream.support) < 2:
+        return None
 
     def plenty(k: int) -> bool:
-        _, records = stream.records(Epsilon.of(grid_step * k), MAXIMA)
+        _, records = stream.records(Epsilon.of(grid_step * k))
         return len(list(islice(scan(iter(records), MAXIMA, BucketSpec(1)), 2))) >= 2
 
-    k_hi = int(Fraction(2) / grid_step)
-    while grid_step * k_hi >= 2:
-        k_hi -= 1
-    if not plenty(0):
-        return None
-    lo, hi = 0, k_hi
-    if plenty(k_hi):
-        return grid_step * k_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if plenty(mid):
-            lo = mid
-        else:
-            hi = mid
-    if not plenty(lo) or (lo + 1 <= k_hi and plenty(lo + 1)):
-        raise ArithmeticError("event count not monotone on the grid")
-    return grid_step * lo
+    gain = stream.log_h[1:] - stream.log_h[0]
+    run = 0.0 if stream.raw else stream.log_d[1:] - stream.log_d[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.fmax.reduce(2 * gain / run)  # NaN only if every ratio is 0 / 0
+    # the largest k with k * grid_step < s, for s clamped to [0, 2]
+    k = math.ceil(Fraction(float(np.clip(np.nan_to_num(s), 0, 2))) / grid_step) - 1
+    while grid_step * (k + 1) < 2 and plenty(k + 1):
+        k += 1
+    while k >= 0 and not plenty(k):
+        k -= 1
+    return grid_step * k if k >= 0 else None

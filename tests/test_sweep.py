@@ -458,26 +458,91 @@ class TestGenusFamily:
 
 class TestThresholdSearch:
     def brute(self, triples, grid, metric):
+        """Largest grid eps < 2 at which an exact maxima scan over every row
+        has >= 2 events.  At eps = p/q the metric values order as
+        h^(2q) / D^p, so the scan compares integer cross-powers; it stops at
+        the second event."""
+        by_genus, raw = sweep.metric_terms(metric)
         best = None
         k = 0
         while grid * k < 2:
-            eps = Epsilon.of(grid * k)
-            records = sweep.quad_records(triples, IMAGINARY, eps, metric)
-            events, _ = scan_collect(iter(records), buckets=BucketSpec(1))
-            if len(events) >= 2:
-                best = grid * k
+            eps = grid * k
+            p, q = (0, 1) if raw else (eps.numerator, eps.denominator)
+            events, top = 0, None
+            for d, n, big_h in triples:
+                h = big_h >> (n - 1) if by_genus else big_h
+                if top is None or h ** (2 * q) * top[1] ** p > top[0] ** (2 * q) * d**p:
+                    events, top = events + 1, (h, d)
+                    if events == 2:
+                        best = grid * k
+                        break
             k += 1
         return best
 
     def test_matches_linear_scan(self):
         triples = sweep.quad_triples(IMAGINARY, 1, 2000)
-        for grid in (Fraction(1, 4), Fraction(1, 10)):
+        for grid in (Fraction(1, 4), Fraction(1, 10), Fraction(3)):
             got = sweep.threshold_search(triples, IMAGINARY, grid)
             assert got == self.brute(triples, grid, sweep.NONGENUS)
+        assert sweep.threshold_search(triples, IMAGINARY, Fraction(3)) == 0
+
+    @pytest.mark.parametrize("metric", [sweep.NONGENUS, sweep.FULL])
+    def test_real_stream(self, real_30k, metric):
+        for grid in (Fraction(1, 4), Fraction(1, 10), Fraction(1, 100)):
+            got = sweep.threshold_search(real_30k, REAL, grid, metric)
+            assert got is not None and got == self.brute(real_30k, grid, metric), grid
+
+    def test_exact_tie(self):
+        """C = 2/4^(e/2) and 3/9^(e/2) tie at e = 1 = s, which has one event."""
+        triples = [(4, 1, 2), (9, 1, 3)]
+        quarter = sweep.threshold_search(triples, IMAGINARY, Fraction(1, 4), sweep.FULL)
+        assert quarter == Fraction(3, 4)
+        assert sweep.threshold_search(triples, IMAGINARY, Fraction(1), sweep.FULL) == 0
+        for grid in (Fraction(1, 4), Fraction(1), Fraction(1, 3)):
+            got = sweep.threshold_search(triples, IMAGINARY, grid, sweep.FULL)
+            assert got == self.brute(triples, grid, sweep.FULL)
+
+    def test_first_row_leads(self):
+        triples = [(3, 1, 5), (4, 1, 2), (7, 1, 5), (8, 1, 3)]
+        for metric in sweep.QUAD_METRICS:
+            assert sweep.threshold_search(triples, IMAGINARY, Fraction(1, 10), metric) is None
+
+    def test_float64_equal_logs(self):
+        """log D of 10**17 and 10**17 + 1 are equal in float64, so the float
+        guess divides 0 by 0 (equal h) or a positive gain by 0 (larger h)."""
+        big = 10**17
+        assert float(big) == float(big + 1)
+        grid = Fraction(1, 10)
+        assert sweep.threshold_search([(big, 1, 3), (big + 1, 1, 3)], IMAGINARY, grid) is None
+        triples = [(big, 1, 3), (big + 1, 1, 4)]
+        assert sweep.threshold_search(triples, IMAGINARY, grid) == Fraction(19, 10)
+        assert self.brute(triples, grid, sweep.NONGENUS) == Fraction(19, 10)
 
     def test_single_discriminant_sentinel(self):
         triples = sweep.quad_triples(IMAGINARY, 3, 3)
         assert sweep.threshold_search(triples, IMAGINARY, Fraction(1, 10)) is None
+        assert sweep.threshold_search([], IMAGINARY, Fraction(1, 10)) is None
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)),
+            min_size=1,
+            max_size=30,
+        ),
+        grid=st.sampled_from(["1/4", "1/10", "1/7", "2/3", "1", "3"]),
+        metric=st.sampled_from(sweep.QUAD_METRICS),
+    )
+    def test_random_streams(self, rows, grid, metric):
+        triples = []
+        key = 2
+        for gap, n, h in rows:
+            key += gap
+            triples.append((key, n, h << (n - 1)))
+        grid = Fraction(grid)
+        assert sweep.threshold_search(triples, IMAGINARY, grid, metric) == self.brute(
+            triples, grid, metric
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +569,11 @@ def reference(triples, signature, eps, metric, mode, from_one, records=None):
     return summary(events), total
 
 
-def prefiltered(triples, signature, eps, metric, mode, from_one, shards=1):
+def prefiltered_all(triples, signature, eps_list, metric, mode, from_one, shards=1):
+    """One cli.scan_triples call, so one QuadStream, for every eps in eps_list."""
     config = cli.ScanConfig(
         family=cli.QUAD_IMAGINARY if signature == IMAGINARY else cli.QUAD_REAL,
-        eps_list=[eps],
+        eps_list=eps_list,
         lo=triples[0][0] if triples else 1,
         hi=triples[-1][0] if triples else 1,
         metric_kind=metric,
@@ -515,23 +581,56 @@ def prefiltered(triples, signature, eps, metric, mode, from_one, shards=1):
         shards=shards,
         compat_minima_init_one=from_one,
     )
-    [(_, events, total)] = cli.scan_triples(triples, config)
-    return summary(events), total
+    return [(summary(events), total) for _, events, total in cli.scan_triples(triples, config)]
 
 
-def assert_equivalent(triples, signature, eps, metric, shards=(1,)):
-    records = sweep.quad_records(triples, signature, eps, metric)
+def prefiltered(triples, signature, eps, metric, mode, from_one, shards=1):
+    [got] = prefiltered_all(triples, signature, [eps], metric, mode, from_one, shards)
+    return got
+
+
+def references(triples, signature, metric):
+    """want(eps, mode, from_one) -> reference(...); the four scans of each eps
+    share one quad_records call and are kept, not the records."""
+    memo = {}
+
+    def want(eps, mode, from_one):
+        if eps not in memo:
+            records = sweep.quad_records(triples, signature, eps, metric)
+            memo[eps] = {
+                (m, f): reference(triples, signature, eps, metric, m, f, records)
+                for m in MODES
+                for f in (False, True)
+            }
+        return memo[eps][mode, from_one]
+
+    return want
+
+
+def assert_equivalent(triples, signature, eps_list, metric, shards=(1,), want=None):
+    """The prefiltered scans of every eps in eps_list (an Epsilon or a list),
+    run on one stream, against a reference scan per eps, in both modes, with
+    and without the preset C = 1."""
+    if isinstance(eps_list, Epsilon):
+        eps_list = [eps_list]
+    want = want or references(triples, signature, metric)
     for mode in MODES:
         for from_one in (False, True):
-            want = reference(triples, signature, eps, metric, mode, from_one, records)
+            expected = [want(eps, mode, from_one) for eps in eps_list]
             for n in shards:
-                got = prefiltered(triples, signature, eps, metric, mode, from_one, n)
-                assert got == want, (str(eps), metric, mode, from_one, n)
+                got = prefiltered_all(triples, signature, eps_list, metric, mode, from_one, n)
+                assert got == expected, ([str(e) for e in eps_list], metric, mode, from_one, n)
 
 
 @pytest.fixture(scope="module")
 def imag_200k():
     return sweep.quad_triples(IMAGINARY, 1, 200_000)
+
+
+@pytest.fixture(scope="module")
+def imag_200k_want(imag_200k):
+    """The nongenus references of imag_200k, shared by the tests that use it."""
+    return references(imag_200k, IMAGINARY, sweep.NONGENUS)
 
 
 @pytest.fixture(scope="module")
@@ -541,14 +640,23 @@ def real_30k():
 
 class TestPrefilterEquivalence:
     @pytest.mark.parametrize("eps", ["0", "1/50", "1/20", "1", "5/4"])
-    def test_imaginary_stream(self, imag_200k, eps):
+    def test_imaginary_stream(self, imag_200k, imag_200k_want, eps):
         eps = Epsilon.of(Fraction(eps))
         shards = (1, 3) if eps == Epsilon(1, 50) else (1,)
-        assert_equivalent(imag_200k, IMAGINARY, eps, sweep.NONGENUS, shards)
+        assert_equivalent(imag_200k, IMAGINARY, eps, sweep.NONGENUS, shards, imag_200k_want)
 
     @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H])
     def test_real_raw_ties(self, real_30k, metric):
         assert_equivalent(real_30k, REAL, EPS_ZERO, metric, shards=(1, 2))
+
+    def test_imaginary_eps_list(self, imag_200k, imag_200k_want):
+        eps_list = [Epsilon.of(Fraction(e)) for e in ("0", "1/50", "1/20", "1", "5/4", "19/10")]
+        assert_equivalent(imag_200k, IMAGINARY, eps_list, sweep.NONGENUS, want=imag_200k_want)
+
+    @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H, sweep.FULL])
+    def test_real_eps_list(self, real_30k, metric):
+        eps_list = [Epsilon.of(Fraction(e)) for e in ("0", "1/20", "1/2", "1")]
+        assert_equivalent(real_30k, REAL, eps_list, metric)
 
     def test_exact_ties_at_eps_one(self):
         triples = [(4, 1, 2), (9, 1, 3)]  # C = 2/2 = 3/3 = 1
@@ -557,6 +665,9 @@ class TestPrefilterEquivalence:
         assert [e[0] for e in got] == [4] and total == 2
         got, _ = prefiltered(triples, IMAGINARY, Epsilon(1, 1), sweep.FULL, "minima", True)
         assert got == []
+        # eps = 1 is s for this pair: one stream serves the tie and its neighbours
+        for eps_list in ([EPS_ZERO, Epsilon(1, 1)], [Epsilon(1, 1), Epsilon(3, 2)]):
+            assert_equivalent(triples, IMAGINARY, eps_list, sweep.FULL)
 
     def test_equal_h_at_eps_zero(self):
         triples = [(5, 1, 7), (8, 1, 7), (12, 2, 14), (13, 1, 14), (17, 1, 7)]
@@ -595,6 +706,50 @@ class TestPrefilterEquivalence:
             key += gap
             triples.append((key, n, h << (n - 1)))
         assert_equivalent(triples, IMAGINARY, Epsilon.of(Fraction(eps)), metric, (shards,))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4)),
+            min_size=1,
+            max_size=40,
+        ),
+        eps_list=st.lists(
+            st.sampled_from(["0", "1/50", "1/3", "1/2", "1", "3/2", "19/10"]),
+            min_size=2,
+            max_size=4,
+        ),
+        metric=st.sampled_from(sweep.QUAD_METRICS),
+    )
+    def test_random_streams_eps_lists(self, rows, eps_list, metric):
+        triples = []
+        key = 2
+        for gap, n, h in rows:
+            key += gap
+            triples.append((key, n, h << (n - 1)))
+        eps_list = [Epsilon.of(Fraction(e)) for e in eps_list]
+        assert_equivalent(triples, IMAGINARY, eps_list, metric)
+
+
+class TestSupportAudit:
+    """The rows of a stream's support decide every eps, so each is derived
+    again from the per-discriminant references."""
+
+    def audit(self, stream, class_number):
+        rows = stream.table[stream.support]
+        assert len(rows) > 10
+        for d, n, big_h in rows:
+            assert (n, big_h) == (arith.omega(d), class_number(d)), d
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_imaginary(self, imag_triples, mode):
+        stream = sweep.QuadStream(imag_triples, IMAGINARY, sweep.NONGENUS, mode)
+        self.audit(stream, lambda d: classnum.class_number_imaginary(-d))
+
+    @pytest.mark.parametrize("metric", [sweep.NONGENUS, sweep.RAW_H])
+    def test_real(self, real_triples, metric):
+        stream = sweep.QuadStream(real_triples, REAL, metric, "maxima")
+        self.audit(stream, classnum.narrow_class_number_real)
 
 
 class TestPrefilterValidation:
@@ -647,10 +802,21 @@ class TestPrefilterValidation:
             triples, ArithmeticError, "genus number 2^1 does not divide H at D = 11"
         )
 
-    def test_block_size_does_not_change_logs(self, monkeypatch):
+    def test_block_size_does_not_change_support(self, monkeypatch):
+        """The running maximum carries across blocks: in the short stream,
+        row 0 leads the rows after it in later blocks (maxima), or row 1
+        does (minima at e0 = 2)."""
         table = sweep.quad_triples(IMAGINARY, 1, 5000)
-        want = sweep.QuadStream(table, IMAGINARY, sweep.NONGENUS)
-        monkeypatch.setattr(sweep, "STREAM_BLOCK", 7)
-        got = sweep.QuadStream(table, IMAGINARY, sweep.NONGENUS)
-        assert np.array_equal(got.log_h, want.log_h) and np.array_equal(got.log_d, want.log_d)
-        assert got.keys is table.d
+        short = [(3, 1, 9), (4, 1, 1), (7, 1, 2), (8, 1, 10), (11, 1, 3)]
+        for mode, want_short in (("maxima", [0, 3]), ("minima", [0, 1])):
+            streams = []
+            for block in (1, 7, 2**16):
+                monkeypatch.setattr(sweep, "STREAM_BLOCK", block)
+                streams.append(sweep.QuadStream(table, IMAGINARY, sweep.NONGENUS, mode))
+                got = sweep.QuadStream(short, IMAGINARY, sweep.FULL, mode)
+                assert got.support.tolist() == want_short, (mode, block)
+            want = streams[-1]
+            assert want.table is table and 1 < len(want.support) < len(table) // 10
+            for got in streams[:-1]:
+                for name in ("support", "log_h", "log_d"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
