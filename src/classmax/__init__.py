@@ -11,15 +11,8 @@ from .classnum import (
     rho_step,
 )
 from .cubic import CubicField, class_number_cubic, enumerate_cubic_fields, family_members
-from .discriminants import (
-    CyclicConductor,
-    QuadDiscriminant,
-    is_cyclic_conductor,
-    is_fundamental,
-    iter_fundamental,
-    smallest_conductor_with_n_primes,
-)
-from .genus import GroupSpec, genus_number_cyclic, group_spec, nongenus_part
+from .discriminants import QuadDiscriminant, is_cyclic_conductor, is_fundamental, iter_fundamental
+from .genus import genus_number_cyclic, nongenus_part
 from .maxima import BucketSpec, FieldRecord, MaximaEvent, ScanRecord, merge_shards, scan
 from .metric import Epsilon, MetricValue, c_eps, compare, geometric_mean
 
@@ -28,11 +21,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BucketSpec",
     "CubicField",
-    "CyclicConductor",
     "Epsilon",
     "Factorization",
     "FieldRecord",
-    "GroupSpec",
     "MaximaEvent",
     "MetricValue",
     "QuadDiscriminant",
@@ -48,7 +39,6 @@ __all__ = [
     "family_members",
     "genus_number_cyclic",
     "geometric_mean",
-    "group_spec",
     "is_cyclic_conductor",
     "is_fundamental",
     "is_squarefree",
@@ -62,6 +52,5 @@ __all__ = [
     "reduced_indefinite_forms",
     "rho_step",
     "scan",
-    "smallest_conductor_with_n_primes",
     "valuation",
 ]

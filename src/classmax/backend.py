@@ -4,14 +4,11 @@ Wire protocol (newline-delimited text, one request in flight):
 
     request:  Q <id> CLASSNO_CUBIC <c2> <c1> <c0>
               Q <id> CLASSNO_QUAD <D>
-              Q <id> SUBCYCLO <f> <p>
     reply:    A <id> OK <value>
               A <id> ERR <message>
 
 CLASSNO_QUAD returns the ordinary class number for D < 0 and the narrow
-(restricted-sense) class number for D > 0.  SUBCYCLO returns the defining
-polynomials of the degree-p cyclic subfields of the f-th cyclotomic field, in
-whatever single-line form the adapter emits; replies are passed through.
+(restricted-sense) class number for D > 0.
 
 The cache file is append-only text, `<key>,<result>,<timestamp>` per line,
 last entry winning; compaction rewrites it and is an explicit CLI action.
@@ -32,7 +29,7 @@ ENV_TIMEOUT = "CLASSMAX_TIMEOUT"
 
 DEFAULT_TIMEOUT = 60.0
 
-KINDS = ("CLASSNO_CUBIC", "CLASSNO_QUAD", "SUBCYCLO")
+KINDS = ("CLASSNO_CUBIC", "CLASSNO_QUAD")
 
 
 class BackendError(Exception):
@@ -248,10 +245,3 @@ class Backend:
         if not is_fundamental(d):
             raise ValueError(f"{d} is not a fundamental discriminant")
         return self._query_int("CLASSNO_QUAD", (d,))
-
-    def subcyclo(self, f: int, p: int) -> str:
-        from .arith import is_prime
-
-        if f < 1 or not is_prime(p):
-            raise ValueError("SUBCYCLO needs f >= 1 and p prime")
-        return self.query("SUBCYCLO", (f, p))

@@ -174,9 +174,8 @@ def _display_h(payload, which: str) -> str:
     exact = payload.H if which == "H" else payload.h
     if exact is not None:
         return str(exact)
-    if which == "H":
-        return format_value(root_mean(payload.H_prod, 1, payload.n_fields))
-    return format_value(root_mean(payload.h_prod_num, payload.h_prod_den, payload.n_fields))
+    prod = payload.H_prod if which == "H" else payload.h_prod
+    return format_value(root_mean(prod, payload.n_fields))
 
 
 def _counter_text(total_or_nd: int, buckets: BucketSpec, counts) -> str:

@@ -149,10 +149,13 @@ class ClassNumberSource(Protocol):
 
 class FixtureStore:
     """Class numbers keyed by defining polynomial, from CUBIC,<f>,<c2>,<c1>,<c0>,<H>
-    text lines ('#' starts a comment)."""
+    text lines ('#' starts a comment), plus the set of conductors f the lines
+    name.  Every line's polynomial must define a field of its conductor f, so
+    a family of conductor f can be covered only if f is in `conductors`."""
 
     def __init__(self) -> None:
         self._by_coeffs: dict[tuple[int, int, int], int] = {}
+        self.conductors: set[int] = set()
 
     @classmethod
     def bundled(cls) -> "FixtureStore":
@@ -183,10 +186,17 @@ class FixtureStore:
                 raise ValueError(f"bad class number on fixture line {lineno}")
             if not is_cyclic_conductor(3, f):
                 raise ValueError(f"fixture line {lineno}: {f} is not a conductor")
-            self._by_coeffs[(c2, c1, c0)] = big_h
+            coeffs = (c2, c1, c0)
+            if coeffs not in [field.coeffs for field in enumerate_cubic_fields(f)]:
+                raise ValueError(
+                    f"fixture line {lineno}: {coeffs} does not define a field of conductor {f}"
+                )
+            self._by_coeffs[coeffs] = big_h
+            self.conductors.add(f)
 
     def merge(self, other: "FixtureStore") -> None:
         self._by_coeffs.update(other._by_coeffs)
+        self.conductors |= other.conductors
 
     def __len__(self) -> int:
         return len(self._by_coeffs)
@@ -209,7 +219,7 @@ class ChainSource:
     """Try sources in order; first answer wins."""
 
     def __init__(self, *sources: ClassNumberSource) -> None:
-        self._sources = [s for s in sources if s is not None]
+        self._sources = sources
 
     def get(self, field: CubicField) -> int | None:
         for source in self._sources:
@@ -249,7 +259,7 @@ def _member_data(
 def family_scan_record(
     f: int,
     scope: str,
-    eps: Epsilon | str | int,
+    eps: Epsilon,
     metric_kind: str,
     source: ClassNumberSource,
 ) -> ScanRecord:
@@ -261,7 +271,6 @@ def family_scan_record(
     """
     if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
         raise ValueError(f"unknown cubic metric {metric_kind!r}")
-    eps = Epsilon.of(eps)
     data = _member_data(f, scope, eps, source, metric_kind != FULL)
     n_k = len(data)
     n_f = arith.omega(f)
@@ -297,8 +306,7 @@ def family_scan_record(
             H=data[0][1] if n_k == 1 else None,
             h=data[0][2] if n_k == 1 else None,
             H_prod=prod_big,
-            h_prod_num=prod_small,
-            h_prod_den=1,
+            h_prod=prod_small,
             poly=str(data[0][0]) if n_k == 1 else None,
         )
     return ScanRecord(key=f, payload=payload, value=value)
@@ -317,19 +325,25 @@ def iter_family_records(
     lo: int,
     hi: int,
     scope: str,
-    eps: Epsilon | str | int,
+    eps: Epsilon,
     metric_kind: str,
     source: ClassNumberSource,
     skip_uncovered: bool = False,
 ) -> Iterator[ScanRecord]:
     """Family records over ascending conductors.
 
-    With skip_uncovered, conductors whose family is not fully covered by the
-    source are left out of the stream (for offline runs against the bundled
-    fixtures); otherwise a missing class number raises.
+    With skip_uncovered, the source must be a FixtureStore and only its
+    conductors are walked: every family has a member of its own conductor f,
+    and every fixture line is filed under its field's conductor, so no other
+    f can be covered.  Families the store does not fully cover are left out
+    (for offline runs against the fixtures).  Otherwise every conductor is
+    walked and a missing class number raises.
     """
-    eps = Epsilon.of(eps)
-    for f in iter_conductors(lo, hi):
+    if skip_uncovered:
+        conductors = sorted(f for f in source.conductors if lo <= f <= hi)
+    else:
+        conductors = iter_conductors(lo, hi)
+    for f in conductors:
         try:
             record = family_scan_record(f, scope, eps, metric_kind, source)
         except ClassNumberUnavailable:

@@ -71,26 +71,6 @@ def iter_fundamental(signature: str, lo: int, hi: int) -> Iterator[QuadDiscrimin
             )
 
 
-@dataclass(frozen=True)
-class CyclicConductor:
-    """Conductor of a degree-p cyclic field: f = p^(2*delta) * q_1...q_n."""
-
-    p: int
-    f: int
-    delta: int
-    tame_primes: tuple[int, ...]
-    n_ramified: int
-
-    @classmethod
-    def from_value(cls, p: int, f: int) -> "CyclicConductor":
-        if not is_cyclic_conductor(p, f):
-            raise ValueError(f"{f} is not a degree-{p} cyclic conductor")
-        ep = arith.valuation(f, p)
-        tame = tuple(q for q, _ in arith.factorize(f // p**ep).factors)
-        delta = 1 if ep else 0
-        return cls(p=p, f=f, delta=delta, tame_primes=tame, n_ramified=delta + len(tame))
-
-
 def is_cyclic_conductor(p: int, f: int) -> bool:
     """True iff f is the conductor of some degree-p cyclic field (p odd prime).
 
@@ -113,20 +93,3 @@ def is_cyclic_conductor(p: int, f: int) -> bool:
     if any(e != 1 for _, e in fac.factors):
         return False
     return all(q % p == 1 for q, _ in fac.factors)
-
-
-def smallest_conductor_with_n_primes(p: int, n: int) -> int:
-    """Product of the n smallest primes = 1 mod p (the n smallest odd primes for p = 2)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if p < 2 or not arith.is_prime(p):
-        raise ValueError("p must be prime")
-    found = 0
-    prod = 1
-    q = 2
-    while found < n:
-        q += 1
-        if q % p == 1 and arith.is_prime(q):
-            prod *= q
-            found += 1
-    return prod

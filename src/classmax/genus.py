@@ -1,37 +1,6 @@
-"""Genus numbers, non-genus parts, and abelian group descriptors."""
+"""Genus numbers and non-genus parts of class numbers."""
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-from . import arith
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """An abelian group given by invariant factors, with r = min generators
-    and R = sum of the prime-power exponents of the order."""
-
-    invariant_factors: tuple[int, ...]
-    order: int
-    r: int
-    R: int
-
-    @property
-    def kind(self) -> str:
-        if self.r == 1 and arith.is_prime(self.order):
-            return f"cyclic_prime({self.order})"
-        return "general_abelian"
-
-
-def group_spec(invariant_factors: list[int] | tuple[int, ...]) -> GroupSpec:
-    factors = tuple(invariant_factors)
-    if not factors or any(d < 2 for d in factors):
-        raise ValueError("invariant factors must all be >= 2")
-    order = math.prod(factors)
-    big_r = sum(e for _, e in arith.factorize(order).factors)
-    return GroupSpec(invariant_factors=factors, order=order, r=len(factors), R=big_r)
 
 
 def genus_number_cyclic(p: int, n_ramified: int) -> int:
@@ -39,19 +8,6 @@ def genus_number_cyclic(p: int, n_ramified: int) -> int:
     if n_ramified < 1:
         raise ValueError("need N >= 1")
     return p ** (n_ramified - 1)
-
-
-def genus_number_abelian(degree: int, ramification_indices: list[int]) -> int:
-    """Genus number (prod of ramification indices) / degree for abelian K.
-
-    Only the abelian case is supported; the quotient must be integral.
-    """
-    prod = math.prod(ramification_indices)
-    if prod % degree:
-        raise ValueError(
-            f"ramification product {prod} not divisible by degree {degree}"
-        )
-    return prod // degree
 
 
 def nongenus_part(class_number: int, genus_number: int) -> int:

@@ -27,8 +27,7 @@ class FieldRecord:
     H: int | None = None
     h: int | None = None
     H_prod: int | None = None
-    h_prod_num: int | None = None
-    h_prod_den: int | None = None
+    h_prod: int | None = None
     poly: str | None = None
 
 

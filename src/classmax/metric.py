@@ -129,9 +129,9 @@ def geometric_mean(values: Sequence[MetricValue]) -> MetricValue:
     )
 
 
-def root_mean(h_num: int, h_den: int, root: int) -> object:
-    """120-bit value of (h_num/h_den)^(1/root), for display of family means."""
-    return _CTX.exp((_CTX.log(_CTX.mpf(h_num)) - _CTX.log(_CTX.mpf(h_den))) / root)
+def root_mean(h_prod: int, root: int) -> object:
+    """120-bit value of h_prod^(1/root), for display of family means."""
+    return _CTX.exp(_CTX.log(_CTX.mpf(h_prod)) / root)
 
 
 def compare(a: MetricValue, b: MetricValue) -> Ordering:
@@ -152,11 +152,11 @@ def compare(a: MetricValue, b: MetricValue) -> Ordering:
     return 1 if lhs > rhs else -1
 
 
-def format_value(x, digits: int = 19) -> str:
-    """Fixed significant-digit rendering used by all text output."""
+def format_value(x) -> str:
+    """19 significant digits, the rendering used by all text output."""
     if not isinstance(x, mpmath.mpf) and not hasattr(x, "_mpf_"):
         x = _CTX.mpf(x)
-    return mpmath.nstr(x, digits, strip_zeros=False)
+    return mpmath.nstr(x, 19, strip_zeros=False)
 
 
 def rel_err(computed, reference) -> float:

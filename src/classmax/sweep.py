@@ -22,6 +22,7 @@ import numpy as np
 
 from . import arith, classnum
 from .discriminants import IMAGINARY, REAL
+from .genus import genus_number_cyclic, nongenus_part
 from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, ScanRecord, scan
 from .metric import EPS_ZERO, Epsilon, c_eps
 
@@ -663,8 +664,7 @@ def genus_family_rows(
         d = attached_imaginary_discriminant(m)
         big_h = classnum.class_number_imaginary(d)
         n = arith.omega(-d)
-        g = 1 << (n - 1)
-        small_h = big_h // g
+        small_h = nongenus_part(big_h, genus_number_cyclic(2, n))
         value = c_eps(small_h, -d, eps)
         rows.append(
             {

@@ -241,7 +241,7 @@ def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
         )
         events, _ = scan_collect(iter(recs))
         row63 = {e.record.key: e for e in events}[63]
-        mean_h = root_mean(row63.record.payload.H_prod, 1, row63.record.payload.n_fields)
+        mean_h = root_mean(row63.record.payload.H_prod, row63.record.payload.n_fields)
         assert rel_err(mean_h, "1.7320508075688772936") < 1e-12
 
 

@@ -16,7 +16,6 @@ FAKE_BACKEND = textwrap.dedent(
         ("CLASSNO_CUBIC", "1", "-2", "-1"): "1",
         ("CLASSNO_QUAD", "-23"): "3",
         ("CLASSNO_QUAD", "136"): "4",
-        ("SUBCYCLO", "7", "3"): "x^3+x^2-2*x-1",
     }
 
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
@@ -65,7 +64,6 @@ class TestCanonicalKey:
     def test_shapes(self):
         assert canonical_key("CLASSNO_CUBIC", (1, -2, -1)) == "CLASSNO_CUBIC:1:-2:-1"
         assert canonical_key("CLASSNO_QUAD", (-23,)) == "CLASSNO_QUAD:-23"
-        assert canonical_key("SUBCYCLO", (7, 3)) == "SUBCYCLO:7:3"
 
     def test_injective_on_distinct_args(self):
         keys = {
@@ -77,6 +75,8 @@ class TestCanonicalKey:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             canonical_key("FACTOR", (10,))
+        with pytest.raises(ValueError):
+            canonical_key("SUBCYCLO", (7, 3))
 
 
 class TestQueries:
@@ -84,7 +84,6 @@ class TestQueries:
         with make_backend(fake_backend_path, tmp_path) as bk:
             assert bk.classno_cubic((1, -54, -169)) == 4
             assert bk.classno_quad(-23) == 3
-            assert bk.subcyclo(7, 3) == "x^3+x^2-2*x-1"
 
     def test_cache_survives_process_restart(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path) as bk:

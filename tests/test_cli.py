@@ -269,6 +269,16 @@ class TestScanConfigErrors:
         )
         assert rc == cli.EXIT_CONFIG and out == ""
 
+    def test_fixture_row_of_another_conductor(self, tmp_path, capsys):
+        extra = tmp_path / "extra.txt"
+        extra.write_text("CUBIC,13,1,-2,-1,1\n")  # the field of conductor 7
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--fixtures-only",
+             "--fixtures", str(extra)]
+        )
+        assert rc == cli.EXIT_CONFIG and out == ""
+        assert capsys.readouterr().err.startswith("config error: fixture line 1: ")
+
     def test_uncovered_cubic_conductor(self, capsys):
         """Without --fixtures-only or a backend, the first conductor the
         bundled fixtures miss is a config error, not a traceback."""
@@ -363,3 +373,14 @@ class TestBackendExitCode:
         )
         assert (rc, out) == (cli.EXIT_BACKEND, "")
         assert capsys.readouterr().err.startswith("backend error: cannot start backend")
+
+
+class TestPublicApi:
+    def test_all_names_resolve_and_star_import(self):
+        import classmax
+
+        namespace: dict = {}
+        exec("from classmax import *", namespace)
+        assert len(set(classmax.__all__)) == len(classmax.__all__)
+        for name in classmax.__all__:
+            assert namespace[name] is getattr(classmax, name)

@@ -146,6 +146,18 @@ class TestFixtureStore:
         with pytest.raises(ValueError):
             store.load_text("CUBIC,21,1,-2,-1,1\n")  # invalid conductor
 
+    def test_rejects_polynomial_of_another_conductor(self):
+        store = FixtureStore()
+        with pytest.raises(ValueError, match="fixture line 2: "):
+            store.load_text("CUBIC,7,1,-2,-1,1\nCUBIC,13,1,-2,-1,1\n")  # f = 7's field
+
+    def test_conductors(self, bundled_fixtures):
+        assert {7, 9, 63, 163, 165889} <= bundled_fixtures.conductors
+        store = FixtureStore()
+        store.load_text("CUBIC,7,1,-2,-1,1\n")
+        store.merge(bundled_fixtures)
+        assert store.conductors == bundled_fixtures.conductors
+
     def test_comments_and_blanks_ok(self):
         store = FixtureStore()
         store.load_text("# nothing\n\nCUBIC,7,1,-2,-1,1  # trailing\n")
@@ -162,7 +174,7 @@ class TestFamilyRecords:
         p = rec.payload
         assert p.n_fields == 4
         assert p.H_prod == 9
-        assert rel_err(root_mean(p.H_prod, 1, p.n_fields), "1.7320508075688772936") < 1e-12
+        assert rel_err(root_mean(p.H_prod, p.n_fields), "1.7320508075688772936") < 1e-12
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
@@ -207,6 +219,44 @@ class TestFixtureStreams:
                     bundled_fixtures, skip_uncovered=False,
                 )
             )
+
+    @pytest.mark.parametrize("scope", [EXACT_CONDUCTOR, DIVISORS])
+    def test_fixture_walk_equals_walk_over_every_conductor(self, bundled_fixtures, scope):
+        """Walking the fixture conductors yields exactly the covered families
+        of the walk over every conductor."""
+        eps = Epsilon(1, 100)
+        for metric in ("nongenus", "full", "per_field_max"):
+            want = []
+            for f in iter_conductors(1, 20_000):
+                try:
+                    want.append(family_scan_record(f, scope, eps, metric, bundled_fixtures))
+                except ClassNumberUnavailable:
+                    continue
+            got = list(
+                iter_family_records(
+                    1, 20_000, scope, eps, metric, bundled_fixtures, skip_uncovered=True
+                )
+            )
+            assert got == want and want
+            window = list(
+                iter_family_records(
+                    63, 1489, scope, eps, metric, bundled_fixtures, skip_uncovered=True
+                )
+            )
+            assert window == [r for r in want if 63 <= r.key <= 1489]
+
+    def test_partially_covered_family_is_skipped(self):
+        store = FixtureStore()
+        store.load_text("CUBIC,63,0,-21,-35,3\n")  # one of the two f = 63 fields
+        stream = iter_family_records(
+            1, 100, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", store, skip_uncovered=True
+        )
+        assert list(stream) == []
+        store.load_text("CUBIC,63,0,-21,28,3\n")
+        stream = iter_family_records(
+            1, 100, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", store, skip_uncovered=True
+        )
+        assert [r.key for r in stream] == [63]
 
     def test_max_field_scan_reproduces_listing(self, bundled_fixtures, data_rows):
         """With the two set-pinned families added, the per-field-max scan at

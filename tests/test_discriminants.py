@@ -2,14 +2,12 @@ import pytest
 
 from classmax import arith, discriminants
 from classmax.discriminants import (
-    CyclicConductor,
     QuadDiscriminant,
     IMAGINARY,
     REAL,
     is_cyclic_conductor,
     is_fundamental,
     iter_fundamental,
-    smallest_conductor_with_n_primes,
 )
 
 
@@ -146,29 +144,9 @@ class TestCyclicConductor:
         for f in range(1, 100_000 + 1):
             assert is_cyclic_conductor(3, f) == cubic_chain_accepts(f), f
 
-    def test_structure(self):
-        c = CyclicConductor.from_value(3, 63)
-        assert (c.delta, c.tame_primes, c.n_ramified) == (1, (7,), 2)
-        c = CyclicConductor.from_value(3, 9)
-        assert (c.delta, c.tame_primes, c.n_ramified) == (1, (), 1)
-        c = CyclicConductor.from_value(5, 11)
-        assert (c.delta, c.tame_primes, c.n_ramified) == (0, (11,), 1)
-
     def test_requires_odd_prime(self):
         with pytest.raises(ValueError):
             is_cyclic_conductor(2, 5)
         with pytest.raises(ValueError):
             is_cyclic_conductor(9, 5)
 
-
-class TestSmallestConductor:
-    def test_examples(self):
-        assert smallest_conductor_with_n_primes(5, 1) == 11
-        assert smallest_conductor_with_n_primes(3, 2) == 91
-        assert smallest_conductor_with_n_primes(2, 3) == 105
-
-    def test_products_are_valid_conductors(self):
-        for n in range(1, 5):
-            f = smallest_conductor_with_n_primes(3, n)
-            assert is_cyclic_conductor(3, f)
-            assert arith.omega(f) == n

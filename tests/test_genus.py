@@ -1,14 +1,6 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from classmax import arith
-from classmax.genus import (
-    genus_number_abelian,
-    genus_number_cyclic,
-    group_spec,
-    nongenus_part,
-)
+from classmax.genus import genus_number_cyclic, nongenus_part
 
 
 class TestGenusNumber:
@@ -20,13 +12,6 @@ class TestGenusNumber:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             genus_number_cyclic(2, 0)
-
-    def test_abelian_reduction(self):
-        # degree-p cyclic with N tame primes: e_l = p each, g = p^N / p
-        assert genus_number_abelian(3, [3, 3]) == 3
-        assert genus_number_abelian(2, [2, 2, 2]) == 4
-        with pytest.raises(ValueError):
-            genus_number_abelian(4, [2, 3])
 
 
 class TestNongenusPart:
@@ -43,34 +28,3 @@ class TestNongenusPart:
         with pytest.raises(ValueError):
             nongenus_part(0, 1)
 
-
-class TestGroupSpec:
-    def test_examples(self):
-        spec = group_spec([4])
-        assert (spec.r, spec.R) == (1, 2)
-        spec = group_spec([2])
-        assert (spec.r, spec.R) == (1, 1)
-        spec = group_spec([2, 2, 2])
-        assert (spec.r, spec.R, spec.order) == (3, 3, 8)
-
-    def test_z6(self):
-        spec = group_spec([6])
-        assert (spec.r, spec.R) == (1, 2)
-
-    @given(st.sampled_from(arith.primes_upto(500)))
-    @settings(max_examples=60)
-    def test_prime_cyclic_r_equals_big_r(self, p):
-        spec = group_spec([p])
-        assert spec.r == spec.R == 1
-        assert spec.order == p
-
-    def test_r_le_big_r(self):
-        for factors in ([2, 4], [3, 9], [2, 6], [12], [2, 2, 4]):
-            spec = group_spec(factors)
-            assert spec.r <= spec.R
-
-    def test_rejects_trivial_factor(self):
-        with pytest.raises(ValueError):
-            group_spec([1, 2])
-        with pytest.raises(ValueError):
-            group_spec([])

@@ -155,7 +155,7 @@ class TestGeometricMean:
 
     def test_mean_h_84(self):
         # class numbers {3, 2352} at one conductor: mean H = sqrt(7056) = 84
-        assert rel_err(root_mean(3 * 2352, 1, 2), 84) < 1e-25
+        assert rel_err(root_mean(3 * 2352, 2), 84) < 1e-25
 
     def test_n_copies(self):
         v = c_eps(5, 1000, Epsilon(1, 20))

@@ -437,6 +437,12 @@ class TestGenusFamily:
         rows, _ = sweep.genus_family_rows([3, 5, 7], Epsilon(1, 20))
         assert rows[-1]["D"] == -420 and rows[-1]["H"] == 8
 
+    def test_genus_number_must_divide_h(self, monkeypatch):
+        # H = 3 at D = -15 (N = 2) is not divisible by the genus number 2
+        monkeypatch.setattr(classnum, "class_number_imaginary", lambda d: 3)
+        with pytest.raises(ArithmeticError):
+            sweep.genus_family_rows([3, 5], Epsilon(1, 20))
+
     def test_budget_exceeded(self):
         rows, exceeded = sweep.genus_family_rows(
             [2, 3, 5, 7, 11, 13], Epsilon(1, 20), budget_seconds=0.0
