@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -26,6 +25,8 @@ EXIT_BUDGET = 4
 QUAD_IMAGINARY = "quad-imaginary"
 QUAD_REAL = "quad-real"
 CUBIC = "cubic"
+
+_SIGNATURES = {QUAD_IMAGINARY: IMAGINARY, QUAD_REAL: REAL}
 
 _METRIC_FLAGS = {
     "nongenus": "nongenus",
@@ -89,37 +90,27 @@ def parse_eps(text: str) -> Epsilon:
 # ---------------------------------------------------------------------------
 
 
-def _merge(
-    events: list[MaximaEvent], total: int, config: ScanConfig, initial_eps: Epsilon
-) -> tuple[list[MaximaEvent], int]:
-    """Merge the fresh scan of the whole range [lo, hi] as its one shard, so
-    that merge_shards alone applies the --compat-minima-init-one value C = 1."""
-    initial = c_eps(1, 1, initial_eps) if config.compat_minima_init_one else None
-    shard = ShardResult(config.lo, config.hi, tuple(events), total)
-    return merge_shards([shard], config.mode, BucketSpec(config.buckets), initial)
+def scan_stream(stream, config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
+    """One scan per eps over a stream built once for the whole scan: a
+    sweep.QuadStream or a cubic.FamilyStream.
 
-
-def scan_triples(
-    triples: Sequence[tuple[int, int, int]], config: ScanConfig
-) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
-    """One scan per eps over a quadratic (D, N, H) table or row sequence.
-
-    One sweep.QuadStream pass for config.mode finds the positions that can
-    hold a record at any eps; per eps, only those its certified float64
-    prefilter keeps become records.  The exact scan decides among them, and
-    each event's nd is mapped back to its position in the whole stream.
+    Per eps, stream.records(eps) gives the positions that can hold a record
+    and their records; the exact scan decides among them, and each event's
+    nd is mapped back to its position among the len(stream) rows.  That
+    fresh scan of [lo, hi] is merge_shards' one shard, so that the merge
+    alone applies the --compat-minima-init-one value C = 1.
     """
-    signature = IMAGINARY if config.family == QUAD_IMAGINARY else REAL
     buckets = BucketSpec(config.buckets)
-    stream = sweep.QuadStream(triples, signature, config.metric_kind, config.mode)
     out = []
     for eps in config.eps_list:
         keep, records = stream.records(eps)
         events, _ = scan_collect(records, config.mode, buckets)
-        events = [replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events]
-        # raw-metric records carry eps 0, and so must their starting value
-        initial_eps = EPS_ZERO if stream.raw else eps
-        out.append((eps, *_merge(events, len(stream.table), config, initial_eps)))
+        del records  # so that the next eps's records do not build beside these
+        events = tuple(replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events)
+        start_eps = EPS_ZERO if stream.raw else eps  # raw-metric records carry eps 0
+        initial = c_eps(1, 1, start_eps) if config.compat_minima_init_one else None
+        shard = ShardResult(config.lo, config.hi, events, len(stream))
+        out.append((eps, *merge_shards([shard], config.mode, buckets, initial)))
     return out
 
 
@@ -143,26 +134,16 @@ def _cubic_source(config: ScanConfig):
 def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
     """One scan per eps over the configured family; returns events + totals."""
     config.validate()
-    buckets = BucketSpec(config.buckets)
-    out = []
-    if config.family in (QUAD_IMAGINARY, QUAD_REAL):
-        signature = IMAGINARY if config.family == QUAD_IMAGINARY else REAL
-        triples = sweep.quad_triples(signature, config.lo, config.hi, workers=config.shards)
-        return scan_triples(triples, config)
-    source = _cubic_source(config)
-    for eps in config.eps_list:
-        records = cubic_mod.iter_family_records(
-            config.lo,
-            config.hi,
-            config.scope,
-            eps,
-            config.metric_kind,
-            source,
-            skip_uncovered=config.fixtures_only,
+    if config.family == CUBIC:
+        source = _cubic_source(config)
+        stream = cubic_mod.FamilyStream(
+            config.lo, config.hi, config.scope, config.metric_kind, source, config.fixtures_only
         )
-        events, total = scan_collect(records, config.mode, buckets)
-        out.append((eps, *_merge(events, total, config, eps)))
-    return out
+    else:
+        signature = _SIGNATURES[config.family]
+        triples = sweep.quad_triples(signature, config.lo, config.hi, workers=config.shards)
+        stream = sweep.QuadStream(triples, signature, config.metric_kind, config.mode)
+    return scan_stream(stream, config)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +366,7 @@ def _cmd_genus_family(args) -> int:
 def _cmd_threshold(args) -> int:
     if args.shards < 1:
         raise ValueError("shards must be >= 1")
-    signature = IMAGINARY if args.family == QUAD_IMAGINARY else REAL
+    signature = _SIGNATURES[args.family]
     grid = parse_fraction(args.grid)
     if grid <= 0:
         raise ValueError("grid step must be positive")
@@ -422,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BACKEND
     except (ValueError, cubic_mod.ClassNumberUnavailable) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("config error: the range needs more memory than is available", file=sys.stderr)
         return EXIT_CONFIG
     parser.error(f"unknown command {args.command!r}")
     return EXIT_CONFIG

@@ -18,7 +18,7 @@ from . import arith
 from .discriminants import is_cyclic_conductor
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import FieldRecord, ScanRecord
-from .metric import Epsilon, MetricValue, c_eps, compare, geometric_mean
+from .metric import Epsilon, c_eps, compare, geometric_mean
 
 EXACT_CONDUCTOR = "exact_conductor"
 DIVISORS = "divisors"
@@ -242,28 +242,23 @@ def class_number_cubic(field: CubicField, source: ClassNumberSource) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _member_data(
-    f: int, scope: str, eps: Epsilon, source: ClassNumberSource, by_genus: bool
-) -> list[tuple[CubicField, int, int, MetricValue]]:
-    """(field, H, h, C) per member, with C = c_eps(h) if by_genus, else
-    c_eps(H)."""
+def family_class_numbers(
+    f: int, scope: str, source: ClassNumberSource
+) -> list[tuple[CubicField, int, int]]:
+    """(field, H, h) per member of the family, with h = H / 3^(N-1); the
+    part of a family record that does not depend on eps."""
     rows = []
     for member in family_members(f, scope):
         big_h = class_number_cubic(member, source)
         small_h = nongenus_part(big_h, genus_number_cyclic(3, arith.omega(member.f)))
-        value = c_eps(small_h if by_genus else big_h, member.f * member.f, eps)
-        rows.append((member, big_h, small_h, value))
+        rows.append((member, big_h, small_h))
     return rows
 
 
 def family_scan_record(
-    f: int,
-    scope: str,
-    eps: Epsilon,
-    metric_kind: str,
-    source: ClassNumberSource,
+    f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
 ) -> ScanRecord:
-    """One conductor's entry for the maxima engine.
+    """One conductor's entry for the maxima engine, from its family_class_numbers.
 
     nongenus / full take the geometric mean of h / sqrt(D)^eps resp.
     H / sqrt(D)^eps over the members; per_field_max takes the largest member
@@ -271,21 +266,19 @@ def family_scan_record(
     """
     if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
         raise ValueError(f"unknown cubic metric {metric_kind!r}")
-    data = _member_data(f, scope, eps, source, metric_kind != FULL)
+    by_genus = metric_kind != FULL
+    data = [
+        (field, big_h, small_h, c_eps(small_h if by_genus else big_h, field.f * field.f, eps))
+        for field, big_h, small_h in members
+    ]
     n_k = len(data)
     n_f = arith.omega(f)
-    prod_big = math.prod(r[1] for r in data)
-    prod_small = math.prod(r[2] for r in data)
     if metric_kind == PER_FIELD_MAX:
         best = data[0]
         for row in data[1:]:
             if compare(row[3], best[3]) > 0:
                 best = row
-        value = best[3]
-    else:
-        value = geometric_mean([r[3] for r in data])
-    if metric_kind == PER_FIELD_MAX:
-        field, big_h, small_h, _ = best
+        field, big_h, small_h, value = best
         payload = FieldRecord(
             f=f,
             d_signed=None,
@@ -297,6 +290,7 @@ def family_scan_record(
             poly=str(field) if n_k == 1 else None,
         )
     else:
+        value = geometric_mean([r[3] for r in data])
         payload = FieldRecord(
             f=f,
             d_signed=None,
@@ -305,8 +299,8 @@ def family_scan_record(
             n_fields=n_k,
             H=data[0][1] if n_k == 1 else None,
             h=data[0][2] if n_k == 1 else None,
-            H_prod=prod_big,
-            h_prod=prod_small,
+            H_prod=math.prod(r[1] for r in data),
+            h_prod=math.prod(r[2] for r in data),
             poly=str(data[0][0]) if n_k == 1 else None,
         )
     return ScanRecord(key=f, payload=payload, value=value)
@@ -321,16 +315,11 @@ def iter_conductors(lo: int, hi: int) -> Iterator[int]:
             yield f
 
 
-def iter_family_records(
-    lo: int,
-    hi: int,
-    scope: str,
-    eps: Epsilon,
-    metric_kind: str,
-    source: ClassNumberSource,
-    skip_uncovered: bool = False,
-) -> Iterator[ScanRecord]:
-    """Family records over ascending conductors.
+class FamilyStream:
+    """The cyclic cubic families of conductors in [lo, hi] under one scope
+    and metric, each member's class number read once; records(eps) builds
+    every family's record at eps, so a scan reads the source once whatever
+    the number of eps.
 
     With skip_uncovered, the source must be a FixtureStore and only its
     conductors are walked: every family has a member of its own conductor f,
@@ -339,15 +328,35 @@ def iter_family_records(
     (for offline runs against the fixtures).  Otherwise every conductor is
     walked and a missing class number raises.
     """
-    if skip_uncovered:
-        conductors = sorted(f for f in source.conductors if lo <= f <= hi)
-    else:
-        conductors = iter_conductors(lo, hi)
-    for f in conductors:
-        try:
-            record = family_scan_record(f, scope, eps, metric_kind, source)
-        except ClassNumberUnavailable:
-            if skip_uncovered:
-                continue
-            raise
-        yield record
+
+    raw = False  # records carry eps, not 0
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        scope: str,
+        metric_kind: str,
+        source: ClassNumberSource,
+        skip_uncovered: bool,
+    ) -> None:
+        self.metric_kind = metric_kind
+        if skip_uncovered:
+            conductors = sorted(f for f in source.conductors if lo <= f <= hi)
+        else:
+            conductors = iter_conductors(lo, hi)
+        self.families = []
+        for f in conductors:
+            try:
+                self.families.append((f, family_class_numbers(f, scope, source)))
+            except ClassNumberUnavailable:
+                if not skip_uncovered:
+                    raise
+
+    def __len__(self) -> int:
+        return len(self.families)
+
+    def records(self, eps: Epsilon) -> tuple[range, list[ScanRecord]]:
+        """(keep, records): every position, and each family's record at eps."""
+        records = [family_scan_record(f, m, eps, self.metric_kind) for f, m in self.families]
+        return range(len(records)), records

@@ -612,6 +612,10 @@ class QuadStream:
             raise ValueError(f"stream keys not ascending at {unsorted[0]}")
         self.support, self.log_h, self.log_d = (np.concatenate(col) for col in zip(*parts))
 
+    def __len__(self) -> int:
+        """The rows of the table, every one counted in ND."""
+        return len(self.table)
+
     def candidates(self, eps: Epsilon) -> np.ndarray:
         """Ascending positions, all in support, that contain every successive
         record of a fresh scan over the whole stream at eps (see Per eps)."""
@@ -699,10 +703,11 @@ def threshold_search(
     e < s_i = 2 log(h_i / h_0) / log(D_i / D_0) (for the raw metrics, which
     do not depend on e, iff h_i > h_0), so the event count is >= 2 exactly
     below max s_i, and by QuadStream's Lifetimes that maximum is reached on
-    its support.  k is guessed from the float64 maximum over
-    the support, then moved up while k + 1 has >= 2 events and down while k
-    has not.  Each of those decisions is an exact scan over the candidates
-    at k * grid_step, so float64 only picks where the probes start.
+    its support.  k is guessed from the float64 maximum over the support,
+    then moved up, galloping, while a larger k has >= 2 events, and down
+    while k has not.  Each of those decisions is an exact scan over the
+    candidates at k * grid_step, so float64 only picks where the probes
+    start.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
@@ -720,8 +725,16 @@ def threshold_search(
         s = np.fmax.reduce(2 * gain / run)  # NaN only if every ratio is 0 / 0
     # the largest k with k * grid_step < s, for s clamped to [0, 2]
     k = math.ceil(Fraction(float(np.clip(np.nan_to_num(s), 0, 2))) / grid_step) - 1
-    while grid_step * (k + 1) < 2 and plenty(k + 1):
-        k += 1
+    # gallop up while k + step has >= 2 events, then halve the step back:
+    # >= 2 events at k means >= 2 at every smaller k, so a k + step that
+    # fails bounds the answer from above
+    step = 1
+    while grid_step * (k + step) < 2 and plenty(k + step):
+        k, step = k + step, 2 * step
+    while step > 1:
+        step //= 2
+        if grid_step * (k + step) < 2 and plenty(k + step):
+            k += step
     while k >= 0 and not plenty(k):
         k -= 1
     return grid_step * k if k >= 0 else None

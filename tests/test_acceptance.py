@@ -52,7 +52,8 @@ def scan_imaginary(triples, eps):
     config = cli.ScanConfig(
         family=cli.QUAD_IMAGINARY, eps_list=[eps], lo=1, hi=triples[-1][0]
     )
-    [(_, events, total)] = cli.scan_triples(triples, config)
+    stream = sweep.QuadStream(triples, IMAGINARY, config.metric_kind, config.mode)
+    [(_, events, total)] = cli.scan_stream(stream, config)
     return events, total
 
 
@@ -221,24 +222,18 @@ def test_criterion_10_cubic_enumeration():
 
 def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
     with criterion(11, 60.0, "cubic family means against the published tables"):
-        recs = list(
-            cubic.iter_family_records(
-                1, 1500, cubic.EXACT_CONDUCTOR, Epsilon(1, 100), cubic.NONGENUS,
-                bundled_fixtures, skip_uncovered=True,
-            )
+        stream = cubic.FamilyStream(
+            1, 1500, cubic.EXACT_CONDUCTOR, cubic.NONGENUS, bundled_fixtures, True
         )
+        _, recs = stream.records(Epsilon(1, 100))
         events, _ = scan_collect(iter(recs))
         gold = {int(r["f"]): r["C"] for r in data_rows("cubic_eps_1_100_exact_mean_listed.csv")}
         assert [e.record.key for e in events] == [7, 163, 313, 1063, 1489]
         for ev in events[:4]:
             assert rel_err(ev.record.value.approx, gold[ev.record.key]) < 1e-10
         # divisor-closed scope at eps = 1/50: the f = 63 family mean
-        recs = list(
-            cubic.iter_family_records(
-                1, 200, cubic.DIVISORS, Epsilon(1, 50), cubic.FULL,
-                bundled_fixtures, skip_uncovered=True,
-            )
-        )
+        stream = cubic.FamilyStream(1, 200, cubic.DIVISORS, cubic.FULL, bundled_fixtures, True)
+        _, recs = stream.records(Epsilon(1, 50))
         events, _ = scan_collect(iter(recs))
         row63 = {e.record.key: e for e in events}[63]
         mean_h = root_mean(row63.record.payload.H_prod, row63.record.payload.n_fields)

@@ -4,7 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from classmax import cli, sweep
+from classmax import cli, cubic, sweep
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -214,6 +214,53 @@ class TestScanCommand:
         assert "f=2763" in out
 
 
+class CountingStore(cubic.FixtureStore):
+    """The bundled fixtures, counting class-number lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.merge(cubic.FixtureStore.bundled())
+        self.gets = 0
+
+    def get(self, field):
+        self.gets += 1
+        return super().get(field)
+
+
+class TestCubicStream:
+    @pytest.mark.parametrize("scope", [cubic.EXACT_CONDUCTOR, cubic.DIVISORS])
+    def test_each_field_read_once_per_scan(self, monkeypatch, bundled_fixtures, scope):
+        """The families and their class numbers are read once, not per eps."""
+        store = CountingStore()
+        monkeypatch.setattr(cli, "_cubic_source", lambda config: store)
+        eps_list = [cli.parse_eps(e) for e in ("1/100", "1/10", "1/2")]
+        config = cli.ScanConfig(
+            family=cli.CUBIC, eps_list=eps_list, lo=1, hi=100_000, scope=scope,
+            fixtures_only=True,
+        )
+        results = cli.run_scan(config)
+        families = [
+            cubic.family_members(f, scope) for f in bundled_fixtures.conductors if f <= 100_000
+        ]
+        assert all(bundled_fixtures.get(m) for members in families for m in members)
+        assert store.gets == sum(len(members) for members in families)
+        assert [total for _, _, total in results] == [len(families)] * 3
+
+    @pytest.mark.parametrize("scope", ["exact", "divisors"])
+    @pytest.mark.parametrize("metric", ["nongenus", "full", "per-field-max"])
+    def test_multi_eps_is_concatenation_of_single_eps(self, scope, metric):
+        argv = ["scan", "--family", "cubic", "--max", "7000000", "--fixtures-only",
+                "--scope", scope, "--metric", metric, "--counters"]
+        eps_list = ["1/100", "1/10", "1/2"]
+        singles = []
+        for eps in eps_list:
+            rc, out = run_cli([*argv, "--eps", eps])
+            assert rc == 0
+            singles.append(out)
+        rc, out = run_cli([*argv, *(x for eps in eps_list for x in ("--eps", eps))])
+        assert rc == 0 and out == "".join(singles)
+
+
 class TestScanConfigErrors:
     def test_bad_range(self):
         rc, _ = run_cli(["scan", "--family", "quad-imaginary", "--min", "10", "--max", "5"])
@@ -286,6 +333,16 @@ class TestScanConfigErrors:
         assert rc == cli.EXIT_CONFIG and out == ""
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "f=13," in err
+
+    def test_out_of_memory_is_exit_2(self, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 18.6 GiB for an array")
+
+        monkeypatch.setattr(sweep, "quad_triples", no_memory)
+        rc, out = run_cli(["scan", "--family", "quad-imaginary", "--max", "20000000000"])
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        err = capsys.readouterr().err
+        assert err == "config error: the range needs more memory than is available\n"
 
     def test_argparse_exit_code(self):
         with pytest.raises(SystemExit) as err:

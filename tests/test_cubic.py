@@ -5,14 +5,15 @@ from classmax.cubic import (
     ClassNumberUnavailable,
     DIVISORS,
     EXACT_CONDUCTOR,
+    FamilyStream,
     FixtureStore,
     class_number_cubic,
     conductor_divisors,
     enumerate_cubic_fields,
+    family_class_numbers,
     family_members,
     family_scan_record,
     iter_conductors,
-    iter_family_records,
 )
 from classmax.maxima import BucketSpec, scan_collect
 from classmax.metric import Epsilon, rel_err, root_mean
@@ -166,11 +167,13 @@ class TestFixtureStore:
 
 class TestFamilyRecords:
     def test_f7_nongenus_mean(self, bundled_fixtures):
-        rec = family_scan_record(7, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", bundled_fixtures)
+        members = family_class_numbers(7, EXACT_CONDUCTOR, bundled_fixtures)
+        rec = family_scan_record(7, members, Epsilon(1, 100), "nongenus")
         assert rel_err(rec.value.approx, "0.9807290047229") < 1e-10
 
     def test_f63_divisors_mean_h(self, bundled_fixtures):
-        rec = family_scan_record(63, DIVISORS, Epsilon(1, 50), "full", bundled_fixtures)
+        members = family_class_numbers(63, DIVISORS, bundled_fixtures)
+        rec = family_scan_record(63, members, Epsilon(1, 50), "full")
         p = rec.payload
         assert p.n_fields == 4
         assert p.H_prod == 9
@@ -178,12 +181,14 @@ class TestFamilyRecords:
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
-        rec = family_scan_record(163, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", bundled_fixtures)
+        members = family_class_numbers(163, EXACT_CONDUCTOR, bundled_fixtures)
+        rec = family_scan_record(163, members, Epsilon(1, 100), "nongenus")
         assert rec.payload.h == 4
         assert rec.payload.poly == "x^3+x^2-54*x-169"
 
     def test_per_field_max_picks_max(self, bundled_fixtures):
-        rec = family_scan_record(165889, EXACT_CONDUCTOR, Epsilon(1, 10), "per_field_max", bundled_fixtures)
+        members = family_class_numbers(165889, EXACT_CONDUCTOR, bundled_fixtures)
+        rec = family_scan_record(165889, members, Epsilon(1, 10), "per_field_max")
         assert rec.payload.H == 2352
         assert rec.payload.h == 784
         assert rel_err(rec.value.approx, "235.6862811297153681") < 1e-12
@@ -198,27 +203,19 @@ class TestFamilyRecords:
         ]
         store.load_text("\n".join(rows))
         with pytest.raises(ArithmeticError):
-            family_scan_record(91, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", store)
+            family_class_numbers(91, EXACT_CONDUCTOR, store)
 
 
 class TestFixtureStreams:
     def test_exact_stream_covered_conductors(self, bundled_fixtures):
-        recs = list(
-            iter_family_records(
-                1, 1500, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus",
-                bundled_fixtures, skip_uncovered=True,
-            )
-        )
+        stream = FamilyStream(1, 1500, EXACT_CONDUCTOR, "nongenus", bundled_fixtures, True)
+        keep, recs = stream.records(Epsilon(1, 100))
         assert [r.key for r in recs] == [7, 9, 63, 163, 313, 1063, 1489]
+        assert len(stream) == 7 and list(keep) == list(range(7))
 
     def test_uncovered_conductor_raises_without_skip(self, bundled_fixtures):
         with pytest.raises(ClassNumberUnavailable):
-            list(
-                iter_family_records(
-                    1, 400, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus",
-                    bundled_fixtures, skip_uncovered=False,
-                )
-            )
+            FamilyStream(1, 400, EXACT_CONDUCTOR, "nongenus", bundled_fixtures, False)
 
     @pytest.mark.parametrize("scope", [EXACT_CONDUCTOR, DIVISORS])
     def test_fixture_walk_equals_walk_over_every_conductor(self, bundled_fixtures, scope):
@@ -229,45 +226,30 @@ class TestFixtureStreams:
             want = []
             for f in iter_conductors(1, 20_000):
                 try:
-                    want.append(family_scan_record(f, scope, eps, metric, bundled_fixtures))
+                    members = family_class_numbers(f, scope, bundled_fixtures)
                 except ClassNumberUnavailable:
                     continue
-            got = list(
-                iter_family_records(
-                    1, 20_000, scope, eps, metric, bundled_fixtures, skip_uncovered=True
-                )
-            )
+                want.append(family_scan_record(f, members, eps, metric))
+            got = FamilyStream(1, 20_000, scope, metric, bundled_fixtures, True).records(eps)[1]
             assert got == want and want
-            window = list(
-                iter_family_records(
-                    63, 1489, scope, eps, metric, bundled_fixtures, skip_uncovered=True
-                )
-            )
+            window = FamilyStream(63, 1489, scope, metric, bundled_fixtures, True).records(eps)[1]
             assert window == [r for r in want if 63 <= r.key <= 1489]
 
     def test_partially_covered_family_is_skipped(self):
         store = FixtureStore()
         store.load_text("CUBIC,63,0,-21,-35,3\n")  # one of the two f = 63 fields
-        stream = iter_family_records(
-            1, 100, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", store, skip_uncovered=True
-        )
-        assert list(stream) == []
+        stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store, True)
+        assert stream.records(Epsilon(1, 100))[1] == []
         store.load_text("CUBIC,63,0,-21,28,3\n")
-        stream = iter_family_records(
-            1, 100, EXACT_CONDUCTOR, Epsilon(1, 100), "nongenus", store, skip_uncovered=True
-        )
-        assert [r.key for r in stream] == [63]
+        stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store, True)
+        assert [r.key for r in stream.records(Epsilon(1, 100))[1]] == [63]
 
     def test_max_field_scan_reproduces_listing(self, bundled_fixtures, data_rows):
         """With the two set-pinned families added, the per-field-max scan at
         eps = 1/10 over covered conductors reproduces the published rows."""
         store = extra_store(bundled_fixtures)
-        recs = list(
-            iter_family_records(
-                1, 200_000, EXACT_CONDUCTOR, Epsilon(1, 10), "per_field_max",
-                store, skip_uncovered=True,
-            )
-        )
+        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "per_field_max", store, True)
+        _, recs = stream.records(Epsilon(1, 10))
         events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
         gold = [r for r in data_rows("cubic_eps_1_10_maxfield_listed.csv") if int(r["f"]) <= 200_000]
         got = [(e.record.payload.f, e.record.payload.H, e.record.payload.h) for e in events]
@@ -280,11 +262,7 @@ class TestFixtureStreams:
         """Replacing per-field max by the family mean removes the composite
         conductors from the record list (the corrected program's behavior)."""
         store = extra_store(bundled_fixtures)
-        recs = list(
-            iter_family_records(
-                1, 200_000, EXACT_CONDUCTOR, Epsilon(1, 10), "nongenus",
-                store, skip_uncovered=True,
-            )
-        )
+        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "nongenus", store, True)
+        _, recs = stream.records(Epsilon(1, 10))
         events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
         assert all(e.record.payload.n_ramified == 1 for e in events)

@@ -414,7 +414,8 @@ class TestEpsOneListing:
         config = cli.ScanConfig(
             family=cli.QUAD_IMAGINARY, eps_list=[Epsilon(1, 1)], lo=1, hi=1_000_000
         )
-        [(_, events, _)] = cli.scan_triples(triples, config)
+        stream = sweep.QuadStream(triples, IMAGINARY, config.metric_kind, config.mode)
+        [(_, events, _)] = cli.scan_stream(stream, config)
         gold = [r for r in data_rows("imag_eps_1_nongenus_listed.csv") if int(r["D"]) <= 1_000_000]
         assert [e.record.key for e in events] == [int(r["D"]) for r in gold]
         for ev, r in zip(events, gold):
@@ -524,6 +525,24 @@ class TestThresholdSearch:
         assert sweep.threshold_search(triples, IMAGINARY, grid) == Fraction(19, 10)
         assert self.brute(triples, grid, sweep.NONGENUS) == Fraction(19, 10)
 
+    def test_gallops_to_a_high_threshold(self, monkeypatch):
+        """h / D is constant, so the threshold is e = 2 and the answer the last
+        grid point below it; h and D each tie in float64, so the float guess
+        is NaN and k starts at -1, 2,000 grid points below the answer."""
+        probes = []
+        records = sweep.QuadStream.records
+
+        def counting_records(stream, eps):
+            probes.append(eps)
+            return records(stream, eps)
+
+        monkeypatch.setattr(sweep.QuadStream, "records", counting_records)
+        big = 10**17
+        triples = [(big, 1, big), (big + 1, 1, big + 1)]
+        got = sweep.threshold_search(triples, IMAGINARY, Fraction(1, 1000))
+        assert got == Fraction(1999, 1000)
+        assert len(probes) <= 25
+
     def test_single_discriminant_sentinel(self):
         triples = sweep.quad_triples(IMAGINARY, 3, 3)
         assert sweep.threshold_search(triples, IMAGINARY, Fraction(1, 10)) is None
@@ -576,7 +595,7 @@ def reference(triples, signature, eps, metric, mode, from_one, records=None):
 
 
 def prefiltered_all(triples, signature, eps_list, metric, mode, from_one, shards=1):
-    """One cli.scan_triples call, so one QuadStream, for every eps in eps_list."""
+    """One cli.scan_stream call over one QuadStream for every eps in eps_list."""
     config = cli.ScanConfig(
         family=cli.QUAD_IMAGINARY if signature == IMAGINARY else cli.QUAD_REAL,
         eps_list=eps_list,
@@ -587,7 +606,8 @@ def prefiltered_all(triples, signature, eps_list, metric, mode, from_one, shards
         shards=shards,
         compat_minima_init_one=from_one,
     )
-    return [(summary(events), total) for _, events, total in cli.scan_triples(triples, config)]
+    stream = sweep.QuadStream(triples, signature, metric, mode)
+    return [(summary(events), total) for _, events, total in cli.scan_stream(stream, config)]
 
 
 def prefiltered(triples, signature, eps, metric, mode, from_one, shards=1):
