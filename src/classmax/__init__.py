@@ -14,7 +14,7 @@ from .cubic import CubicField, class_number_cubic, enumerate_cubic_fields, famil
 from .discriminants import QuadDiscriminant, is_cyclic_conductor, is_fundamental, iter_fundamental
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import BucketSpec, FieldRecord, MaximaEvent, ScanRecord, merge_shards, scan
-from .metric import Epsilon, MetricValue, c_eps, compare, geometric_mean
+from .metric import Epsilon, MetricValue, c_eps, compare
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "factorize",
     "family_members",
     "genus_number_cyclic",
-    "geometric_mean",
     "is_cyclic_conductor",
     "is_fundamental",
     "is_squarefree",

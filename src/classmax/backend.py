@@ -23,10 +23,6 @@ import subprocess
 import threading
 import time
 
-ENV_COMMAND = "CLASSMAX_BACKEND_CMD"
-ENV_CACHE = "CLASSMAX_CACHE"
-ENV_TIMEOUT = "CLASSMAX_TIMEOUT"
-
 DEFAULT_TIMEOUT = 60.0
 
 KINDS = ("CLASSNO_CUBIC", "CLASSNO_QUAD")
@@ -108,14 +104,9 @@ class Backend:
         self,
         command: str | None = None,
         cache_path: str | None = None,
-        timeout: float | None = None,
+        timeout: float = DEFAULT_TIMEOUT,
     ):
-        self.command = command if command is not None else os.environ.get(ENV_COMMAND)
-        if cache_path is None:
-            cache_path = os.environ.get(ENV_CACHE)
-        if timeout is None:
-            env_timeout = os.environ.get(ENV_TIMEOUT)
-            timeout = float(env_timeout) if env_timeout else DEFAULT_TIMEOUT
+        self.command = command
         self.timeout = timeout
         self.cache = ResultCache(cache_path)
         self._proc: subprocess.Popen | None = None

@@ -14,7 +14,8 @@ from . import cubic as cubic_mod
 from . import sweep
 from .backend import Backend, BackendError
 from .discriminants import IMAGINARY, REAL
-from .maxima import BucketSpec, MaximaEvent, ShardResult, merge_shards, scan_collect
+from .maxima import MAXIMA, MINIMA, BucketSpec, MaximaEvent, ShardResult
+from .maxima import merge_shards, scan_collect
 from .metric import EPS_ZERO, Epsilon, c_eps, format_value, root_mean
 
 EXIT_OK = 0
@@ -62,6 +63,8 @@ class ScanConfig:
             raise ValueError("need at least one eps")
         if self.family not in (QUAD_IMAGINARY, QUAD_REAL, CUBIC):
             raise ValueError(f"unknown family {self.family!r}")
+        if self.mode not in (MAXIMA, MINIMA):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.family == CUBIC:
             if self.metric_kind in (sweep.RAW_H, sweep.RAW_SMALL_H):
                 raise ValueError("raw metrics apply to quadratic scans only")
@@ -123,12 +126,10 @@ def _cubic_source(config: ScanConfig):
         except OSError as exc:
             raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
         fixtures.merge(extra)
-    if config.fixtures_only:
+    if config.fixtures_only or not (config.backend_cmd or config.cache_path):
         return fixtures
-    if config.backend_cmd or config.cache_path:
-        bridge = Backend(command=config.backend_cmd, cache_path=config.cache_path)
-        return cubic_mod.ChainSource(fixtures, cubic_mod.BackendClassNumbers(bridge))
-    return fixtures
+    bridge = Backend(command=config.backend_cmd, cache_path=config.cache_path)
+    return cubic_mod.ChainSource(fixtures, cubic_mod.BackendClassNumbers(bridge))
 
 
 def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]:

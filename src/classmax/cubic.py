@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from importlib import resources
 from typing import Iterator, Protocol
 
@@ -18,7 +19,7 @@ from . import arith
 from .discriminants import is_cyclic_conductor
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import FieldRecord, ScanRecord
-from .metric import Epsilon, c_eps, compare, geometric_mean
+from .metric import Epsilon, c_eps, compare
 
 EXACT_CONDUCTOR = "exact_conductor"
 DIVISORS = "divisors"
@@ -256,53 +257,41 @@ def family_class_numbers(
 
 
 def family_scan_record(
-    f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
+    f: int, n_f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
 ) -> ScanRecord:
-    """One conductor's entry for the maxima engine, from its family_class_numbers.
+    """One conductor's entry for the maxima engine, from N and its members.
 
     nongenus / full take the geometric mean of h / sqrt(D)^eps resp.
-    H / sqrt(D)^eps over the members; per_field_max takes the largest member
-    value of the nongenus metric (the uncorrected per-field record scan).
+    H / sqrt(D)^eps over the members, one c_eps of their products;
+    per_field_max takes the largest member value of the nongenus metric
+    (the uncorrected per-field record scan).
     """
     if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
         raise ValueError(f"unknown cubic metric {metric_kind!r}")
-    by_genus = metric_kind != FULL
-    data = [
-        (field, big_h, small_h, c_eps(small_h if by_genus else big_h, field.f * field.f, eps))
-        for field, big_h, small_h in members
-    ]
-    n_k = len(data)
-    n_f = arith.omega(f)
+    n_k = len(members)
     if metric_kind == PER_FIELD_MAX:
-        best = data[0]
-        for row in data[1:]:
-            if compare(row[3], best[3]) > 0:
-                best = row
-        field, big_h, small_h, value = best
-        payload = FieldRecord(
-            f=f,
-            d_signed=None,
-            signature=CUBIC_SIGNATURE,
-            n_ramified=n_f,
-            n_fields=n_k,
-            H=big_h,
-            h=small_h,
-            poly=str(field) if n_k == 1 else None,
-        )
+        data = [(*m, c_eps(m[2], m[0].f * m[0].f, eps)) for m in members]
+        *single, value = max(data, key=cmp_to_key(lambda a, b: compare(a[3], b[3])))
+        big_prod = small_prod = None
     else:
-        value = geometric_mean([r[3] for r in data])
-        payload = FieldRecord(
-            f=f,
-            d_signed=None,
-            signature=CUBIC_SIGNATURE,
-            n_ramified=n_f,
-            n_fields=n_k,
-            H=data[0][1] if n_k == 1 else None,
-            h=data[0][2] if n_k == 1 else None,
-            H_prod=math.prod(r[1] for r in data),
-            h_prod=math.prod(r[2] for r in data),
-            poly=str(data[0][0]) if n_k == 1 else None,
-        )
+        single = members[0] if n_k == 1 else (None, None, None)
+        big_prod = math.prod(m[1] for m in members)
+        small_prod = math.prod(m[2] for m in members)
+        disc = math.prod(m[0].f * m[0].f for m in members)
+        value = c_eps(small_prod if metric_kind == NONGENUS else big_prod, disc, eps, root=n_k)
+    field, big_h, small_h = single
+    payload = FieldRecord(
+        f=f,
+        d_signed=None,
+        signature=CUBIC_SIGNATURE,
+        n_ramified=n_f,
+        n_fields=n_k,
+        H=big_h,
+        h=small_h,
+        H_prod=big_prod,
+        h_prod=small_prod,
+        poly=str(field) if n_k == 1 else None,
+    )
     return ScanRecord(key=f, payload=payload, value=value)
 
 
@@ -317,9 +306,9 @@ def iter_conductors(lo: int, hi: int) -> Iterator[int]:
 
 class FamilyStream:
     """The cyclic cubic families of conductors in [lo, hi] under one scope
-    and metric, each member's class number read once; records(eps) builds
-    every family's record at eps, so a scan reads the source once whatever
-    the number of eps.
+    and metric, each kept as (f, N, members), its members' class numbers
+    read once; records(eps) builds every family's record at eps, so a scan
+    reads the source once whatever the number of eps.
 
     With skip_uncovered, the source must be a FixtureStore and only its
     conductors are walked: every family has a member of its own conductor f,
@@ -348,7 +337,7 @@ class FamilyStream:
         self.families = []
         for f in conductors:
             try:
-                self.families.append((f, family_class_numbers(f, scope, source)))
+                self.families.append((f, arith.omega(f), family_class_numbers(f, scope, source)))
             except ClassNumberUnavailable:
                 if not skip_uncovered:
                     raise
@@ -358,5 +347,5 @@ class FamilyStream:
 
     def records(self, eps: Epsilon) -> tuple[range, list[ScanRecord]]:
         """(keep, records): every position, and each family's record at eps."""
-        records = [family_scan_record(f, m, eps, self.metric_kind) for f, m in self.families]
+        records = [family_scan_record(*family, eps, self.metric_kind) for family in self.families]
         return range(len(records)), records

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 
@@ -87,45 +86,22 @@ def _approx(h_num: int, h_den: int, disc: int, root: int, eps: Epsilon):
     return val
 
 
-def c_eps(h: int | Fraction, disc_abs: int, eps: Epsilon | Fraction | int | str) -> MetricValue:
-    """h / disc^(eps/2) for one field."""
+def c_eps(
+    h: int | Fraction, disc_abs: int, eps: Epsilon | Fraction | int | str, root: int = 1
+) -> MetricValue:
+    """(h / disc^(eps/2))^(1/root): one field's value, or with root = n the
+    mean of n fields' values, from the products of their h and disc."""
     eps = Epsilon.of(eps)
     h = Fraction(h)
-    if h <= 0 or disc_abs < 1:
-        raise ValueError("need h > 0 and disc >= 1")
+    if h <= 0 or disc_abs < 1 or root < 1:
+        raise ValueError("need root >= 1" if root < 1 else "need h > 0 and disc >= 1")
     return MetricValue(
         h_num=h.numerator,
         h_den=h.denominator,
         disc=disc_abs,
-        root=1,
-        eps=eps,
-        approx=_approx(h.numerator, h.denominator, disc_abs, 1, eps),
-    )
-
-
-def geometric_mean(values: Sequence[MetricValue]) -> MetricValue:
-    """(prod values)^(1/n) over single-field values sharing the same eps."""
-    if not values:
-        raise ValueError("geometric mean of an empty family")
-    eps = values[0].eps
-    if any(v.eps != eps for v in values):
-        raise ValueError("family members carry different eps")
-    if any(v.root != 1 for v in values):
-        raise ValueError("geometric_mean expects single-field values")
-    h_num = math.prod(v.h_num for v in values)
-    h_den = math.prod(v.h_den for v in values)
-    disc = math.prod(v.disc for v in values)
-    root = len(values)
-    g = math.gcd(h_num, h_den)
-    h_num //= g
-    h_den //= g
-    return MetricValue(
-        h_num=h_num,
-        h_den=h_den,
-        disc=disc,
         root=root,
         eps=eps,
-        approx=_approx(h_num, h_den, disc, root, eps),
+        approx=_approx(h.numerator, h.denominator, disc_abs, root, eps),
     )
 
 

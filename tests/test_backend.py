@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from classmax.backend import Backend, BackendError, ResultCache, canonical_key
+from classmax.backend import DEFAULT_TIMEOUT, Backend, BackendError, ResultCache, canonical_key
 
 FAKE_BACKEND = textwrap.dedent(
     """\
@@ -127,14 +127,17 @@ class TestQueries:
             with pytest.raises(BackendError):
                 bk.classno_quad(-23)
 
-    def test_env_overrides(self, fake_backend_path, tmp_path, monkeypatch):
+    def test_reads_no_environment(self, fake_backend_path, tmp_path, monkeypatch):
+        """The CLI flags are the only settings: variables named like them
+        are ignored."""
         monkeypatch.setenv("CLASSMAX_BACKEND_CMD", f"{sys.executable} {fake_backend_path} ok")
         monkeypatch.setenv("CLASSMAX_CACHE", str(tmp_path / "envcache.txt"))
         monkeypatch.setenv("CLASSMAX_TIMEOUT", "5")
         with Backend() as bk:
-            assert bk.timeout == 5.0
-            assert bk.classno_quad(136) == 4
-        assert (tmp_path / "envcache.txt").exists()
+            assert (bk.command, bk.cache.path, bk.timeout) == (None, None, DEFAULT_TIMEOUT)
+            with pytest.raises(BackendError, match="no backend command configured"):
+                bk.classno_quad(136)
+        assert not (tmp_path / "envcache.txt").exists()
 
 
 class TestResultCache:

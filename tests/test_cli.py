@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -296,6 +297,21 @@ class TestScanConfigErrors:
         assert rc == cli.EXIT_CONFIG and out == ""
         assert capsys.readouterr().err == message + "\n"
 
+    def test_unknown_mode_rejected_before_the_sweep(self, monkeypatch):
+        """ScanConfig.validate rejects a misspelt mode from a library caller,
+        which argparse's choices never see, before any sweep starts."""
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(sweep, "quad_triples", no_sweep)
+        config = cli.ScanConfig(
+            family=cli.QUAD_IMAGINARY, eps_list=[cli.parse_eps("1/20")], lo=1, hi=2_000_000,
+            mode="maxmia",
+        )
+        with pytest.raises(ValueError, match="^unknown mode 'maxmia'$"):
+            cli.run_scan(config)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -422,14 +438,30 @@ class TestBackendExitCode:
         )
         assert rc == cli.EXIT_BACKEND
 
-    def test_unstartable_backend_is_exit_3(self, capsys, monkeypatch):
-        monkeypatch.delenv("CLASSMAX_CACHE", raising=False)
+    def test_unstartable_backend_is_exit_3(self, capsys):
         rc, out = run_cli(
             ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
              "--backend-cmd", "/nonexistent/adapter"]
         )
         assert (rc, out) == (cli.EXIT_BACKEND, "")
         assert capsys.readouterr().err.startswith("backend error: cannot start backend")
+
+    def test_cache_variable_is_ignored(self, tmp_path, monkeypatch):
+        """Only --cache names a cache file: with --backend-cmd alone, a
+        CLASSMAX_CACHE in the environment is not written."""
+        adapter = tmp_path / "adapter.py"
+        adapter.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print('A', line.split()[1], 'OK 3', flush=True)\n"
+        )
+        monkeypatch.setenv("CLASSMAX_CACHE", str(tmp_path / "env_cache.txt"))
+        rc, _ = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
+             "--backend-cmd", f"{sys.executable} {adapter}"]
+        )
+        assert rc == cli.EXIT_OK
+        assert not (tmp_path / "env_cache.txt").exists()
 
 
 class TestPublicApi:

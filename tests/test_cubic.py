@@ -168,12 +168,12 @@ class TestFixtureStore:
 class TestFamilyRecords:
     def test_f7_nongenus_mean(self, bundled_fixtures):
         members = family_class_numbers(7, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(7, members, Epsilon(1, 100), "nongenus")
+        rec = family_scan_record(7, 1, members, Epsilon(1, 100), "nongenus")
         assert rel_err(rec.value.approx, "0.9807290047229") < 1e-10
 
     def test_f63_divisors_mean_h(self, bundled_fixtures):
         members = family_class_numbers(63, DIVISORS, bundled_fixtures)
-        rec = family_scan_record(63, members, Epsilon(1, 50), "full")
+        rec = family_scan_record(63, 2, members, Epsilon(1, 50), "full")
         p = rec.payload
         assert p.n_fields == 4
         assert p.H_prod == 9
@@ -182,13 +182,13 @@ class TestFamilyRecords:
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
         members = family_class_numbers(163, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(163, members, Epsilon(1, 100), "nongenus")
+        rec = family_scan_record(163, 1, members, Epsilon(1, 100), "nongenus")
         assert rec.payload.h == 4
         assert rec.payload.poly == "x^3+x^2-54*x-169"
 
     def test_per_field_max_picks_max(self, bundled_fixtures):
         members = family_class_numbers(165889, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(165889, members, Epsilon(1, 10), "per_field_max")
+        rec = family_scan_record(165889, 2, members, Epsilon(1, 10), "per_field_max")
         assert rec.payload.H == 2352
         assert rec.payload.h == 784
         assert rel_err(rec.value.approx, "235.6862811297153681") < 1e-12
@@ -229,7 +229,7 @@ class TestFixtureStreams:
                     members = family_class_numbers(f, scope, bundled_fixtures)
                 except ClassNumberUnavailable:
                     continue
-                want.append(family_scan_record(f, members, eps, metric))
+                want.append(family_scan_record(f, arith.omega(f), members, eps, metric))
             got = FamilyStream(1, 20_000, scope, metric, bundled_fixtures, True).records(eps)[1]
             assert got == want and want
             window = FamilyStream(63, 1489, scope, metric, bundled_fixtures, True).records(eps)[1]

@@ -12,7 +12,6 @@ from classmax.metric import (
     c_eps,
     compare,
     format_value,
-    geometric_mean,
     rel_err,
     root_mean,
 )
@@ -143,14 +142,16 @@ class TestCompare:
 
 
 class TestGeometricMean:
+    """A family mean is one c_eps of the products of its members' h and
+    disc, with root = the member count."""
+
     def test_single_value_identity(self):
         v = c_eps(3, 163, Epsilon(1, 100))
-        m = geometric_mean([v])
+        m = c_eps(3, 163, Epsilon(1, 100), root=1)
         assert compare(m, v) == 0
 
     def test_sqrt3_display(self):
-        vals = [c_eps(3, 63**2, EPS_ZERO), c_eps(1, 63**2, EPS_ZERO)]
-        m = geometric_mean(vals)
+        m = c_eps(3 * 1, 63**2 * 63**2, EPS_ZERO, root=2)
         assert rel_err(m.approx, "1.7320508075688772936") < 1e-12
 
     def test_mean_h_84(self):
@@ -159,17 +160,18 @@ class TestGeometricMean:
 
     def test_n_copies(self):
         v = c_eps(5, 1000, Epsilon(1, 20))
-        m = geometric_mean([v] * 4)
+        m = c_eps(5**4, 1000**4, Epsilon(1, 20), root=4)
         assert rel_err(m.approx, v.approx) < 2.0**-90
         assert compare(m, v) == 0
 
     def test_mismatched_eps(self):
         with pytest.raises(ValueError):
-            geometric_mean([c_eps(1, 3, Epsilon(1, 20)), c_eps(1, 3, Epsilon(1, 50))])
+            compare(c_eps(1, 9, Epsilon(1, 20), root=2), c_eps(1, 3, Epsilon(1, 50)))
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
+        for root in (0, -1):
+            with pytest.raises(ValueError, match="root >= 1"):
+                c_eps(1, 1, Epsilon(1, 20), root=root)
 
 
 class TestFormat:
