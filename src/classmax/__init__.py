@@ -13,7 +13,7 @@ from .classnum import (
 from .cubic import CubicField, class_number_cubic, enumerate_cubic_fields, family_members
 from .discriminants import QuadDiscriminant, is_cyclic_conductor, is_fundamental, iter_fundamental
 from .genus import genus_number_cyclic, nongenus_part
-from .maxima import BucketSpec, FieldRecord, MaximaEvent, ScanRecord, merge_shards, scan
+from .maxima import BucketSpec, FieldRecord, MaximaEvent, merge_shards, scan
 from .metric import Epsilon, MetricValue, c_eps, compare
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "MetricValue",
     "QuadDiscriminant",
     "QuadraticForm",
-    "ScanRecord",
     "c_eps",
     "class_number_cubic",
     "class_number_imaginary",

@@ -22,6 +22,7 @@ import shlex
 import subprocess
 import threading
 import time
+from contextlib import contextmanager
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -44,6 +45,16 @@ def canonical_key(kind: str, args: tuple[int, ...]) -> str:
     return ":".join([kind, *[str(a) for a in args]])
 
 
+@contextmanager
+def _cache_file(path: str, verb: str):
+    """Raise an OSError on the cache file (a missing directory, no
+    permission) as a ValueError naming the path: a bad setting."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot {verb} cache {path}: {exc.strerror}") from exc
+
+
 class ResultCache:
     """Append-only text cache; safe to reload after a crash mid-write."""
 
@@ -54,7 +65,7 @@ class ResultCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with _cache_file(self.path, "read"), open(self.path, "r", encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.rstrip("\n")
                 if not line:
@@ -75,7 +86,7 @@ class ResultCache:
         if not self.path:
             return
         line = f"{key},{result},{int(time.time())}\n"
-        with open(self.path, "ab+") as fh:
+        with _cache_file(self.path, "write"), open(self.path, "ab+") as fh:
             if fh.seek(0, os.SEEK_END) > 0:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
@@ -90,10 +101,11 @@ class ResultCache:
             return len(self._data)
         tmp = self.path + ".tmp"
         now = int(time.time())
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for key in sorted(self._data):
-                fh.write(f"{key},{self._data[key]},{now}\n")
-        os.replace(tmp, self.path)
+        with _cache_file(self.path, "write"):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for key in sorted(self._data):
+                    fh.write(f"{key},{self._data[key]},{now}\n")
+            os.replace(tmp, self.path)
         return len(self._data)
 
 
@@ -179,7 +191,8 @@ class Backend:
     # -- queries ------------------------------------------------------------
 
     def query(self, kind: str, args: tuple[int, ...]) -> str:
-        """Cache-first single query; raises BackendError on any failure."""
+        """Cache-first single query; raises BackendError on any backend
+        failure, and ValueError if the cache file cannot be written."""
         key = canonical_key(kind, args)
         cached = self.cache.get(key)
         if cached is not None:

@@ -14,9 +14,10 @@ from . import cubic as cubic_mod
 from . import sweep
 from .backend import Backend, BackendError
 from .discriminants import IMAGINARY, REAL
-from .maxima import MAXIMA, MINIMA, BucketSpec, MaximaEvent, ShardResult
+from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, MaximaEvent, ShardResult
 from .maxima import merge_shards, scan_collect
-from .metric import EPS_ZERO, Epsilon, c_eps, format_value, root_mean
+from .metric import EPS_ZERO, FULL, NONGENUS, PER_FIELD_MAX, RAW_H, RAW_SMALL_H, Epsilon
+from .metric import c_eps, format_value, root_mean
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,14 +30,6 @@ CUBIC = "cubic"
 
 _SIGNATURES = {QUAD_IMAGINARY: IMAGINARY, QUAD_REAL: REAL}
 
-_METRIC_FLAGS = {
-    "nongenus": "nongenus",
-    "full": "full",
-    "raw-H": sweep.RAW_H,
-    "raw-h": sweep.RAW_SMALL_H,
-    "per-field-max": cubic_mod.PER_FIELD_MAX,
-}
-
 
 @dataclass
 class ScanConfig:
@@ -44,8 +37,8 @@ class ScanConfig:
     eps_list: list[Epsilon]
     lo: int
     hi: int
-    metric_kind: str = "nongenus"
-    mode: str = "maxima"
+    metric_kind: str = NONGENUS
+    mode: str = MAXIMA
     scope: str = cubic_mod.EXACT_CONDUCTOR
     buckets: int = 3
     fmt: str = "text"
@@ -66,9 +59,9 @@ class ScanConfig:
         if self.mode not in (MAXIMA, MINIMA):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.family == CUBIC:
-            if self.metric_kind in (sweep.RAW_H, sweep.RAW_SMALL_H):
+            if self.metric_kind in (RAW_H, RAW_SMALL_H):
                 raise ValueError("raw metrics apply to quadratic scans only")
-        elif self.metric_kind == cubic_mod.PER_FIELD_MAX:
+        elif self.metric_kind == PER_FIELD_MAX:
             raise ValueError("per-field-max applies to cubic scans only")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -152,12 +145,40 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
 # ---------------------------------------------------------------------------
 
 
-def _display_h(payload, which: str) -> str:
-    exact = payload.H if which == "H" else payload.h
+def _display_h(record: FieldRecord, which: str) -> str:
+    exact = record.H if which == "H" else record.h
     if exact is not None:
         return str(exact)
-    prod = payload.H_prod if which == "H" else payload.h_prod
-    return format_value(root_mean(prod, payload.n_fields))
+    prod = record.H_prod if which == "H" else record.h_prod
+    return format_value(root_mean(prod, record.n_fields))
+
+
+def _text_line(record: FieldRecord) -> str:
+    """A record's text row: D_K for a quadratic field, f (and P for a
+    single-field family) for a cubic family."""
+    if record.d_signed is not None:
+        bits = [f"D_K={record.d_signed}"]
+    else:
+        bits = [f"f={record.f}"] + ([f"P={record.poly}"] if record.poly else [])
+    bits.append(f"H={_display_h(record, 'H')}")
+    bits.append(f"h={_display_h(record, 'h')}")
+    bits.append(f"N={record.n_ramified}")
+    bits.append(f"C={format_value(record.value.approx)}")
+    return " ".join(bits)
+
+
+def _columns(record: FieldRecord) -> dict:
+    """A record's csv and json-lines columns, in csv order; D_K is None
+    for a cubic family."""
+    return {
+        "D_K": record.d_signed,
+        "f": record.f,
+        "H": _display_h(record, "H"),
+        "h": _display_h(record, "h"),
+        "N": record.n_ramified,
+        "nK": record.n_fields,
+        "C": format_value(record.value.approx),
+    }
 
 
 def _counter_text(total_or_nd: int, buckets: BucketSpec, counts) -> str:
@@ -179,18 +200,7 @@ def render_events(
     if fmt == "text":
         print(f"eps={eps}", file=out)
         for ev in events:
-            p = ev.record.payload
-            if p.signature == cubic_mod.CUBIC_SIGNATURE:
-                bits = [f"f={p.f}"]
-                if p.poly:
-                    bits.append(f"P={p.poly}")
-                bits.append(f"H={_display_h(p, 'H')}")
-                bits.append(f"h={_display_h(p, 'h')}")
-            else:
-                bits = [f"D_K={p.d_signed}", f"H={p.H}", f"h={p.h}"]
-            bits.append(f"N={p.n_ramified}")
-            bits.append(f"C={format_value(ev.record.value.approx)}")
-            print(" ".join(bits), file=out)
+            print(_text_line(ev.record), file=out)
             if show_counters:
                 print(_counter_text(ev.nd, buckets, ev.buckets), file=out)
         final = events[-1].buckets if events else (0,) * buckets.n_buckets
@@ -198,34 +208,12 @@ def render_events(
         return
     if fmt == "csv":
         for ev in events:
-            p = ev.record.payload
-            row = [
-                str(eps),
-                str(p.d_signed) if p.d_signed is not None else "",
-                str(p.f),
-                _display_h(p, "H"),
-                _display_h(p, "h"),
-                str(p.n_ramified),
-                str(p.n_fields),
-                format_value(ev.record.value.approx),
-            ]
-            print(",".join(row), file=out)
+            cols = _columns(ev.record).values()
+            print(",".join([str(eps), *("" if c is None else str(c) for c in cols)]), file=out)
         return
     if fmt == "json-lines":
         for ev in events:
-            p = ev.record.payload
-            obj = {
-                "eps": str(eps),
-                "D_K": p.d_signed,
-                "f": p.f,
-                "H": _display_h(p, "H"),
-                "h": _display_h(p, "h"),
-                "N": p.n_ramified,
-                "nK": p.n_fields,
-                "C": format_value(ev.record.value.approx),
-                "ND": ev.nd,
-                "buckets": list(ev.buckets),
-            }
+            obj = {"eps": str(eps), **_columns(ev.record), "ND": ev.nd, "buckets": list(ev.buckets)}
             print(json.dumps(obj, sort_keys=True), file=out)
         summary = {
             "eps": str(eps),
@@ -263,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--max", type=int, required=True, dest="hi")
     p_scan.add_argument(
         "--metric",
-        default="nongenus",
-        choices=["nongenus", "full", "raw-H", "raw-h", "per-field-max"],
+        default=NONGENUS,
+        choices=[NONGENUS, FULL, RAW_H, RAW_SMALL_H, PER_FIELD_MAX],
     )
-    p_scan.add_argument("--mode", default="maxima", choices=["maxima", "minima"])
+    p_scan.add_argument("--mode", default=MAXIMA, choices=[MAXIMA, MINIMA])
     p_scan.add_argument(
         "--scope",
-        default="exact",
-        choices=["exact", "divisors"],
+        default=cubic_mod.EXACT_CONDUCTOR,
+        choices=[cubic_mod.EXACT_CONDUCTOR, cubic_mod.DIVISORS],
         help="cubic families: exact conductor, or all conductors dividing f",
     )
     p_scan.add_argument("--buckets", type=int, default=3)
@@ -304,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--min", type=int, default=1, dest="lo")
     p_thr.add_argument("--max", type=int, required=True, dest="hi")
     p_thr.add_argument("--grid", required=True, help="grid step, exact rational")
-    p_thr.add_argument("--metric", default="nongenus", choices=["nongenus", "full"])
+    p_thr.add_argument("--metric", default=NONGENUS, choices=[NONGENUS, FULL])
     p_thr.add_argument("--shards", type=int, default=1)
 
     p_cmp = sub.add_parser("cache-compact", help="rewrite the backend cache file")
@@ -320,9 +308,9 @@ def _cmd_scan(args) -> int:
         eps_list=eps_list,
         lo=args.lo,
         hi=args.hi,
-        metric_kind=_METRIC_FLAGS[args.metric],
+        metric_kind=args.metric,
         mode=args.mode,
-        scope=cubic_mod.EXACT_CONDUCTOR if args.scope == "exact" else cubic_mod.DIVISORS,
+        scope=args.scope,
         buckets=args.buckets,
         fmt=args.format,
         shards=args.shards,
@@ -353,11 +341,8 @@ def _cmd_genus_family(args) -> int:
                 primes.append(q)
     eps = parse_eps(args.eps)
     rows, exceeded = sweep.genus_family_rows(primes, eps, args.budget_seconds)
-    for row in rows:
-        print(
-            f"D_K={row['D']} H={row['H']} h={row['h']} N={row['N']} "
-            f"C={format_value(row['value'].approx)}"
-        )
+    for record in rows:
+        print(_text_line(record))
     if exceeded:
         print("budget exceeded; remaining rows skipped", file=sys.stderr)
         return EXIT_BUDGET
@@ -372,7 +357,7 @@ def _cmd_threshold(args) -> int:
     if grid <= 0:
         raise ValueError("grid step must be positive")
     triples = sweep.quad_triples(signature, args.lo, args.hi, workers=args.shards)
-    found = sweep.threshold_search(triples, signature, grid, _METRIC_FLAGS[args.metric])
+    found = sweep.threshold_search(triples, signature, grid, args.metric)
     if found is None:
         print(f"threshold below grid minimum (step {grid})")
     else:

@@ -18,17 +18,12 @@ from typing import Iterator, Protocol
 from . import arith
 from .discriminants import is_cyclic_conductor
 from .genus import genus_number_cyclic, nongenus_part
-from .maxima import FieldRecord, ScanRecord
-from .metric import Epsilon, c_eps, compare
+from .maxima import FieldRecord
+from .metric import FULL, NONGENUS, PER_FIELD_MAX, Epsilon, c_eps, compare
 
-EXACT_CONDUCTOR = "exact_conductor"
+# Family scopes, spelt as on the command line.
+EXACT_CONDUCTOR = "exact"
 DIVISORS = "divisors"
-
-NONGENUS = "nongenus"
-FULL = "full"
-PER_FIELD_MAX = "per_field_max"
-
-CUBIC_SIGNATURE = "cubic"
 
 
 class ClassNumberUnavailable(Exception):
@@ -247,23 +242,27 @@ def family_class_numbers(
     f: int, scope: str, source: ClassNumberSource
 ) -> list[tuple[CubicField, int, int]]:
     """(field, H, h) per member of the family, with h = H / 3^(N-1); the
-    part of a family record that does not depend on eps."""
+    part of a family record that does not depend on eps.  The genus number
+    is computed once per member conductor (every member's, in exact scope,
+    is f)."""
+    genus: dict[int, int] = {}
     rows = []
     for member in family_members(f, scope):
         big_h = class_number_cubic(member, source)
-        small_h = nongenus_part(big_h, genus_number_cyclic(3, arith.omega(member.f)))
-        rows.append((member, big_h, small_h))
+        if member.f not in genus:
+            genus[member.f] = genus_number_cyclic(3, arith.omega(member.f))
+        rows.append((member, big_h, nongenus_part(big_h, genus[member.f])))
     return rows
 
 
 def family_scan_record(
     f: int, n_f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
-) -> ScanRecord:
+) -> FieldRecord:
     """One conductor's entry for the maxima engine, from N and its members.
 
     nongenus / full take the geometric mean of h / sqrt(D)^eps resp.
     H / sqrt(D)^eps over the members, one c_eps of their products;
-    per_field_max takes the largest member value of the nongenus metric
+    per-field-max takes the largest member value of the nongenus metric
     (the uncorrected per-field record scan).
     """
     if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
@@ -280,11 +279,11 @@ def family_scan_record(
         disc = math.prod(m[0].f * m[0].f for m in members)
         value = c_eps(small_prod if metric_kind == NONGENUS else big_prod, disc, eps, root=n_k)
     field, big_h, small_h = single
-    payload = FieldRecord(
+    return FieldRecord(
         f=f,
         d_signed=None,
-        signature=CUBIC_SIGNATURE,
         n_ramified=n_f,
+        value=value,
         n_fields=n_k,
         H=big_h,
         h=small_h,
@@ -292,7 +291,6 @@ def family_scan_record(
         h_prod=small_prod,
         poly=str(field) if n_k == 1 else None,
     )
-    return ScanRecord(key=f, payload=payload, value=value)
 
 
 def iter_conductors(lo: int, hi: int) -> Iterator[int]:
@@ -345,7 +343,7 @@ class FamilyStream:
     def __len__(self) -> int:
         return len(self.families)
 
-    def records(self, eps: Epsilon) -> tuple[range, list[ScanRecord]]:
+    def records(self, eps: Epsilon) -> tuple[range, list[FieldRecord]]:
         """(keep, records): every position, and each family's record at eps."""
         records = [family_scan_record(*family, eps, self.metric_kind) for family in self.families]
         return range(len(records)), records

@@ -13,29 +13,25 @@ MINIMA = "minima"
 
 @dataclass(frozen=True)
 class FieldRecord:
-    """One field (or one conductor family) worth of scan data.
+    """One field (or one conductor family) and its metric value: a scan
+    record, keyed by f, and one printed row.
 
-    H and h are exact integers when the family has a single member; families
-    carry the exact products instead, and display means are derived later.
+    A quadratic field has f = |D| and its signed D in d_signed; a cubic
+    family has d_signed None.  H and h are exact integers when the family
+    has a single member; families carry the exact products instead, and
+    display means are derived later.
     """
 
     f: int
     d_signed: int | None
-    signature: str
     n_ramified: int
+    value: MetricValue
     n_fields: int = 1
     H: int | None = None
     h: int | None = None
     H_prod: int | None = None
     h_prod: int | None = None
     poly: str | None = None
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    key: int
-    payload: FieldRecord
-    value: MetricValue
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class BucketSpec:
 class MaximaEvent:
     """A new record value plus the counter snapshot at that point."""
 
-    record: ScanRecord
+    record: FieldRecord
     nd: int
     buckets: tuple[int, ...]
 
@@ -80,7 +76,7 @@ def _beats(candidate: MetricValue, incumbent: MetricValue, mode: str) -> bool:
 
 
 def scan(
-    records: Iterable[ScanRecord],
+    records: Iterable[FieldRecord],
     mode: str = MAXIMA,
     buckets: BucketSpec = BucketSpec(3),
     initial: MetricValue | None = None,
@@ -96,20 +92,20 @@ def scan(
     running = initial
     counts = [0] * buckets.n_buckets
     nd = 0
-    last_key = None
+    last_f = None
     for record in records:
-        if last_key is not None and record.key <= last_key:
-            raise ValueError(f"stream keys not ascending at {record.key}")
-        last_key = record.key
+        if last_f is not None and record.f <= last_f:
+            raise ValueError(f"stream keys not ascending at {record.f}")
+        last_f = record.f
         nd += 1
         if running is None or _beats(record.value, running, mode):
             running = record.value
-            counts[buckets.index(record.payload.n_ramified)] += 1
+            counts[buckets.index(record.n_ramified)] += 1
             yield MaximaEvent(record=record, nd=nd, buckets=tuple(counts))
 
 
 def scan_collect(
-    records: Iterable[ScanRecord],
+    records: Iterable[FieldRecord],
     mode: str = MAXIMA,
     buckets: BucketSpec = BucketSpec(3),
     initial: MetricValue | None = None,
@@ -133,7 +129,7 @@ def merge_shards(
     record, and counters are rebuilt globally; each nd is then offset by the
     records of the shards before it.
     """
-    records: list[ScanRecord] = []
+    records: list[FieldRecord] = []
     nds: list[int] = []
     nd_offset = 0
     prev_hi = None

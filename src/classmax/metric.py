@@ -26,6 +26,16 @@ _FLOAT_GAP_BITS = 80
 
 Ordering = int  # -1, 0, 1
 
+# Metric kinds, spelt as on the command line.  nongenus and full rank
+# h / sqrt(D)^eps with h = H / (genus number) resp. H; raw-H and raw-h rank
+# H resp. h alone (quadratic fields); per-field-max ranks a cubic family by
+# its largest member value of the nongenus metric.
+NONGENUS = "nongenus"
+FULL = "full"
+RAW_H = "raw-H"
+RAW_SMALL_H = "raw-h"
+PER_FIELD_MAX = "per-field-max"
+
 
 @dataclass(frozen=True)
 class Epsilon:

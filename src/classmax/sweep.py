@@ -23,8 +23,8 @@ import numpy as np
 from . import arith, classnum
 from .discriminants import IMAGINARY, REAL
 from .genus import genus_number_cyclic, nongenus_part
-from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, ScanRecord, scan
-from .metric import EPS_ZERO, Epsilon, c_eps
+from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, scan
+from .metric import EPS_ZERO, FULL, NONGENUS, RAW_H, RAW_SMALL_H, Epsilon, c_eps
 
 # ---------------------------------------------------------------------------
 # sieved tables
@@ -446,11 +446,6 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
 # record materialization for the maxima engine
 # ---------------------------------------------------------------------------
 
-NONGENUS = "nongenus"
-FULL = "full"
-RAW_H = "raw_H"
-RAW_SMALL_H = "raw_h"
-
 QUAD_METRICS = (NONGENUS, FULL, RAW_H, RAW_SMALL_H)
 
 
@@ -467,7 +462,7 @@ def quad_records(
     signature: str,
     eps: Epsilon,
     metric_kind: str,
-) -> list[ScanRecord]:
+) -> list[FieldRecord]:
     """Turn (D, N, H) triples into scan records under one metric."""
     by_genus, raw = metric_terms(metric_kind)
     exponent = EPS_ZERO if raw else eps
@@ -479,16 +474,9 @@ def quad_records(
             raise ArithmeticError(f"genus number 2^{n - 1} does not divide H at D = {d}")
         small_h = big_h // g
         value = c_eps(small_h if by_genus else big_h, d, exponent)
-        payload = FieldRecord(
-            f=d,
-            d_signed=sign * d,
-            signature=signature,
-            n_ramified=n,
-            n_fields=1,
-            H=big_h,
-            h=small_h,
+        out.append(
+            FieldRecord(f=d, d_signed=sign * d, n_ramified=n, value=value, H=big_h, h=small_h)
         )
-        out.append(ScanRecord(key=d, payload=payload, value=value))
     return out
 
 
@@ -622,7 +610,7 @@ class QuadStream:
         half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
         return self.support[_prefilter(self.log_h, self.log_d, half_eps, self.mode)[0]]
 
-    def records(self, eps: Epsilon) -> tuple[list[int], list[ScanRecord]]:
+    def records(self, eps: Epsilon) -> tuple[list[int], list[FieldRecord]]:
         """(keep, records): the candidates, and the quad_records of their rows
         under eps, record i of row keep[i]; a scan over the records takes the
         decisions of a scan over the whole stream (see Exactness)."""
@@ -644,8 +632,9 @@ def genus_family_rows(
     primes: list[int],
     eps: Epsilon,
     budget_seconds: float | None = None,
-) -> tuple[list[dict], bool]:
-    """(D, H, h, N, C) for the prefix products of the given primes.
+) -> tuple[list[FieldRecord], bool]:
+    """The records of Q(sqrt(-m)) for the prefix products m of the given
+    primes, nongenus metric at eps.
 
     Rows are produced in prefix order; if a row's class-number computation
     would start after the time budget is exhausted, the remaining rows are
@@ -656,10 +645,10 @@ def genus_family_rows(
     for p in primes:
         if not arith.is_prime(p):
             raise ValueError(f"{p} is not prime")
-    rows: list[dict] = []
+    rows: list[FieldRecord] = []
     started = time.monotonic()
     m = 1
-    for i, p in enumerate(primes):
+    for p in primes:
         m *= p
         if m.bit_length() > 63:
             raise ValueError("prefix product exceeds the 63-bit input bound")
@@ -670,16 +659,7 @@ def genus_family_rows(
         n = arith.omega(-d)
         small_h = nongenus_part(big_h, genus_number_cyclic(2, n))
         value = c_eps(small_h, -d, eps)
-        rows.append(
-            {
-                "primes": primes[: i + 1],
-                "D": d,
-                "H": big_h,
-                "h": small_h,
-                "N": n,
-                "value": value,
-            }
-        )
+        rows.append(FieldRecord(f=-d, d_signed=d, n_ramified=n, value=value, H=big_h, h=small_h))
     return rows, False
 
 

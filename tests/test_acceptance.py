@@ -8,6 +8,7 @@ list-then-rescan workflow the scan pipeline is built around; fixture build time
 is charged to the first criterion that touches it.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -80,16 +81,16 @@ def test_criterion_03_eps_1_20_records(request, data_rows):
         events, total = scan_imaginary(imag_triples, Epsilon(1, 20))
         gold = [r for r in data_rows("imag_eps_1_20_nongenus_listed.csv") if int(r["D"]) <= 1_200_000]
         assert len(gold) == 12
-        by_key = {e.record.key: (i, e) for i, e in enumerate(events)}
+        by_key = {e.record.f: (i, e) for i, e in enumerate(events)}
         # the first six published rows open the event list
         for i, r in enumerate(gold[:6]):
-            assert events[i].record.key == int(r["D"])
+            assert events[i].record.f == int(r["D"])
         # the six rows above 1e6 are consecutive events
         idx = by_key[1006799][0]
         for offset, r in enumerate(gold[6:]):
             ev = events[idx + offset]
-            p = ev.record.payload
-            assert (p.f, p.H, p.h, p.n_ramified) == (
+            rec = ev.record
+            assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
@@ -105,8 +106,8 @@ def test_criterion_04_table_one(request, data_rows):
         assert len(events) == len(gold)
         assert any(int(r["D"]) == 1006799 for r in gold)
         for ev, r in zip(events, gold):
-            p = ev.record.payload
-            assert (p.f, p.H, p.h, p.n_ramified) == (
+            rec = ev.record
+            assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert ev.nd == int(r["ND"])
@@ -123,14 +124,14 @@ def test_criterion_05_table_two(request, data_rows):
         gold = [r for r in data_rows("imag_eps_1_50_full_table.csv") if int(r["D"]) <= 10_000]
         assert len(events) == len(gold)
         for ev, r in zip(events, gold):
-            p = ev.record.payload
-            assert (p.f, p.H, p.h, p.n_ramified) == (
+            rec = ev.record
+            assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert ev.nd == int(r["ND"])
             assert ev.buckets == tuple(int(r[f"N{i}"]) for i in range(1, 7))
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
-        snapshot = {e.record.key: e for e in events}[4199]
+        snapshot = {e.record.f: e for e in events}[4199]
         assert snapshot.nd == 1278
         assert snapshot.buckets[:3] == (21, 17, 1)
 
@@ -141,11 +142,11 @@ def test_criterion_06_genus_family():
             [2, 3, 5, 7, 11, 13, 17, 19, 23], Epsilon(1, 20)
         )
         assert not exceeded
-        assert [r["H"] for r in rows] == [1, 2, 4, 8, 32, 128, 448, 2048, 10240]
+        assert [r.H for r in rows] == [1, 2, 4, 8, 32, 128, 448, 2048, 10240]
         last = rows[-1]
-        assert last["D"] == -892371480
-        assert last["h"] == 40 and last["N"] == 9
-        assert rel_err(last["value"].approx, "23.89441208396179319") < 1e-8
+        assert last.d_signed == -892371480
+        assert last.h == 40 and last.n_ramified == 9
+        assert rel_err(last.value.approx, "23.89441208396179319") < 1e-8
 
 
 def test_criterion_07_table_three(request, data_rows):
@@ -160,8 +161,8 @@ def test_criterion_07_table_three(request, data_rows):
         assert [int(r["D"]) for r in gold] == want_keys
         assert len(events) == len(gold)
         for ev, r in zip(events, gold):
-            p = ev.record.payload
-            assert (p.f, p.H, p.h, p.n_ramified) == (
+            rec = ev.record
+            assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert ev.nd == int(r["ND"])
@@ -178,11 +179,7 @@ def test_criterion_08_raw_maxima(request, data_rows):
             records = sweep.quad_records(real_triples, REAL, EPS_ZERO, metric)
             events, _ = scan_collect(iter(records))
             gold = [r for r in data_rows(name) if int(r["D"]) <= 1_000_000]
-            got = [
-                (e.record.payload.f, e.record.payload.H, e.record.payload.h,
-                 e.record.payload.n_ramified)
-                for e in events
-            ]
+            got = [(e.record.f, e.record.H, e.record.h, e.record.n_ramified) for e in events]
             want = [(int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])) for r in gold]
             assert got == want, metric
 
@@ -193,7 +190,7 @@ def test_criterion_09_high_eps(request, data_rows):
         triples = [t for t in imag_triples if t[0] <= 1_000_000]
         events, _ = scan_imaginary(triples, Epsilon(5, 4))
         gold = data_rows("imag_eps_5_4_nongenus_listed.csv")
-        assert [e.record.key for e in events] == [3, 311, 479]
+        assert [e.record.f for e in events] == [3, 311, 479]
         for ev, r in zip(events, gold):
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
 
@@ -228,15 +225,15 @@ def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
         _, recs = stream.records(Epsilon(1, 100))
         events, _ = scan_collect(iter(recs))
         gold = {int(r["f"]): r["C"] for r in data_rows("cubic_eps_1_100_exact_mean_listed.csv")}
-        assert [e.record.key for e in events] == [7, 163, 313, 1063, 1489]
+        assert [e.record.f for e in events] == [7, 163, 313, 1063, 1489]
         for ev in events[:4]:
-            assert rel_err(ev.record.value.approx, gold[ev.record.key]) < 1e-10
+            assert rel_err(ev.record.value.approx, gold[ev.record.f]) < 1e-10
         # divisor-closed scope at eps = 1/50: the f = 63 family mean
         stream = cubic.FamilyStream(1, 200, cubic.DIVISORS, cubic.FULL, bundled_fixtures, True)
         _, recs = stream.records(Epsilon(1, 50))
         events, _ = scan_collect(iter(recs))
-        row63 = {e.record.key: e for e in events}[63]
-        mean_h = root_mean(row63.record.payload.H_prod, row63.record.payload.n_fields)
+        row63 = {e.record.f: e for e in events}[63]
+        mean_h = root_mean(row63.record.H_prod, row63.record.n_fields)
         assert rel_err(mean_h, "1.7320508075688772936") < 1e-12
 
 
@@ -282,7 +279,7 @@ def test_criterion_12_property_suites(request):
         # shard-merge equivalence on 100 randomized streams
         rng = random.Random(1234)
         eps = Epsilon(1, 50)
-        from classmax.maxima import FieldRecord, ScanRecord
+        from classmax.maxima import FieldRecord
 
         for _ in range(100):
             n = rng.randint(2, 120)
@@ -291,13 +288,9 @@ def test_criterion_12_property_suites(request):
             for k in keys:
                 h = rng.randint(1, 10**4)
                 records.append(
-                    ScanRecord(
-                        key=k,
-                        payload=FieldRecord(
-                            f=k, d_signed=-k, signature=IMAGINARY,
-                            n_ramified=rng.randint(1, 6), H=h, h=h,
-                        ),
-                        value=c_eps(h, k, eps),
+                    FieldRecord(
+                        f=k, d_signed=-k, n_ramified=rng.randint(1, 6),
+                        value=c_eps(h, k, eps), H=h, h=h,
                     )
                 )
             direct, total = scan_collect(iter(records), buckets=BucketSpec(3))
@@ -307,12 +300,12 @@ def test_criterion_12_property_suites(request):
             shards = []
             for i in range(len(bounds) - 1):
                 s_lo, s_hi = bounds[i] + 1, bounds[i + 1]
-                part = [r for r in records if s_lo <= r.key <= s_hi]
+                part = [r for r in records if s_lo <= r.f <= s_hi]
                 ev, t = scan_collect(iter(part), buckets=BucketSpec(3))
                 shards.append(ShardResult(s_lo, s_hi, tuple(ev), t))
             merged, m_total = merge_shards(shards, buckets=BucketSpec(3))
             assert m_total == total
-            assert [e.record.key for e in merged] == [e.record.key for e in direct]
+            assert [e.record.f for e in merged] == [e.record.f for e in direct]
             assert [(e.nd, e.buckets) for e in merged] == [(e.nd, e.buckets) for e in direct]
 
         # comparator: exact vs 256-bit float agreement on 1e4 random pairs
@@ -338,11 +331,10 @@ def test_criterion_12_property_suites(request):
         base_events, _ = scan_collect(iter(base))
         scale = Fraction(17, 5)
         scaled = [
-            r.__class__(
-                key=r.key, payload=r.payload,
-                value=c_eps(Fraction(r.value.h_num) * scale, r.value.disc, eps),
+            dataclasses.replace(
+                r, value=c_eps(Fraction(r.value.h_num) * scale, r.value.disc, eps)
             )
             for r in base
         ]
         scaled_events, _ = scan_collect(iter(scaled))
-        assert [e.record.key for e in scaled_events] == [e.record.key for e in base_events]
+        assert [e.record.f for e in scaled_events] == [e.record.f for e in base_events]

@@ -1,3 +1,4 @@
+import re
 import stat
 import sys
 import textwrap
@@ -199,3 +200,14 @@ class TestResultCache:
         cache = ResultCache(None)
         cache.put("K:1", "x")
         assert cache.get("K:1") == "x"
+
+    def test_unusable_path_is_a_value_error(self, tmp_path):
+        path = str(tmp_path / "missing" / "c.txt")
+        cache = ResultCache(path)
+        unwritable = re.escape(f"cannot write cache {path}: No such file")
+        with pytest.raises(ValueError, match=unwritable):
+            cache.put("K:1", "x")
+        with pytest.raises(ValueError, match=unwritable):
+            cache.compact()
+        with pytest.raises(ValueError, match=re.escape(f"cannot read cache {tmp_path}: Is a")):
+            ResultCache(str(tmp_path))

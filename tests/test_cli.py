@@ -229,7 +229,9 @@ class CountingStore(cubic.FixtureStore):
 
 
 class TestCubicStream:
-    @pytest.mark.parametrize("scope", [cubic.EXACT_CONDUCTOR, cubic.DIVISORS])
+    @pytest.mark.parametrize(
+        "scope", [cubic.EXACT_CONDUCTOR, cubic.DIVISORS], ids=["exact_conductor", "divisors"]
+    )
     def test_each_field_read_once_per_scan(self, monkeypatch, bundled_fixtures, scope):
         """The families and their class numbers are read once, not per eps."""
         store = CountingStore()
@@ -385,6 +387,16 @@ class TestGenusFamilyCommand:
         )
         assert rc == cli.EXIT_BUDGET
 
+    def test_row_is_the_scan_row(self):
+        """genus-family and scan print a field's record through one layout."""
+        line = "D_K=-8 H=1 h=1 N=1 C=0.9493421209505192093"
+        rc, out = run_cli(["genus-family", "--primes", "2"])
+        assert (rc, out) == (0, line + "\n")
+        rc, out = run_cli(
+            ["scan", "--family", "quad-imaginary", "--min", "8", "--max", "8", "--eps", "1/20"]
+        )
+        assert rc == 0 and out.splitlines()[1] == line
+
 
 class TestThresholdCommand:
     def test_rejects_shards_below_one(self):
@@ -428,6 +440,13 @@ class TestCacheCompact:
         assert rc == 0
         assert "1 entries" in out
         assert len(path.read_text().splitlines()) == 1
+
+    def test_path_under_missing_directory_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "c.txt"
+        rc, out = run_cli(["cache-compact", "--cache", str(path)])
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write cache {path}: No such file or directory\n"
 
 
 class TestBackendExitCode:

@@ -174,23 +174,22 @@ class TestFamilyRecords:
     def test_f63_divisors_mean_h(self, bundled_fixtures):
         members = family_class_numbers(63, DIVISORS, bundled_fixtures)
         rec = family_scan_record(63, 2, members, Epsilon(1, 50), "full")
-        p = rec.payload
-        assert p.n_fields == 4
-        assert p.H_prod == 9
-        assert rel_err(root_mean(p.H_prod, p.n_fields), "1.7320508075688772936") < 1e-12
+        assert rec.n_fields == 4
+        assert rec.H_prod == 9
+        assert rel_err(root_mean(rec.H_prod, rec.n_fields), "1.7320508075688772936") < 1e-12
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
         members = family_class_numbers(163, EXACT_CONDUCTOR, bundled_fixtures)
         rec = family_scan_record(163, 1, members, Epsilon(1, 100), "nongenus")
-        assert rec.payload.h == 4
-        assert rec.payload.poly == "x^3+x^2-54*x-169"
+        assert rec.h == 4
+        assert rec.poly == "x^3+x^2-54*x-169"
 
     def test_per_field_max_picks_max(self, bundled_fixtures):
         members = family_class_numbers(165889, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(165889, 2, members, Epsilon(1, 10), "per_field_max")
-        assert rec.payload.H == 2352
-        assert rec.payload.h == 784
+        rec = family_scan_record(165889, 2, members, Epsilon(1, 10), "per-field-max")
+        assert rec.H == 2352
+        assert rec.h == 784
         assert rel_err(rec.value.approx, "235.6862811297153681") < 1e-12
 
     def test_genus_divisibility_enforced(self):
@@ -210,19 +209,21 @@ class TestFixtureStreams:
     def test_exact_stream_covered_conductors(self, bundled_fixtures):
         stream = FamilyStream(1, 1500, EXACT_CONDUCTOR, "nongenus", bundled_fixtures, True)
         keep, recs = stream.records(Epsilon(1, 100))
-        assert [r.key for r in recs] == [7, 9, 63, 163, 313, 1063, 1489]
+        assert [r.f for r in recs] == [7, 9, 63, 163, 313, 1063, 1489]
         assert len(stream) == 7 and list(keep) == list(range(7))
 
     def test_uncovered_conductor_raises_without_skip(self, bundled_fixtures):
         with pytest.raises(ClassNumberUnavailable):
             FamilyStream(1, 400, EXACT_CONDUCTOR, "nongenus", bundled_fixtures, False)
 
-    @pytest.mark.parametrize("scope", [EXACT_CONDUCTOR, DIVISORS])
+    @pytest.mark.parametrize(
+        "scope", [EXACT_CONDUCTOR, DIVISORS], ids=["exact_conductor", "divisors"]
+    )
     def test_fixture_walk_equals_walk_over_every_conductor(self, bundled_fixtures, scope):
         """Walking the fixture conductors yields exactly the covered families
         of the walk over every conductor."""
         eps = Epsilon(1, 100)
-        for metric in ("nongenus", "full", "per_field_max"):
+        for metric in ("nongenus", "full", "per-field-max"):
             want = []
             for f in iter_conductors(1, 20_000):
                 try:
@@ -233,7 +234,7 @@ class TestFixtureStreams:
             got = FamilyStream(1, 20_000, scope, metric, bundled_fixtures, True).records(eps)[1]
             assert got == want and want
             window = FamilyStream(63, 1489, scope, metric, bundled_fixtures, True).records(eps)[1]
-            assert window == [r for r in want if 63 <= r.key <= 1489]
+            assert window == [r for r in want if 63 <= r.f <= 1489]
 
     def test_partially_covered_family_is_skipped(self):
         store = FixtureStore()
@@ -242,17 +243,17 @@ class TestFixtureStreams:
         assert stream.records(Epsilon(1, 100))[1] == []
         store.load_text("CUBIC,63,0,-21,28,3\n")
         stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store, True)
-        assert [r.key for r in stream.records(Epsilon(1, 100))[1]] == [63]
+        assert [r.f for r in stream.records(Epsilon(1, 100))[1]] == [63]
 
     def test_max_field_scan_reproduces_listing(self, bundled_fixtures, data_rows):
         """With the two set-pinned families added, the per-field-max scan at
         eps = 1/10 over covered conductors reproduces the published rows."""
         store = extra_store(bundled_fixtures)
-        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "per_field_max", store, True)
+        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "per-field-max", store, True)
         _, recs = stream.records(Epsilon(1, 10))
         events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
         gold = [r for r in data_rows("cubic_eps_1_10_maxfield_listed.csv") if int(r["f"]) <= 200_000]
-        got = [(e.record.payload.f, e.record.payload.H, e.record.payload.h) for e in events]
+        got = [(e.record.f, e.record.H, e.record.h) for e in events]
         want = [(int(r["f"]), int(r["H"]), int(r["h"])) for r in gold]
         assert got == want
         for ev, r in zip(events, gold):
@@ -265,4 +266,4 @@ class TestFixtureStreams:
         stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "nongenus", store, True)
         _, recs = stream.records(Epsilon(1, 10))
         events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
-        assert all(e.record.payload.n_ramified == 1 for e in events)
+        assert all(e.record.n_ramified == 1 for e in events)

@@ -9,7 +9,6 @@ from classmax.maxima import (
     MINIMA,
     BucketSpec,
     FieldRecord,
-    ScanRecord,
     ShardResult,
     merge_shards,
     scan,
@@ -18,40 +17,36 @@ from classmax.maxima import (
 from classmax.metric import EPS_ZERO, Epsilon, c_eps
 
 
-def quad_stream(hi: int, eps: Epsilon, nongenus: bool = True) -> list[ScanRecord]:
+def quad_stream(hi: int, eps: Epsilon, nongenus: bool = True) -> list[FieldRecord]:
     out = []
     for q in iter_fundamental(IMAGINARY, 1, hi):
         big_h = class_number_imaginary(q.value)
         small_h = big_h // (1 << (q.n_ramified - 1))
-        payload = FieldRecord(
-            f=q.abs,
-            d_signed=q.value,
-            signature=IMAGINARY,
-            n_ramified=q.n_ramified,
-            H=big_h,
-            h=small_h,
-        )
         out.append(
-            ScanRecord(
-                key=q.abs,
-                payload=payload,
+            FieldRecord(
+                f=q.abs,
+                d_signed=q.value,
+                n_ramified=q.n_ramified,
                 value=c_eps(small_h if nongenus else big_h, q.abs, eps),
+                H=big_h,
+                h=small_h,
             )
         )
     return out
 
 
-def synthetic_stream(rng: random.Random, n: int, eps: Epsilon) -> list[ScanRecord]:
+def synthetic_stream(rng: random.Random, n: int, eps: Epsilon) -> list[FieldRecord]:
     records = []
     key = 0
     for _ in range(n):
         key += rng.randint(1, 5)
         h = rng.randint(1, 50)
         n_ram = rng.randint(1, 5)
-        payload = FieldRecord(
-            f=key, d_signed=-key, signature=IMAGINARY, n_ramified=n_ram, H=h, h=h
+        records.append(
+            FieldRecord(
+                f=key, d_signed=-key, n_ramified=n_ram, value=c_eps(h, key, eps), H=h, h=h
+            )
         )
-        records.append(ScanRecord(key=key, payload=payload, value=c_eps(h, key, eps)))
     return records
 
 
@@ -59,45 +54,33 @@ class TestScan:
     def test_eps_1_20_prefix(self):
         records = quad_stream(191, Epsilon(1, 20))
         events, total = scan_collect(iter(records))
-        assert [e.record.key for e in events] == [3, 23, 47, 71, 167, 191]
+        assert [e.record.f for e in events] == [3, 23, 47, 71, 167, 191]
         assert total == len(records)
         assert events[-1].nd == len(records)  # last record is itself a record value
 
     def test_constant_stream_single_event(self):
         eps = EPS_ZERO
         payloads = [
-            ScanRecord(
-                key=k,
-                payload=FieldRecord(
-                    f=k, d_signed=-k, signature=IMAGINARY, n_ramified=1, H=5, h=5
-                ),
-                value=c_eps(5, 1, eps),
-            )
+            FieldRecord(f=k, d_signed=-k, n_ramified=1, value=c_eps(5, 1, eps), H=5, h=5)
             for k in (1, 2, 3)
         ]
         events, total = scan_collect(iter(payloads))
-        assert len(events) == 1 and events[0].record.key == 1 and total == 3
+        assert len(events) == 1 and events[0].record.f == 1 and total == 3
 
     def test_minima_prefix(self):
         records = quad_stream(24, Epsilon(1, 1))
         events, _ = scan_collect(iter(records), mode="minima")
-        assert [e.record.key for e in events] == [3, 4, 7, 8, 11, 15, 19, 20, 24]
+        assert [e.record.f for e in events] == [3, 4, 7, 8, 11, 15, 19, 20, 24]
 
     def test_minima_compat_threshold(self):
         # initial running record at 1.0 suppresses a stream that starts above it
         eps = Epsilon(1, 1)
         records = [
-            ScanRecord(
-                key=k,
-                payload=FieldRecord(
-                    f=k, d_signed=-k, signature=IMAGINARY, n_ramified=1, H=h, h=h
-                ),
-                value=c_eps(h, k, eps),
-            )
+            FieldRecord(f=k, d_signed=-k, n_ramified=1, value=c_eps(h, k, eps), H=h, h=h)
             for k, h in ((2, 9), (3, 8), (4, 1))
         ]
         events, _ = scan_collect(iter(records), mode="minima", initial=c_eps(1, 1, eps))
-        assert [e.record.key for e in events] == [4]
+        assert [e.record.f for e in events] == [4]
 
     def test_counters_and_buckets(self):
         records = quad_stream(200, Epsilon(1, 50))
@@ -129,16 +112,16 @@ class TestBucketSpec:
 
 
 def shard_stream(
-    records: list[ScanRecord], edges: list[int], mode: str = MAXIMA
+    records: list[FieldRecord], edges: list[int], mode: str = MAXIMA
 ) -> list[ShardResult]:
-    lo = records[0].key
-    hi = records[-1].key
+    lo = records[0].f
+    hi = records[-1].f
     cuts = sorted({e for e in edges if lo - 1 < e < hi})
     bounds = [lo - 1] + cuts + [hi]
     shards = []
     for i in range(len(bounds) - 1):
         s_lo, s_hi = bounds[i] + 1, bounds[i + 1]
-        part = [r for r in records if s_lo <= r.key <= s_hi]
+        part = [r for r in records if s_lo <= r.f <= s_hi]
         events, total = scan_collect(iter(part), mode)
         shards.append(ShardResult(lo=s_lo, hi=s_hi, events=tuple(events), total_records=total))
     return shards
@@ -162,12 +145,8 @@ class TestMergeShards:
 
     def test_dominated_shard_contributes_nothing(self):
         eps = EPS_ZERO
-        mk = lambda k, h: ScanRecord(
-            key=k,
-            payload=FieldRecord(
-                f=k, d_signed=-k, signature=IMAGINARY, n_ramified=1, H=h, h=h
-            ),
-            value=c_eps(h, 1, eps),
+        mk = lambda k, h: FieldRecord(
+            f=k, d_signed=-k, n_ramified=1, value=c_eps(h, 1, eps), H=h, h=h
         )
         first = [mk(1, 100), mk(2, 150)]
         second = [mk(10, 5), mk(11, 7)]
@@ -179,7 +158,7 @@ class TestMergeShards:
                 ShardResult(10, 20, tuple(ev2), t2),
             ]
         )
-        assert [e.record.key for e in merged] == [1, 2]
+        assert [e.record.f for e in merged] == [1, 2]
 
     def test_random_streams_equivalence(self):
         rng = random.Random(99)
@@ -187,7 +166,7 @@ class TestMergeShards:
         for trial in range(40):
             records = synthetic_stream(rng, rng.randint(1, 300), eps)
             n_cuts = rng.randint(1, 7)
-            keys = [r.key for r in records]
+            keys = [r.f for r in records]
             edges = sorted(rng.sample(range(keys[0], keys[-1] + 1), min(n_cuts, len(keys))))
             one = c_eps(1, 1, eps)
             for mode, initial in ((MAXIMA, None), (MAXIMA, one), (MINIMA, one)):
@@ -195,7 +174,7 @@ class TestMergeShards:
                 shards = shard_stream(records, edges, mode)
                 merged, merged_total = merge_shards(shards, mode, BucketSpec(3), initial)
                 assert merged_total == total
-                assert [e.record.key for e in merged] == [e.record.key for e in direct]
+                assert [e.record.f for e in merged] == [e.record.f for e in direct]
                 assert [e.nd for e in merged] == [e.nd for e in direct]
                 assert [e.buckets for e in merged] == [e.buckets for e in direct]
 
@@ -211,7 +190,7 @@ class TestMergeShards:
         direct, total = scan_collect(iter(records), mode="minima")
         shards = []
         for s_lo, s_hi in ((1, 150), (151, 320), (321, 500)):
-            part = [r for r in records if s_lo <= r.key <= s_hi]
+            part = [r for r in records if s_lo <= r.f <= s_hi]
             ev, t = scan_collect(iter(part), mode="minima")
             shards.append(ShardResult(s_lo, s_hi, tuple(ev), t))
         merged, merged_total = merge_shards(shards, mode="minima")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -342,8 +343,8 @@ class TestRecords:
     def test_metric_values(self):
         triples = [(3, 1, 1), (15, 2, 2)]
         recs = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.NONGENUS)
-        assert recs[0].payload.d_signed == -3
-        assert recs[1].payload.h == 1
+        assert recs[0].d_signed == -3
+        assert recs[1].h == 1
         full = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.FULL)
         assert full[1].value.h_num == 2
         raw = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.RAW_H)
@@ -367,16 +368,14 @@ class TestScaling:
         events, _ = scan_collect(iter(base))
         for scale in (Fraction(7), Fraction(1, 3), Fraction(355, 113)):
             scaled = [
-                rec.__class__(
-                    key=rec.key,
-                    payload=rec.payload,
-                    value=c_eps(Fraction(rec.value.h_num) * scale, rec.value.disc, eps),
+                dataclasses.replace(
+                    rec, value=c_eps(Fraction(rec.value.h_num) * scale, rec.value.disc, eps)
                 )
                 for rec in base
             ]
             scaled_events, _ = scan_collect(iter(scaled))
-            assert [e.record.key for e in scaled_events] == [
-                e.record.key for e in events
+            assert [e.record.f for e in scaled_events] == [
+                e.record.f for e in events
             ]
 
     def test_argmax_invariance_random_streams(self):
@@ -392,16 +391,14 @@ class TestScaling:
             base_events, _ = scan_collect(iter(recs))
             scale = Fraction(rng.randint(1, 40), rng.randint(1, 40))
             scaled = [
-                r.__class__(
-                    key=r.key,
-                    payload=r.payload,
-                    value=c_eps(Fraction(r.value.h_num) * scale, r.value.disc, eps),
+                dataclasses.replace(
+                    r, value=c_eps(Fraction(r.value.h_num) * scale, r.value.disc, eps)
                 )
                 for r in recs
             ]
             scaled_events, _ = scan_collect(iter(scaled))
-            assert [e.record.key for e in scaled_events] == [
-                e.record.key for e in base_events
+            assert [e.record.f for e in scaled_events] == [
+                e.record.f for e in base_events
             ]
 
 
@@ -417,9 +414,9 @@ class TestEpsOneListing:
         stream = sweep.QuadStream(triples, IMAGINARY, config.metric_kind, config.mode)
         [(_, events, _)] = cli.scan_stream(stream, config)
         gold = [r for r in data_rows("imag_eps_1_nongenus_listed.csv") if int(r["D"]) <= 1_000_000]
-        assert [e.record.key for e in events] == [int(r["D"]) for r in gold]
+        assert [e.record.f for e in events] == [int(r["D"]) for r in gold]
         for ev, r in zip(events, gold):
-            assert ev.record.payload.H == int(r["H"])
+            assert ev.record.H == int(r["H"])
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
 
 
@@ -427,16 +424,16 @@ class TestGenusFamily:
     def test_first_rows(self):
         rows, exceeded = sweep.genus_family_rows([2, 3, 5, 7, 11], Epsilon(1, 20))
         assert not exceeded
-        assert [r["H"] for r in rows] == [1, 2, 4, 8, 32]
-        assert [r["D"] for r in rows] == [-8, -24, -120, -840, -9240]
+        assert [r.H for r in rows] == [1, 2, 4, 8, 32]
+        assert [r.d_signed for r in rows] == [-8, -24, -120, -840, -9240]
 
     def test_single_prime(self):
         rows, _ = sweep.genus_family_rows([3], Epsilon(1, 20))
-        assert rows[0]["D"] == -3 and rows[0]["H"] == 1
+        assert rows[0].d_signed == -3 and rows[0].H == 1
 
     def test_odd_family_row(self):
         rows, _ = sweep.genus_family_rows([3, 5, 7], Epsilon(1, 20))
-        assert rows[-1]["D"] == -420 and rows[-1]["H"] == 8
+        assert rows[-1].d_signed == -420 and rows[-1].H == 8
 
     def test_genus_number_must_divide_h(self, monkeypatch):
         # H = 3 at D = -15 (N = 2) is not divisible by the genus number 2
@@ -580,7 +577,7 @@ MODES = ("maxima", "minima")
 
 def summary(events):
     return [
-        (e.record.key, e.nd, e.buckets, format_value(e.record.value.approx)) for e in events
+        (e.record.f, e.nd, e.buckets, format_value(e.record.value.approx)) for e in events
     ]
 
 
@@ -671,7 +668,7 @@ class TestPrefilterEquivalence:
         shards = (1, 3) if eps == Epsilon(1, 50) else (1,)
         assert_equivalent(imag_200k, IMAGINARY, eps, sweep.NONGENUS, shards, imag_200k_want)
 
-    @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H])
+    @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H], ids=["raw_H", "raw_h"])
     def test_real_raw_ties(self, real_30k, metric):
         assert_equivalent(real_30k, REAL, EPS_ZERO, metric, shards=(1, 2))
 
@@ -679,7 +676,9 @@ class TestPrefilterEquivalence:
         eps_list = [Epsilon.of(Fraction(e)) for e in ("0", "1/50", "1/20", "1", "5/4", "19/10")]
         assert_equivalent(imag_200k, IMAGINARY, eps_list, sweep.NONGENUS, want=imag_200k_want)
 
-    @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H, sweep.FULL])
+    @pytest.mark.parametrize(
+        "metric", [sweep.RAW_H, sweep.RAW_SMALL_H, sweep.FULL], ids=["raw_H", "raw_h", "full"]
+    )
     def test_real_eps_list(self, real_30k, metric):
         eps_list = [Epsilon.of(Fraction(e)) for e in ("0", "1/20", "1/2", "1")]
         assert_equivalent(real_30k, REAL, eps_list, metric)
@@ -772,7 +771,7 @@ class TestSupportAudit:
         stream = sweep.QuadStream(imag_triples, IMAGINARY, sweep.NONGENUS, mode)
         self.audit(stream, lambda d: classnum.class_number_imaginary(-d))
 
-    @pytest.mark.parametrize("metric", [sweep.NONGENUS, sweep.RAW_H])
+    @pytest.mark.parametrize("metric", [sweep.NONGENUS, sweep.RAW_H], ids=["nongenus", "raw_H"])
     def test_real(self, real_triples, metric):
         stream = sweep.QuadStream(real_triples, REAL, metric, "maxima")
         self.audit(stream, classnum.narrow_class_number_real)
