@@ -10,7 +10,7 @@ from .classnum import (
     reduced_indefinite_forms,
     rho_step,
 )
-from .cubic import CubicField, class_number_cubic, enumerate_cubic_fields, family_members
+from .cubic import CubicField, enumerate_cubic_fields, family_members
 from .discriminants import QuadDiscriminant, is_cyclic_conductor, is_fundamental, iter_fundamental
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import BucketSpec, FieldRecord, MaximaEvent, merge_shards, scan
@@ -29,7 +29,6 @@ __all__ = [
     "QuadDiscriminant",
     "QuadraticForm",
     "c_eps",
-    "class_number_cubic",
     "class_number_imaginary",
     "class_number_imaginary_oracle",
     "compare",

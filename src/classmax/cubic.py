@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from importlib import resources
+from itertools import combinations
 from typing import Iterator, Protocol
 
 from . import arith
-from .discriminants import is_cyclic_conductor
+from .discriminants import conductor_parts, is_cyclic_conductor
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import FieldRecord
 from .metric import FULL, NONGENUS, PER_FIELD_MAX, Epsilon, c_eps, compare
@@ -36,14 +37,14 @@ class ClassNumberUnavailable(Exception):
 
 @dataclass(frozen=True)
 class CubicField:
-    """One cyclic cubic field of conductor f, from the representation
-    4f = a^2 + 27 b^2 with the sign of a normalized."""
+    """One cyclic cubic field of conductor f, in which N = n_ramified primes
+    ramify, from 4f = a^2 + 27 b^2 with the sign of a normalized."""
 
     f: int
     a: int
     b: int
     coeffs: tuple[int, int, int]  # monic x^3 + c2 x^2 + c1 x + c0
-    e3: int
+    n_ramified: int
 
     def __str__(self) -> str:
         c2, c1, c0 = self.coeffs
@@ -73,23 +74,29 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 
 def enumerate_cubic_fields(f: int) -> list[CubicField]:
-    """All cyclic cubic fields of conductor exactly f, in ascending-b order.
+    """All cyclic cubic fields of conductor exactly f, in ascending-b order."""
+    parts = conductor_parts(3, f)
+    if not parts:
+        raise ValueError(f"{f} is not a cyclic cubic conductor")
+    return _fields(f, len(parts))
+
+
+def _fields(f: int, n_ramified: int) -> list[CubicField]:
+    """enumerate_cubic_fields for a conductor f of n_ramified parts.
 
     Sweeps b with 27 b^2 <= 4f, keeps 4f - 27 b^2 = a^2, and normalizes a:
     for 3 not dividing f, a = -a when a = 1 mod 3; for 9 | f, a = -a when
     a = 3 mod 9, and b divisible by 3 is skipped.
     """
-    if not is_cyclic_conductor(3, f):
-        raise ValueError(f"{f} is not a cyclic cubic conductor")
-    e3 = 2 if f % 9 == 0 else 0
+    wild = f % 9 == 0
     fields: list[CubicField] = []
     b = 1
     while 27 * b * b <= 4 * f:
-        if not (e3 == 2 and b % 3 == 0):
+        if not (wild and b % 3 == 0):
             a2 = 4 * f - 27 * b * b
             a, exact = arith.isqrt_exact(a2)
             if exact and a > 0:
-                if e3 == 0:
+                if not wild:
                     if a % 3 == 1:
                         a = -a
                     c1 = _exact_div(1 - f, 3, "linear coefficient")
@@ -101,32 +108,30 @@ def enumerate_cubic_fields(f: int) -> list[CubicField]:
                     c1 = _exact_div(-f, 3, "linear coefficient")
                     c0 = _exact_div(-f * a, 27, "constant coefficient")
                     coeffs = (0, c1, c0)
-                fields.append(CubicField(f=f, a=a, b=b, coeffs=coeffs, e3=e3))
+                fields.append(CubicField(f=f, a=a, b=b, coeffs=coeffs, n_ramified=n_ramified))
         b += 1
     return fields
 
 
-def conductor_divisors(f: int) -> list[int]:
-    """Valid cyclic cubic conductors dividing f, ascending."""
-    return [
-        d
-        for d in arith.factorize(f).divisors()
-        if d > 1 and is_cyclic_conductor(3, d)
-    ]
-
-
 def family_members(f: int, scope: str) -> list[CubicField]:
-    """Fields of conductor exactly f, or of every conductor dividing f."""
+    """Fields of conductor exactly f, or of every conductor dividing f, from
+    one factorization: those conductors are the products of the nonempty sets
+    of f's parts, ascending, and N of each is the size of its set."""
+    parts = conductor_parts(3, f)
+    if not parts:
+        raise ValueError(f"{f} is not a cyclic cubic conductor")
+    n = len(parts)
     if scope == EXACT_CONDUCTOR:
-        members = enumerate_cubic_fields(f)
-        expected = 1 << (arith.omega(f) - 1)
+        conductors = [(f, n)]
+        expected = 1 << (n - 1)
     elif scope == DIVISORS:
-        members = [
-            field for fp in conductor_divisors(f) for field in enumerate_cubic_fields(fp)
-        ]
-        expected = (3 ** arith.omega(f) - 1) // 2
+        conductors = sorted(
+            (math.prod(subset), k) for k in range(1, n + 1) for subset in combinations(parts, k)
+        )
+        expected = (3**n - 1) // 2
     else:
         raise ValueError(f"unknown scope {scope!r}")
+    members = [field for d, k in conductors for field in _fields(d, k)]
     if len(members) != expected:
         raise ArithmeticError(
             f"conductor {f}: found {len(members)} fields, expected {expected}"
@@ -146,8 +151,8 @@ class ClassNumberSource(Protocol):
 class FixtureStore:
     """Class numbers keyed by defining polynomial, from CUBIC,<f>,<c2>,<c1>,<c0>,<H>
     text lines ('#' starts a comment), plus the set of conductors f the lines
-    name.  Every line's polynomial must define a field of its conductor f, so
-    a family of conductor f can be covered only if f is in `conductors`."""
+    name.  Every line's polynomial must define a field of its conductor f, and
+    hold one H, so a family of f can be covered only if f is in `conductors`."""
 
     def __init__(self) -> None:
         self._by_coeffs: dict[tuple[int, int, int], int] = {}
@@ -180,19 +185,27 @@ class FixtureStore:
             f, c2, c1, c0, big_h = (int(x) for x in parts[1:])
             if big_h < 1:
                 raise ValueError(f"bad class number on fixture line {lineno}")
-            if not is_cyclic_conductor(3, f):
-                raise ValueError(f"fixture line {lineno}: {f} is not a conductor")
+            try:
+                fields = enumerate_cubic_fields(f)
+            except ValueError:
+                raise ValueError(f"fixture line {lineno}: {f} is not a conductor") from None
             coeffs = (c2, c1, c0)
-            if coeffs not in [field.coeffs for field in enumerate_cubic_fields(f)]:
+            if coeffs not in [field.coeffs for field in fields]:
                 raise ValueError(
                     f"fixture line {lineno}: {coeffs} does not define a field of conductor {f}"
                 )
-            self._by_coeffs[coeffs] = big_h
+            self._put(coeffs, big_h, f"fixture line {lineno}: ")
             self.conductors.add(f)
 
     def merge(self, other: "FixtureStore") -> None:
-        self._by_coeffs.update(other._by_coeffs)
+        for coeffs, big_h in other._by_coeffs.items():
+            self._put(coeffs, big_h, "fixtures: ")
         self.conductors |= other.conductors
+
+    def _put(self, coeffs: tuple[int, int, int], big_h: int, where: str) -> None:
+        held = self._by_coeffs.setdefault(coeffs, big_h)
+        if held != big_h:
+            raise ValueError(f"{where}conflicting class numbers {held} and {big_h} for {coeffs}")
 
     def __len__(self) -> int:
         return len(self._by_coeffs)
@@ -225,14 +238,6 @@ class ChainSource:
         return None
 
 
-def class_number_cubic(field: CubicField, source: ClassNumberSource) -> int:
-    """Ordinary class number of the field, from fixtures or the backend."""
-    value = source.get(field)
-    if value is None:
-        raise ClassNumberUnavailable(field)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # family records
 # ---------------------------------------------------------------------------
@@ -241,24 +246,22 @@ def class_number_cubic(field: CubicField, source: ClassNumberSource) -> int:
 def family_class_numbers(
     f: int, scope: str, source: ClassNumberSource
 ) -> list[tuple[CubicField, int, int]]:
-    """(field, H, h) per member of the family, with h = H / 3^(N-1); the
-    part of a family record that does not depend on eps.  The genus number
-    is computed once per member conductor (every member's, in exact scope,
-    is f)."""
-    genus: dict[int, int] = {}
+    """(field, H, h) per member of the family, with h = H / 3^(N-1) for the
+    member's N; the part of a family record that does not depend on eps."""
     rows = []
     for member in family_members(f, scope):
-        big_h = class_number_cubic(member, source)
-        if member.f not in genus:
-            genus[member.f] = genus_number_cyclic(3, arith.omega(member.f))
-        rows.append((member, big_h, nongenus_part(big_h, genus[member.f])))
+        big_h = source.get(member)
+        if big_h is None:
+            raise ClassNumberUnavailable(member)
+        genus = genus_number_cyclic(3, member.n_ramified)
+        rows.append((member, big_h, nongenus_part(big_h, genus)))
     return rows
 
 
 def family_scan_record(
-    f: int, n_f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
+    f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
 ) -> FieldRecord:
-    """One conductor's entry for the maxima engine, from N and its members.
+    """One conductor's entry for the maxima engine; N is its last member's (f's).
 
     nongenus / full take the geometric mean of h / sqrt(D)^eps resp.
     H / sqrt(D)^eps over the members, one c_eps of their products;
@@ -282,7 +285,7 @@ def family_scan_record(
     return FieldRecord(
         f=f,
         d_signed=None,
-        n_ramified=n_f,
+        n_ramified=members[-1][0].n_ramified,
         value=value,
         n_fields=n_k,
         H=big_h,
@@ -294,18 +297,17 @@ def family_scan_record(
 
 
 def iter_conductors(lo: int, hi: int) -> Iterator[int]:
-    """Valid cyclic cubic conductors in [lo, hi], ascending."""
+    """Valid cyclic cubic conductors in [lo, hi], ascending.  Only f = 1 (mod 3)
+    or 9 (mod 27), the residues of such products, are factorized."""
     for f in range(max(lo, 7), hi + 1):
-        if f % 9 in (3, 6) or f % 27 == 0:
-            continue
-        if is_cyclic_conductor(3, f):
+        if (f % 3 == 1 or f % 27 == 9) and is_cyclic_conductor(3, f):
             yield f
 
 
 class FamilyStream:
     """The cyclic cubic families of conductors in [lo, hi] under one scope
-    and metric, each kept as (f, N, members), its members' class numbers
-    read once; records(eps) builds every family's record at eps, so a scan
+    and metric, each kept as (f, members), its members' class numbers read
+    once; records(eps) builds every family's record at eps, so a scan
     reads the source once whatever the number of eps.
 
     With skip_uncovered, the source must be a FixtureStore and only its
@@ -335,7 +337,7 @@ class FamilyStream:
         self.families = []
         for f in conductors:
             try:
-                self.families.append((f, arith.omega(f), family_class_numbers(f, scope, source)))
+                self.families.append((f, family_class_numbers(f, scope, source)))
             except ClassNumberUnavailable:
                 if not skip_uncovered:
                     raise

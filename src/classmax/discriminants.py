@@ -71,25 +71,26 @@ def iter_fundamental(signature: str, lo: int, hi: int) -> Iterator[QuadDiscrimin
             )
 
 
-def is_cyclic_conductor(p: int, f: int) -> bool:
-    """True iff f is the conductor of some degree-p cyclic field (p odd prime).
-
-    Requires f = p^(2*delta) * q_1...q_n with delta in {0, 1}, the q_i distinct
-    primes congruent to 1 mod p, and at least one ramified prime.
-    """
+def conductor_parts(p: int, f: int) -> tuple[int, ...]:
+    """f's parts as the conductor of a degree-p cyclic field (p odd prime), from
+    one factorization: p^2 when p | f, then each prime q = 1 mod p dividing f,
+    ascending.  () unless f = p^(2*delta) * q_1...q_n with delta in {0, 1},
+    the q_i distinct primes = 1 mod p, and at least one ramified prime."""
     if p < 3 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
     if f < 1:
         raise ValueError("f must be >= 1")
-    if f == 1:
-        return False
-    ep = arith.valuation(f, p)
-    if ep not in (0, 2):
-        return False
-    ff = f // p**ep
-    if ff == 1:
-        return True
-    fac = arith.factorize(ff)
-    if any(e != 1 for _, e in fac.factors):
-        return False
-    return all(q % p == 1 for q, _ in fac.factors)
+    parts = []
+    for q, e in arith.factorize(f).factors:
+        if (q, e) == (p, 2):
+            parts.append(p * p)
+        elif q % p == 1 and e == 1:
+            parts.append(q)
+        else:
+            return ()
+    return tuple(parts)
+
+
+def is_cyclic_conductor(p: int, f: int) -> bool:
+    """True iff f is the conductor of some degree-p cyclic field (p odd prime)."""
+    return bool(conductor_parts(p, f))

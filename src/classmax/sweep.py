@@ -22,7 +22,6 @@ import numpy as np
 
 from . import arith, classnum
 from .discriminants import IMAGINARY, REAL
-from .genus import genus_number_cyclic, nongenus_part
 from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, scan
 from .metric import EPS_ZERO, FULL, NONGENUS, RAW_H, RAW_SMALL_H, Epsilon, c_eps
 
@@ -655,11 +654,8 @@ def genus_family_rows(
         if budget_seconds is not None and time.monotonic() - started > budget_seconds:
             return rows, True
         d = attached_imaginary_discriminant(m)
-        big_h = classnum.class_number_imaginary(d)
-        n = arith.omega(-d)
-        small_h = nongenus_part(big_h, genus_number_cyclic(2, n))
-        value = c_eps(small_h, -d, eps)
-        rows.append(FieldRecord(f=-d, d_signed=d, n_ramified=n, value=value, H=big_h, h=small_h))
+        row = (-d, arith.omega(-d), classnum.class_number_imaginary(d))
+        rows.extend(quad_records([row], IMAGINARY, eps, NONGENUS))
     return rows, False
 
 

@@ -344,6 +344,33 @@ class TestScanConfigErrors:
         assert rc == cli.EXIT_CONFIG and out == ""
         assert capsys.readouterr().err.startswith("config error: fixture line 1: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["CUBIC,7,1,-2,-1,5\n", "CUBIC,163,1,-54,-169,4\nCUBIC,163,1,-54,-169,8\n"],
+        ids=["against-bundled", "within-file"],
+    )
+    def test_conflicting_fixture_class_numbers(self, tmp_path, capsys, text):
+        """A polynomial given two different class numbers, by the bundled
+        table and a --fixtures file or twice in one file, is a config error."""
+        extra = tmp_path / "extra.txt"
+        extra.write_text(text)
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "200", "--eps", "1/100", "--fixtures-only",
+             "--fixtures", str(extra)]
+        )
+        assert rc == cli.EXIT_CONFIG and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "conflicting class numbers" in err
+        assert err.count("\n") == 1
+
+    def test_repeated_equal_fixture_line(self, tmp_path):
+        extra = tmp_path / "extra.txt"
+        extra.write_text("CUBIC,7,1,-2,-1,1\nCUBIC,7,1,-2,-1,1\n")
+        argv = ["scan", "--family", "cubic", "--max", "200", "--eps", "1/100", "--fixtures-only"]
+        rc, out = run_cli([*argv, "--fixtures", str(extra)])
+        assert rc == 0 and "f=7 P=x^3+x^2-2*x-1 H=1 h=1 N=1" in out
+        assert (rc, out) == run_cli(argv)
+
     def test_uncovered_cubic_conductor(self, capsys):
         """Without --fixtures-only or a backend, the first conductor the
         bundled fixtures miss is a config error, not a traceback."""

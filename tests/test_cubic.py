@@ -7,14 +7,13 @@ from classmax.cubic import (
     EXACT_CONDUCTOR,
     FamilyStream,
     FixtureStore,
-    class_number_cubic,
-    conductor_divisors,
     enumerate_cubic_fields,
     family_class_numbers,
     family_members,
     family_scan_record,
     iter_conductors,
 )
+from classmax.discriminants import is_cyclic_conductor
 from classmax.maxima import BucketSpec, scan_collect
 from classmax.metric import Epsilon, rel_err, root_mean
 
@@ -28,6 +27,34 @@ def poly_disc(c2: int, c1: int, c0: int) -> int:
         - 4 * c1**3
         - 27 * c0**2
     )
+
+
+def reference_divisor_conductors(f: int) -> list[int]:
+    """The cyclic cubic conductors d > 1 dividing f, ascending, each checked
+    on its own."""
+    return [d for d in arith.factorize(f).divisors() if d > 1 and is_cyclic_conductor(3, d)]
+
+
+class CountingFactorize:
+    """Counts the calls of arith.factorize while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = arith.factorize
+
+        def counted(n):
+            self.calls += 1
+            return inner(n)
+
+        monkeypatch.setattr(arith, "factorize", counted)
+
+
+class StubSource:
+    """Made-up class numbers H = 3^(N-1) * (1 + (7a + 13b) mod 5) for every
+    field; reads no factorization of its own."""
+
+    def get(self, field):
+        return 3 ** (field.n_ramified - 1) * (1 + (7 * field.a + 13 * field.b) % 5)
 
 
 def extra_store(bundled: FixtureStore) -> FixtureStore:
@@ -79,7 +106,7 @@ class TestEnumeration:
         for f in list(iter_conductors(7, 4000)):
             for field in enumerate_cubic_fields(f):
                 assert field.a * field.a + 27 * field.b * field.b == 4 * f
-                if field.e3 == 0:
+                if field.f % 9:
                     assert field.a % 3 == 2
                 else:
                     assert field.a % 9 != 3
@@ -106,9 +133,36 @@ class TestEnumeration:
 
 class TestFamilies:
     def test_divisor_conductors(self):
-        assert conductor_divisors(63) == [7, 9, 63]
-        assert conductor_divisors(91) == [7, 13, 91]
-        assert conductor_divisors(7) == [7]
+        for f, want in ((63, [7, 9, 63]), (91, [7, 13, 91]), (7, [7])):
+            assert reference_divisor_conductors(f) == want
+            assert list(dict.fromkeys(m.f for m in family_members(f, DIVISORS))) == want
+
+    def test_divisor_members_match_reference(self):
+        """The members built from f's parts are the fields of the conductors
+        d | f found one by one, in the same order, each with N = omega(d)."""
+        for f in iter_conductors(7, 20_000):
+            members = family_members(f, DIVISORS)
+            want = [
+                field for d in reference_divisor_conductors(f) for field in enumerate_cubic_fields(d)
+            ]
+            assert members == want, f
+            assert all(m.n_ramified == arith.omega(m.f) for m in members), f
+
+    def test_one_factorization_per_fixture_conductor(self, monkeypatch, bundled_fixtures):
+        for scope in (EXACT_CONDUCTOR, DIVISORS):
+            counter = CountingFactorize(monkeypatch)
+            FamilyStream(1, 7_000_000, scope, "nongenus", bundled_fixtures, True)
+            walked = [f for f in bundled_fixtures.conductors if f <= 7_000_000]
+            assert counter.calls == len(walked), scope
+
+    def test_factorizations_of_a_walk_over_every_conductor(self, monkeypatch):
+        """iter_conductors factorizes only f = 1 (mod 3) and f = 9 (mod 27),
+        once each, and each family's members come from one more."""
+        candidates = sum(1 for f in range(7, 20_001) if f % 3 == 1 or f % 27 == 9)
+        for scope in (EXACT_CONDUCTOR, DIVISORS):
+            counter = CountingFactorize(monkeypatch)
+            stream = FamilyStream(1, 20_000, scope, "nongenus", StubSource(), False)
+            assert counter.calls == candidates + len(stream), scope
 
     def test_family_sizes(self):
         assert len(family_members(165889, EXACT_CONDUCTOR)) == 2
@@ -126,16 +180,15 @@ class TestFixtureStore:
         assert len(bundled_fixtures) == 31
 
     def test_lookups(self, bundled_fixtures):
-        assert class_number_cubic(enumerate_cubic_fields(7)[0], bundled_fixtures) == 1
-        assert class_number_cubic(enumerate_cubic_fields(163)[0], bundled_fixtures) == 4
+        assert bundled_fixtures.get(enumerate_cubic_fields(7)[0]) == 1
+        assert bundled_fixtures.get(enumerate_cubic_fields(163)[0]) == 4
         f1, f2 = enumerate_cubic_fields(165889)
-        assert class_number_cubic(f1, bundled_fixtures) == 3
-        assert class_number_cubic(f2, bundled_fixtures) == 2352
+        assert bundled_fixtures.get(f1) == 3
+        assert bundled_fixtures.get(f2) == 2352
 
     def test_missing_raises_with_polynomial(self, bundled_fixtures):
-        field = enumerate_cubic_fields(331)[0]
         with pytest.raises(ClassNumberUnavailable) as err:
-            class_number_cubic(field, bundled_fixtures)
+            family_class_numbers(331, EXACT_CONDUCTOR, bundled_fixtures)
         assert "331" in str(err.value)
 
     def test_rejects_malformed_lines(self):
@@ -144,8 +197,20 @@ class TestFixtureStore:
             store.load_text("CUBIC,7,1,-2\n")
         with pytest.raises(ValueError):
             store.load_text("QUARTIC,7,1,-2,-1,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fixture line 1: 21 is not a conductor$"):
             store.load_text("CUBIC,21,1,-2,-1,1\n")  # invalid conductor
+        with pytest.raises(ValueError, match="^fixture line 1: 0 is not a conductor$"):
+            store.load_text("CUBIC,0,1,-2,-1,1\n")
+
+    def test_conflicting_class_numbers_rejected(self, bundled_fixtures):
+        store = FixtureStore()
+        store.load_text("CUBIC,7,1,-2,-1,1\nCUBIC,7,1,-2,-1,1\n")  # a repeat is fine
+        with pytest.raises(ValueError, match="^fixture line 2: conflicting"):
+            store.load_text("CUBIC,163,1,-54,-169,4\nCUBIC,163,1,-54,-169,8\n")
+        other = FixtureStore()
+        other.load_text("CUBIC,7,1,-2,-1,5\n")
+        with pytest.raises(ValueError, match="conflicting class numbers"):
+            other.merge(bundled_fixtures)
 
     def test_rejects_polynomial_of_another_conductor(self):
         store = FixtureStore()
@@ -168,12 +233,12 @@ class TestFixtureStore:
 class TestFamilyRecords:
     def test_f7_nongenus_mean(self, bundled_fixtures):
         members = family_class_numbers(7, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(7, 1, members, Epsilon(1, 100), "nongenus")
+        rec = family_scan_record(7, members, Epsilon(1, 100), "nongenus")
         assert rel_err(rec.value.approx, "0.9807290047229") < 1e-10
 
     def test_f63_divisors_mean_h(self, bundled_fixtures):
         members = family_class_numbers(63, DIVISORS, bundled_fixtures)
-        rec = family_scan_record(63, 2, members, Epsilon(1, 50), "full")
+        rec = family_scan_record(63, members, Epsilon(1, 50), "full")
         assert rec.n_fields == 4
         assert rec.H_prod == 9
         assert rel_err(root_mean(rec.H_prod, rec.n_fields), "1.7320508075688772936") < 1e-12
@@ -181,13 +246,13 @@ class TestFamilyRecords:
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
         members = family_class_numbers(163, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(163, 1, members, Epsilon(1, 100), "nongenus")
+        rec = family_scan_record(163, members, Epsilon(1, 100), "nongenus")
         assert rec.h == 4
         assert rec.poly == "x^3+x^2-54*x-169"
 
     def test_per_field_max_picks_max(self, bundled_fixtures):
         members = family_class_numbers(165889, EXACT_CONDUCTOR, bundled_fixtures)
-        rec = family_scan_record(165889, 2, members, Epsilon(1, 10), "per-field-max")
+        rec = family_scan_record(165889, members, Epsilon(1, 10), "per-field-max")
         assert rec.H == 2352
         assert rec.h == 784
         assert rel_err(rec.value.approx, "235.6862811297153681") < 1e-12
@@ -230,7 +295,7 @@ class TestFixtureStreams:
                     members = family_class_numbers(f, scope, bundled_fixtures)
                 except ClassNumberUnavailable:
                     continue
-                want.append(family_scan_record(f, arith.omega(f), members, eps, metric))
+                want.append(family_scan_record(f, members, eps, metric))
             got = FamilyStream(1, 20_000, scope, metric, bundled_fixtures, True).records(eps)[1]
             assert got == want and want
             window = FamilyStream(63, 1489, scope, metric, bundled_fixtures, True).records(eps)[1]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from classmax import arith, discriminants
@@ -5,6 +7,7 @@ from classmax.discriminants import (
     QuadDiscriminant,
     IMAGINARY,
     REAL,
+    conductor_parts,
     is_cyclic_conductor,
     is_fundamental,
     iter_fundamental,
@@ -133,6 +136,9 @@ class TestCyclicConductor:
         assert is_cyclic_conductor(3, 7)
         assert not is_cyclic_conductor(3, 21)
         assert is_cyclic_conductor(3, 9)
+        assert conductor_parts(3, 63) == (9, 7)
+        assert conductor_parts(3, 819) == (9, 7, 13)
+        assert conductor_parts(3, 21) == ()
 
     def test_rejects_trivial_and_wild(self):
         assert not is_cyclic_conductor(3, 1)
@@ -143,6 +149,9 @@ class TestCyclicConductor:
     def test_matches_filter_chain(self):
         for f in range(1, 100_000 + 1):
             assert is_cyclic_conductor(3, f) == cubic_chain_accepts(f), f
+            parts = conductor_parts(3, f)
+            if parts:
+                assert math.prod(parts) == f and len(parts) == arith.omega(f), f
 
     def test_requires_odd_prime(self):
         with pytest.raises(ValueError):
