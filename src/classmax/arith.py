@@ -1,8 +1,10 @@
 """Integer utilities: factorization, multiplicative functions, quadratic symbols.
 
 Everything here is exact and deterministic.  Inputs are expected to stay
-within the signed 64-bit range; the factorizer certifies primality of every
-reported factor, so a wrong answer is never returned silently.
+within the signed 64-bit range.  Every factor the factorizer reports is
+proved prime, either by trial division (a cofactor m with no prime factor
+up to sqrt(m)) or by the deterministic Miller-Rabin test, so a wrong
+answer is never returned silently.
 """
 
 from __future__ import annotations
@@ -132,7 +134,8 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization of n >= 1 (trial division, then rho + certification)."""
+    """Prime factorization of n >= 1: trial division by the primes below
+    2^16, then Miller-Rabin and rho on a cofactor that it left unproved."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n == 1:
@@ -141,10 +144,13 @@ def factorize(n: int) -> Factorization:
     m = n
     for p in _get_small_primes():
         if p * p > m:
-            break
+            if m > 1:  # no prime up to sqrt(m) divides m, so it is prime
+                facs[m] = 1
+            return Factorization(n, tuple(sorted(facs.items())))
         while m % p == 0:
             facs[p] = facs.get(p, 0) + 1
             m //= p
+    # every prime factor of m exceeds 2^16, and m may still be composite
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

@@ -76,31 +76,66 @@ def fundamental_mask(limit: int, signature: str) -> np.ndarray:
     return mask
 
 
-def imag_class_table(limit: int, first: int = 1, stride: int = 1) -> np.ndarray:
-    """H(-D) for all fundamental 3 <= D <= limit, by a form-count sieve.
+# Shortest line of imag_class_table's broadcast add: a pattern of period a
+# below this is tiled up to the first multiple of a at least this long.
+PATTERN_ROW = 1024
 
-    Counts reduced positive-definite forms (0 <= b <= a <= c with weight 2,
-    minus the b = 0, b = a and a = c boundary overcounts) for every D at
-    once; entries at non-fundamental indices are unnormalized raw counts and
-    must not be read.  Only the forms with a = first, first + stride, ...
-    are counted, so the tables of the residues of a mod stride sum to the
-    full table.
+
+def imag_class_table(limit: int, first: int = 1, stride: int = 1) -> np.ndarray:
+    """H(-D) for all fundamental 3 <= D <= limit, by a form-count sieve, as a
+    (2, limit // 4 + 1) int32 array with H(-D) at [D & 1, D >> 2].
+
+    Row 0 is the class D = 4m at index m, row 1 the class D = 4i + 3 at
+    index i; they hold every imaginary fundamental D.  Entries at other
+    indices are raw form counts and must not be read.  Only the forms with
+    a = first, first + stride, ... are counted, so the tables of the
+    residues of a mod stride sum to the full table.
+
+    Counts the reduced positive-definite forms (a, b, c), 0 <= b <= a <= c,
+    with weight 2, or 1 if b = 0, b = a or a = c.  For fixed a, the forms
+    with c = a + k have D = 4a^2 - b^2 + 4ak, at index a^2 - q_b + ak of
+    class b mod 2, with q_b = ceil(b^2 / 4).
+    - From index a^2 on (D >= 4a^2) every b is present, so each class holds
+      one weight pattern of period a there.  It is added as one broadcast
+      over a view of lines of L entries, L the first multiple of a from
+      PATTERN_ROW on, and one slice for the tail.
+    - Below a^2, laid out as rows of a ending at a^2, b's forms fill its
+      column from the row of a^2 - q_b down.  So the boundary region is the
+      running sum over rows of one mark per b, at most ceil(a / 4) rows
+      (q_a <= a ceil(a / 4)); its next row, where b = 0 starts too, is the
+      pattern.  The first form of each 0 < b < a, (a, b, a), then loses 1.
+    Each temporary of one a (the grid, its boundary rows by class) holds
+    about a^2 / 2 <= limit / 6 entries, a third of the table.
     """
-    counts = np.zeros(limit + 1, dtype=np.int32)
-    amax = math.isqrt(limit // 3)
-    for a in range(first, amax + 1, stride):
-        step = 4 * a
-        base = 4 * a * a
-        for b in range(0, a + 1):
-            start = base - b * b
-            if start <= limit:
-                counts[start::step] += 2
-        counts[base::step] -= 1  # b = 0 forms counted once
-        counts[base - a * a :: step] -= 1  # b = a forms counted once
-        if a > 1:
-            ds = base - np.arange(1, a, dtype=np.int64) ** 2  # a = c, 0 < b < a
-            ds = ds[ds <= limit]
-            np.add.at(counts, ds, -1)
+    width = limit // 4 + 1
+    counts = np.zeros((2, width), dtype=np.int32)
+    for a in range(first, math.isqrt(limit // 3) + 1, stride):
+        rows = (a + 3) // 4
+        top = a * a
+        start = top - rows * a
+        b = np.arange(a + 1)
+        cls = b & 1
+        # grid[r, c, j] is class c at index start + r a + j; row `rows` starts at top
+        row, col = np.divmod(rows * a - ((b * b + 3) >> 2), a)  # the form (a, b, a)
+        weight = np.full(a + 1, 2, dtype=np.int32)
+        weight[[0, a]] = 1
+        grid = np.zeros((rows + 1, 2, a), dtype=np.int32)
+        grid[row, cls, col] = weight  # q_b grows with b: no two b of a class share a cell
+        for r in range(1, rows + 1):  # np.cumsum along rows costs several times more
+            grid[r] += grid[r - 1]
+        grid[row[1:a], cls[1:a], col[1:a]] -= 1  # a = c
+        end = min(top, width)
+        if start < end:
+            boundary = grid[:rows].transpose(1, 0, 2).reshape(2, -1)
+            counts[:, start:end] += boundary[:, : end - start]
+        tile = np.tile(grid[rows], -(-PATTERN_ROW // a))
+        period = tile.shape[1]
+        for line, pattern in zip(counts, tile):
+            tail = line[top:]
+            body = len(tail) - len(tail) % period
+            view = tail[:body].reshape(-1, period)
+            view += pattern
+            tail[body:] += pattern[: len(tail) - body]
     return counts
 
 
@@ -331,8 +366,15 @@ def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
 
 
 def _imag_part(first: int) -> np.ndarray:
-    """int32 form counts at the fundamental D for a = first mod the stride."""
-    return imag_class_table(_W["hi"], first, _W["stride"])[_W["ds"]]
+    """int32 form counts at the fundamental D for a = first mod the stride,
+    read in blocks of STREAM_BLOCK D so that the index arrays stay small."""
+    counts = imag_class_table(_W["hi"], first, _W["stride"])
+    ds = _W["ds"]
+    part = np.empty(len(ds), dtype=np.int32)
+    for i in range(0, len(ds), STREAM_BLOCK):
+        d = ds[i : i + STREAM_BLOCK]
+        part[i : i + STREAM_BLOCK] = counts[d & 1, d >> 2]
+    return part
 
 
 def _fork_map(fn, items: list, workers: int) -> list:
@@ -424,14 +466,20 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
         raise ValueError(f"unknown signature {signature!r}")
     workers = max(1, min(workers, os.cpu_count() or 1))
     _reset_malloc()
-    ds = np.flatnonzero(fundamental_mask(hi, signature)[lo : hi + 1]) + lo
-    n = omega_table(hi)[ds]
+    om = omega_table(hi)  # before ds, so that the sieve's temporaries and ds never meet
+    ds = np.flatnonzero(fundamental_mask(hi, signature)[lo : hi + 1])
+    ds += lo
+    n = om[ds]
+    del om
     try:
         _W["ds"] = ds
         if signature == IMAGINARY:
             _W.update(hi=hi, stride=workers)
             parts = _fork_map(_imag_part, list(range(1, workers + 1)), workers)
-            return QuadTable(ds, n, np.sum(parts, axis=0, dtype=np.int64))
+            h = np.zeros(len(ds), dtype=np.int64)
+            for part in parts:
+                h += part  # in place: np.sum would first stack the parts in one copy
+            return QuadTable(ds, n, h)
         bounds = _segments(ds)
         _W["indptr"], _W["ddata"] = divisor_table(hi // 4 + 1)
         _reset_malloc()  # neither the map nor the forked workers keep the freed sieve heap
@@ -483,8 +531,8 @@ def quad_records(
 # of its values (2 * 2^-40, derived in QuadStream) lies far below it.
 MARGIN = 2.0**-30
 
-# Rows per block of QuadStream's one pass: its temporaries then take a few
-# MB whatever the table's length.
+# Rows per block of QuadStream's one pass and of the imaginary form-count
+# read: their temporaries then take a few MB whatever the table's length.
 STREAM_BLOCK = 2**16
 
 

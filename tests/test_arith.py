@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,62 @@ class TestFactorize:
         assert math.prod(p**e for p, e in fac.factors) == n
         assert all(arith.is_prime(p) for p, _ in fac.factors)
         assert arith.omega(n) == brute_distinct_primes(n)
+
+    def test_every_n_to_1e5(self):
+        """Against a smallest-prime-factor sieve."""
+        limit = 10**5
+        spf = list(range(limit + 1))
+        for p in range(2, math.isqrt(limit) + 1):
+            if spf[p] == p:
+                for k in range(p * p, limit + 1, p):
+                    spf[k] = min(spf[k], p)
+        for n in range(1, limit + 1):
+            want: dict[int, int] = {}
+            m = n
+            while m > 1:
+                want[spf[m]] = want.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert arith.factorize(n).factors == tuple(sorted(want.items())), n
+
+    def test_seeded_63_bit(self):
+        """Products of one or two seeded primes below 2^32 and up to two of
+        2, 3, 65521 and 65537 (the last small prime and the first above it),
+        then random 63-bit n, whose factors multiply back to n and are prime."""
+        rng = random.Random(63)
+        primes = [p for p in (rng.randrange(2, 2**32) for _ in range(4000)) if arith.is_prime(p)]
+        for _ in range(300):
+            picked = sorted(rng.sample(primes, rng.randrange(1, 3)))
+            small = [rng.choice((2, 3, 65521, 65537)) for _ in range(rng.randrange(3))]
+            n = math.prod(picked + small)
+            if n >= 2**63:
+                continue
+            want = sorted({p: (picked + small).count(p) for p in picked + small}.items())
+            assert arith.factorize(n).factors == tuple(want), n
+        for n in (rng.randrange(2**62, 2**63) for _ in range(100)):
+            fac = arith.factorize(n)
+            assert math.prod(p**e for p, e in fac.factors) == n
+            assert all(arith.is_prime(p) for p, _ in fac.factors), n
+
+    def test_trial_division_proves_its_cofactor_prime(self, monkeypatch):
+        """A cofactor with no prime up to its square root is prime without a
+        Miller-Rabin test; one above the last small prime squared still goes
+        through rho and the test."""
+        calls = {"is_prime": 0, "rho": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(arith, "is_prime", counting("is_prime", arith.is_prime))
+        monkeypatch.setattr(arith, "_pollard_rho", counting("rho", arith._pollard_rho))
+        assert arith.factorize(2 * 65537).factors == ((2, 1), (65537, 1))
+        assert arith.factorize(65521**2).factors == ((65521, 2),)
+        assert calls == {"is_prime": 0, "rho": 0}
+        assert arith.factorize(65537 * 65539).factors == ((65537, 1), (65539, 1))
+        assert calls["rho"] >= 1 and calls["is_prime"] >= 2
 
     def test_divisors(self):
         assert arith.factorize(12).divisors() == [1, 2, 3, 4, 6, 12]

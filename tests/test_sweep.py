@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -48,10 +49,9 @@ class TestTables:
 
     def test_imag_table_matches_form_count(self):
         table = sweep.imag_class_table(20000)
-        mask = sweep.fundamental_mask(20000, IMAGINARY)
-        for d in np.nonzero(mask)[0]:
-            d = int(d)
-            assert int(table[d]) == classnum.class_number_imaginary(-d), d
+        assert (table.shape, table.dtype) == ((2, 5001), np.int32)
+        ds, want = _imag_reference()
+        assert table[ds & 1, ds >> 2].tolist() == want
 
     def test_narrow_from_tables_matches_cycles(self):
         """The vectorized sweep agrees with the per-D rho walk, the reference."""
@@ -100,6 +100,56 @@ class TestTables:
         assert got.tolist() == [-1, 2, 3, 5, 3, 7, 6, 8, 8]
 
 
+@functools.cache
+def _imag_reference() -> tuple[np.ndarray, list[int]]:
+    """The fundamental D <= 20000, ascending, and their H(-D) from the
+    per-discriminant reduced-form count."""
+    ds = np.flatnonzero(sweep.fundamental_mask(20000, IMAGINARY))
+    return ds, [classnum.class_number_imaginary(-d) for d in ds.tolist()]
+
+
+class TestImagTable:
+    """imag_class_table's patterns, boundary regions and tails, against the
+    classnum reference: each check sums the parts of every stride 1..4 and
+    reads them at every fundamental D <= limit."""
+
+    def check(self, limit: int, strides=range(1, 5)) -> None:
+        ds, want = _imag_reference()
+        k = int(np.searchsorted(ds, limit, "right"))
+        ds, want = ds[:k], want[:k]
+        for stride in strides:
+            parts = [sweep.imag_class_table(limit, f, stride) for f in range(1, stride + 1)]
+            table = np.sum(parts, axis=0)
+            assert table.shape == (2, limit // 4 + 1), (limit, stride)
+            assert table[ds & 1, ds >> 2].tolist() == want, (limit, stride)
+
+    def test_every_small_limit(self):
+        for limit in range(301):
+            self.check(limit)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 7, 64])
+    def test_limits_around_one_a(self, a):
+        """At 3a^2 the limit cuts a's boundary region at its first form, at
+        4a^2 - 1 and 4a^2 it ends at or just past the region, and at
+        4a^2 + 4a - 1 the array ends one period into a's pattern."""
+        for limit in (3 * a * a, 4 * a * a - 1, 4 * a * a, 4 * a * a + 4 * a - 1):
+            self.check(limit)
+
+    def test_stride_beyond_the_last_a(self):
+        limit = 1000  # a <= isqrt(333) = 18
+        self.check(limit, strides=[20])
+        for first in (19, 20):
+            assert not sweep.imag_class_table(limit, first, 20).any()
+
+    def test_seeded_sample_near_3e6(self):
+        limit = 3 * 10**6
+        table = sweep.imag_class_table(limit)
+        mask = sweep.fundamental_mask(limit, IMAGINARY)
+        ds = random.Random(18).sample(np.flatnonzero(mask[2_900_000:]).tolist(), 200)
+        for d in (d + 2_900_000 for d in ds):
+            assert table[d & 1, d >> 2] == classnum.class_number_imaginary(-d), d
+
+
 class TestTriples:
     def test_imaginary_triples_prefix(self):
         triples = sweep.quad_triples(IMAGINARY, 1, 25)
@@ -133,11 +183,12 @@ class TestTriples:
         assert all(type(x) is int for x in table[7] + next(iter(table)))
 
     def test_worker_count_invariance(self):
-        for signature, hi in ((REAL, 30000), (IMAGINARY, 200_000)):
-            one = sweep.quad_triples(signature, 2, hi, workers=1)
-            two = sweep.quad_triples(signature, 2, hi, workers=2)
+        cases = ((REAL, 2, 30000), (IMAGINARY, 2, 200_000), (IMAGINARY, 99_991, 200_000))
+        for signature, lo, hi in cases:
+            one = sweep.quad_triples(signature, lo, hi, workers=1)
+            two = sweep.quad_triples(signature, lo, hi, workers=2)
             for col in ("d", "n", "h"):
-                assert np.array_equal(getattr(one, col), getattr(two, col)), (signature, col)
+                assert np.array_equal(getattr(one, col), getattr(two, col)), (signature, lo, col)
 
     def test_fork_pool_capped_at_core_count(self, monkeypatch):
         """The fake context maps in this process, so no process is started."""
