@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -110,7 +111,10 @@ def scan_stream(stream, config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEv
     return out
 
 
+@contextmanager
 def _cubic_source(config: ScanConfig):
+    """The class-number source of a cubic scan; a backend process it starts
+    is closed on leaving the context, on errors too."""
     fixtures = cubic_mod.FixtureStore.bundled()
     if config.fixtures_path:
         path = config.fixtures_path
@@ -120,19 +124,21 @@ def _cubic_source(config: ScanConfig):
             raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
         fixtures.merge(extra)
     if config.fixtures_only or not (config.backend_cmd or config.cache_path):
-        return fixtures
-    bridge = Backend(command=config.backend_cmd, cache_path=config.cache_path)
-    return cubic_mod.ChainSource(fixtures, cubic_mod.BackendClassNumbers(bridge))
+        yield fixtures
+        return
+    with Backend(command=config.backend_cmd, cache_path=config.cache_path) as bridge:
+        yield cubic_mod.ChainSource(fixtures, cubic_mod.BackendClassNumbers(bridge))
 
 
 def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
     """One scan per eps over the configured family; returns events + totals."""
     config.validate()
     if config.family == CUBIC:
-        source = _cubic_source(config)
-        stream = cubic_mod.FamilyStream(
-            config.lo, config.hi, config.scope, config.metric_kind, source, config.fixtures_only
-        )
+        # FamilyStream reads every class number while it is built
+        with _cubic_source(config) as source:
+            stream = cubic_mod.FamilyStream(
+                config.lo, config.hi, config.scope, config.metric_kind, source, config.fixtures_only
+            )
     else:
         signature = _SIGNATURES[config.family]
         triples = sweep.quad_triples(signature, config.lo, config.hi, workers=config.shards)

@@ -179,10 +179,13 @@ class FixtureStore:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 6 or parts[0] != "CUBIC":
-                raise ValueError(f"bad fixture line {lineno}: {raw!r}")
-            f, c2, c1, c0, big_h = (int(x) for x in parts[1:])
+            tag, *numbers = line.split(",")
+            try:
+                if tag != "CUBIC":
+                    raise ValueError
+                f, c2, c1, c0, big_h = (int(x) for x in numbers)
+            except ValueError:
+                raise ValueError(f"bad fixture line {lineno}: {raw!r}") from None
             if big_h < 1:
                 raise ValueError(f"bad class number on fixture line {lineno}")
             try:

@@ -609,14 +609,6 @@ class QuadStream:
     inequality turns, and every event at any eps < 2 is an event at e0 = 2.
     The raw metrics do not depend on eps, and e0 = 0 in both modes.  By
     Exactness at e0, S holds every event of every eps.
-
-    Per eps.  candidates(eps) runs the prefilter test on S alone, with P_i
-    the maximum of v over the earlier positions of S.  That never exceeds
-    the maximum over all earlier positions, so within S it keeps a superset
-    of what the prefilter over the whole stream keeps, and every event at
-    eps is in S.  Exactness then holds word for word with S for the stream:
-    the position that first reached R_i is an event, so it lies in S and is
-    kept.
     """
 
     def __init__(
@@ -651,17 +643,23 @@ class QuadStream:
         """The rows of the table, every one counted in ND."""
         return len(self.table)
 
-    def candidates(self, eps: Epsilon) -> np.ndarray:
-        """Ascending positions, all in support, that contain every successive
-        record of a fresh scan over the whole stream at eps (see Per eps)."""
-        half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
-        return self.support[_prefilter(self.log_h, self.log_d, half_eps, self.mode)[0]]
-
     def records(self, eps: Epsilon) -> tuple[list[int], list[FieldRecord]]:
-        """(keep, records): the candidates, and the quad_records of their rows
-        under eps, record i of row keep[i]; a scan over the records takes the
-        decisions of a scan over the whole stream (see Exactness)."""
-        keep = self.candidates(eps)
+        """(keep, records): the ascending positions of support that pass the
+        prefilter test run on S alone at eps, and the quad_records of their
+        rows under eps, record i of row keep[i].
+
+        keep contains every successive record of a fresh scan over the whole
+        stream at eps, and a scan over the records takes that scan's
+        decisions.  Within S, P_i is the maximum of v over the earlier
+        positions of S.  That never exceeds the maximum over all earlier
+        positions, so within S the test keeps a superset of what the
+        prefilter over the whole stream keeps, and every event at eps is in S
+        (see Lifetimes).  Exactness then holds word for word with S for the
+        stream: the position that first reached R_i is an event, so it lies
+        in S and is kept.
+        """
+        half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
+        keep = self.support[_prefilter(self.log_h, self.log_d, half_eps, self.mode)[0]]
         return keep.tolist(), quad_records(self.table[keep], self.signature, eps, self.metric_kind)
 
 
@@ -723,42 +721,26 @@ def threshold_search(
 
     Position 0 is always an event.  There is a second at e iff some i >= 1
     beats position 0 at e, for then the first such i beats every earlier
-    position.  With x_i(e) as in QuadStream, x_i(e) > x_0(e) iff
-    e < s_i = 2 log(h_i / h_0) / log(D_i / D_0) (for the raw metrics, which
-    do not depend on e, iff h_i > h_0), so the event count is >= 2 exactly
-    below max s_i, and by QuadStream's Lifetimes that maximum is reached on
-    its support.  k is guessed from the float64 maximum over the support,
-    then moved up, galloping, while a larger k has >= 2 events, and down
-    while k has not.  Each of those decisions is an exact scan over the
-    candidates at k * grid_step, so float64 only picks where the probes
-    start.
+    position.  By the inequality of QuadStream's Lifetimes, a row that beats
+    row 0 at some e >= 0 also beats it at every smaller e, and under the raw
+    metrics at every e.  So the grid indices k with >= 2 events at
+    k * grid_step form a prefix, and bisection finds its end, deciding each
+    probe by an exact scan.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     stream = QuadStream(triples, signature, metric_kind, MAXIMA)
-    if len(stream.support) < 2:
-        return None
 
     def plenty(k: int) -> bool:
         _, records = stream.records(Epsilon.of(grid_step * k))
         return len(list(islice(scan(iter(records), MAXIMA, BucketSpec(1)), 2))) >= 2
 
-    gain = stream.log_h[1:] - stream.log_h[0]
-    run = 0.0 if stream.raw else stream.log_d[1:] - stream.log_d[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.fmax.reduce(2 * gain / run)  # NaN only if every ratio is 0 / 0
-    # the largest k with k * grid_step < s, for s clamped to [0, 2]
-    k = math.ceil(Fraction(float(np.clip(np.nan_to_num(s), 0, 2))) / grid_step) - 1
-    # gallop up while k + step has >= 2 events, then halve the step back:
-    # >= 2 events at k means >= 2 at every smaller k, so a k + step that
-    # fails bounds the answer from above
-    step = 1
-    while grid_step * (k + step) < 2 and plenty(k + step):
-        k, step = k + step, 2 * step
-    while step > 1:
-        step //= 2
-        if grid_step * (k + step) < 2 and plenty(k + step):
-            k += step
-    while k >= 0 and not plenty(k):
-        k -= 1
-    return grid_step * k if k >= 0 else None
+    # plenty holds at every index <= lo and at none >= hi, the first past the grid
+    lo, hi = -1, math.ceil(2 / grid_step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if plenty(mid):
+            lo = mid
+        else:
+            hi = mid
+    return grid_step * lo if lo >= 0 else None

@@ -1,7 +1,9 @@
 import io
 import json
+import os
+import signal
 import sys
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stdout
 
 import pytest
 
@@ -235,7 +237,7 @@ class TestCubicStream:
     def test_each_field_read_once_per_scan(self, monkeypatch, bundled_fixtures, scope):
         """The families and their class numbers are read once, not per eps."""
         store = CountingStore()
-        monkeypatch.setattr(cli, "_cubic_source", lambda config: store)
+        monkeypatch.setattr(cli, "_cubic_source", lambda config: nullcontext(store))
         eps_list = [cli.parse_eps(e) for e in ("1/100", "1/10", "1/2")]
         config = cli.ScanConfig(
             family=cli.CUBIC, eps_list=eps_list, lo=1, hi=100_000, scope=scope,
@@ -508,6 +510,33 @@ class TestBackendExitCode:
         )
         assert rc == cli.EXIT_OK
         assert not (tmp_path / "env_cache.txt").exists()
+
+    def test_scan_closes_its_backend(self, tmp_path):
+        """The adapter outlives stdin EOF; the scan still ends its process."""
+        pid_file = tmp_path / "pid"
+        adapter = tmp_path / "adapter.py"
+        adapter.write_text(
+            "import os, sys, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "for line in sys.stdin:\n"
+            "    print('A', line.split()[1], 'OK 1', flush=True)\n"
+            "time.sleep(20)\n"
+        )
+        try:
+            rc, _ = run_cli(
+                ["scan", "--family", "cubic", "--max", "60", "--eps", "1/100",
+                 "--backend-cmd", f"{sys.executable} {adapter}"]
+            )
+            assert rc == cli.EXIT_OK
+            pid = int(pid_file.read_text())
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            if pid_file.exists():
+                try:
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestPublicApi:

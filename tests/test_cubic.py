@@ -202,6 +202,13 @@ class TestFixtureStore:
         with pytest.raises(ValueError, match="^fixture line 1: 0 is not a conductor$"):
             store.load_text("CUBIC,0,1,-2,-1,1\n")
 
+    @pytest.mark.parametrize("field", ["abc", "", "1.5"])
+    def test_non_integer_field_names_its_line(self, field):
+        line = f"CUBIC,7,1,-2,-1,{field}"
+        with pytest.raises(ValueError) as err:
+            FixtureStore().load_text(f"# header\n{line}\n")
+        assert str(err.value) == f"bad fixture line 2: {line!r}"
+
     def test_conflicting_class_numbers_rejected(self, bundled_fixtures):
         store = FixtureStore()
         store.load_text("CUBIC,7,1,-2,-1,1\nCUBIC,7,1,-2,-1,1\n")  # a repeat is fine

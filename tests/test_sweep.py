@@ -573,10 +573,10 @@ class TestThresholdSearch:
         assert sweep.threshold_search(triples, IMAGINARY, grid) == Fraction(19, 10)
         assert self.brute(triples, grid, sweep.NONGENUS) == Fraction(19, 10)
 
-    def test_gallops_to_a_high_threshold(self, monkeypatch):
+    def test_probe_count(self, monkeypatch):
         """h / D is constant, so the threshold is e = 2 and the answer the last
-        grid point below it; h and D each tie in float64, so the float guess
-        is NaN and k starts at -1, 2,000 grid points below the answer."""
+        grid point below it.  Bisection over the indices -1 .. ceil(2 / grid)
+        takes at most ceil(log2(ceil(2 / grid) + 1)) probes."""
         probes = []
         records = sweep.QuadStream.records
 
@@ -587,9 +587,13 @@ class TestThresholdSearch:
         monkeypatch.setattr(sweep.QuadStream, "records", counting_records)
         big = 10**17
         triples = [(big, 1, big), (big + 1, 1, big + 1)]
-        got = sweep.threshold_search(triples, IMAGINARY, Fraction(1, 1000))
-        assert got == Fraction(1999, 1000)
-        assert len(probes) <= 25
+        for grid, answer, most in (("1/1000", "1999/1000", 11), ("1/10", "19/10", 5)):
+            probes.clear()
+            assert sweep.threshold_search(triples, IMAGINARY, Fraction(grid)) == Fraction(answer)
+            assert len(probes) <= most, grid
+        probes.clear()
+        assert sweep.threshold_search(triples, IMAGINARY, Fraction(3)) == 0
+        assert probes == [EPS_ZERO]
 
     def test_single_discriminant_sentinel(self):
         triples = sweep.quad_triples(IMAGINARY, 3, 3)
@@ -603,7 +607,7 @@ class TestThresholdSearch:
             min_size=1,
             max_size=30,
         ),
-        grid=st.sampled_from(["1/4", "1/10", "1/7", "2/3", "1", "3"]),
+        grid=st.sampled_from(["1/4", "1/10", "1/7", "2/3", "1", "2", "3", "1/1000"]),
         metric=st.sampled_from(sweep.QUAD_METRICS),
     )
     def test_random_streams(self, rows, grid, metric):
