@@ -1,6 +1,13 @@
 """Class numbers of quadratic and cyclic cubic fields, genus theory, and
 successive maxima of the normalized non-genus metric h / sqrt(D)^eps."""
 
+import os
+
+# classmax never calls BLAS, yet OpenBLAS starts a thread pool when numpy is
+# imported, which adds to every run's start-up.  So one thread, set before
+# any module below loads numpy, unless the caller chose a number.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import Factorization, factorize, is_squarefree, isqrt_exact, kronecker, omega, valuation
 from .classnum import (
     QuadraticForm,

@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import os
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -215,14 +215,16 @@ def _last_at_most(
 
 def _reduced_forms(
     ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """int64 arrays (j, a, b): the reduced indefinite forms (a, b, c) with
-    a > 0 of each discriminant ds[j], in (j, b, a) order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """int64 arrays (j, row, a, b, k): the reduced indefinite forms
+    (a, b, -k) with a > 0 of each discriminant ds[j], in (j, b, a) order;
+    row is the index of the form's row (D, b) among all rows of ds.
 
     A form is reduced iff |sqrt(D) - 2a| < b < sqrt(D).  Row (D, b), for
     b = D mod 2 in (0, sqrt D), holds the forms with that b: their a are the
     divisors of m = (D - b^2) / 4, read from m's ascending row of the CSR
-    divisor table.  Only a middle slice of that row is reduced:
+    divisor table, and k = m / a.  Only a middle slice of that row is
+    reduced:
     - a divisor s <= sqrt(m) has 2s <= sqrt(D - b^2) < sqrt(D), so
       |2s - b| < sqrt(D), and it is reduced iff 2s + b > sqrt(D), that is
       iff s (s + b) > m, or, as sqrt(D) is irrational, iff s > t with
@@ -230,33 +232,43 @@ def _reduced_forms(
     - its cofactor m / s >= sqrt(m) has (2 m/s + b)^2 >= D + 4b m/s > D,
       and (2 m/s - b)^2 < D iff (m/s) (m/s - b) < m iff m/s < s + b iff
       s (s + b) > m: the same test;
-    - so if k small divisors are at most t, the first k and the last k
+    - so if q small divisors are at most t, the first q and the last q
       divisors of the row fail and the slice between them is reduced.
-    The small divisors are the first ceil(d(m) / 2) of the row, and k is
-    found by a bisection over them (_last_at_most).  Only the slice is
-    gathered, and the exact integer test of |sqrt(D) - 2a| < b is applied to
-    it anyway; on a true table it drops nothing.
+    The small divisors are the first ceil(d(m) / 2) of the row, and the
+    last of them, at mid - 1, is the largest: a row holds no reduced form
+    unless it exceeds t, and the 68% of rows that hold none (to 1.5e5) are
+    dropped before q is found by a bisection (_last_at_most).  The entry at
+    offset i from the front of a row times the entry at offset i from its
+    back is m, so k is read, not divided.
+
+    Every gathered form is checked: a >= 1, a k = m and |a - k| < b.  For
+    a > 0 and D = b^2 + 4ak not a square that is exactly reducedness, so a
+    bad divisor table raises ArithmeticError naming the first D that reads
+    a bad form, instead of yielding a form that is not reduced.
     """
     rows = _row_counts(ds)
     b0 = 2 - (ds & 1)
     pj = np.repeat(np.arange(len(ds)), rows)
     b = 2 * np.arange(len(pj)) + np.repeat(b0 - 2 * (np.cumsum(rows) - rows), rows)
-    m = (np.repeat(ds, rows) - b * b) >> 2
-    t = (np.repeat(_isqrt(ds), rows) - b) >> 1
-    starts = indptr[m]
-    ends = indptr[m + 1]
+    m = (ds.take(pj) - b * b) >> 2
+    t = (_isqrt(ds).take(pj) - b) >> 1
+    starts = indptr.take(m)
+    ends = indptr.take(m + 1)
+    mid = (starts + ends + 1) >> 1
+    row = np.flatnonzero(ddata.take(mid - 1) > t)
+    pj, b, m, t = pj.take(row), b.take(row), m.take(row), t.take(row)
+    starts, ends, mid = starts.take(row), ends.take(row), mid.take(row)
     # the slice [first, ends - (first - starts)) after the small divisors <= t
-    first = _last_at_most(ddata, starts, (starts + ends + 1) >> 1, t) + 1
+    first = _last_at_most(ddata, starts, mid, t) + 1
     cnts = np.maximum(ends + starts - 2 * first, 0)  # negative only on a bad table
-    j = np.repeat(pj, cnts)
-    b = np.repeat(b, cnts)
-    gather = np.repeat(first - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(j))
-    a = ddata[gather].astype(np.int64)
-    d = ds[j]
-    t1 = 2 * a + b
-    t2 = 2 * a - b
-    keep = (t1 * t1 > d) & ((t2 < 0) | (t2 * t2 < d))
-    return j[keep], a[keep], b[keep]
+    r = np.repeat(np.arange(len(row)), cnts)
+    pos = np.repeat(first - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(r))
+    j, row, b, m = pj.take(r), row.take(r), b.take(r), m.take(r)
+    a = ddata.take(pos).astype(np.int64)
+    k = ddata.take((starts + ends - 1).take(r) - pos).astype(np.int64)
+    bad = (a < 1) | (a * k != m) | (np.abs(a - k) >= b)
+    _fail_at(bad, "rho walk escaped the reduced set", ds, j)
+    return j, row, a, b, k
 
 
 def reduced_form_pairs(
@@ -265,7 +277,7 @@ def reduced_form_pairs(
     """(a, b) with a > 0 for the reduced indefinite forms of fundamental d > 0,
     in (b, a) order; each pair stands for the sign class pair (a, b, c) and
     (-a, b, -c)."""
-    _, a, b = _reduced_forms(np.array([d], dtype=np.int64), indptr, ddata)
+    _, _, a, b, _ = _reduced_forms(np.array([d], dtype=np.int64), indptr, ddata)
     return a.tolist(), b.tolist()
 
 
@@ -299,58 +311,69 @@ def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
     (a, b) with a > 0 and c = (b^2 - D) / 4a, is indexed in (D, b, a) order
     (see _reduced_forms).  sigma = negation o rho maps it to itself, and
     sigma o sigma = rho o rho, because rho commutes with negation and every
-    reduced form has ac < 0.  So each rho cycle, of even length 2k, meets
-    the positive half in one sigma^2 cycle of length k, and H+ is the number
+    reduced form has ac < 0.  So each rho cycle, of even length 2l, meets
+    the positive half in one sigma^2 cycle of length l, and H+ is the number
     of sigma^2 cycles (Cohen, A Course in Computational Algebraic Number
     Theory, 5.6).  They are counted by pointer doubling
     (Hillis and Steele, CACM 1986): label = minimum(label, label[q]),
     q = q[q], until a round changes no label; H+ is then the number of forms
     that are their own label.
 
-    Four checks keep the failure modes of a walk form by form, each raising
-    ArithmeticError that names the first bad D:
-    - every c < 0, so rho alternates the sign of a and every rho cycle is even;
-    - every successor sigma(a, b) is a reduced form of the same D: it is
-      looked up by bisection in its own row (D, b'), whose forms the segment
-      holds contiguously, ascending in a, at offsets from a cumsum of a
-      bincount of the form rows;
-    - sigma hits every form exactly once, so it is a permutation;
+    sigma(a, b, -k) = (k, b', -k'), with b' = 2k floor((s + b) / 2k) - b
+    for s = isqrt(D): the b' = -b mod 2k in (sqrt(D) - 2k, sqrt(D)).  It is
+    found by inverting a sort.  A form's key is row W + a, with row the
+    index of its row (D, b) in the segment (_reduced_forms) and
+    W = isqrt(max D) + 1; its successor's target is (row + (b' - b) / 2) W + k,
+    in row (D, b') of the same D, since b' = b mod 2 and 0 < b' <= s.  A
+    reduced form has a, k < sqrt(D) and b' <= s, so the keys are injective,
+    and keys and targets are below rows W, which fits int64 at any D that
+    _isqrt allows.
+
+    Checks keep the failure modes of a walk form by form.  They run in this
+    order, and each raises ArithmeticError naming the first D of the segment
+    that fails it:
+    - every gathered form is reduced (_reduced_forms: a >= 1, a k = m and
+      |a - k| < b), which also gives c = -k < 0, so rho alternates the sign
+      of a and every rho cycle is even, and gives b' >= 1 (checked anyway);
+    - the keys strictly ascend, so no form is gathered twice (a table with
+      every divisor duplicated passes every other check and gives wrong H);
+    - the sorted targets equal the keys.  As the keys are distinct, this
+      one comparison proves both that every successor is a gathered form of
+      the same D (no lookup of each successor in its row is needed) and
+      that sigma hits each form once (no count of hits per form is
+      needed); sigma is then order's inverse, sigma[order] = 0, 1, ...;
+    - every D has its principal form (1, b, -(D - b^2) / 4), with b the b of
+      D's last row, which is reduced, so a table that hides a whole cycle
+      of D's forms cannot do so with the principal one;
     - the doubling ends within ceil(log2 n) + 2 rounds for n forms.
 
     Memory.  A segment's arrays are int64 with one entry per D, per row or
     per reduced form, about fifteen of each at most at a time.  Rows are at
-    most max(SEGMENT, rows of one D), and only the middle slice of each
-    row's divisors is ever gathered, so no array holds a divisor that is not
-    a form.  There are about 1.2 forms per row up to 1e6 (at most about 1.3
-    per segment), so at SEGMENT = 2^15 each array takes at most about
-    350 kB and a segment a few MB, whatever the length of the sweep.
+    most max(SEGMENT, rows of one D), and only the rows that hold a form and
+    the middle slice of their divisors are ever gathered.  There are about
+    1.2 forms per row up to 1e6 (at most about 1.3 per segment), so at
+    SEGMENT = 2^15 each array takes at most about 350 kB and a segment a
+    few MB, whatever the length of the sweep.
     """
     ds = _W["ds"][slice(*bounds)]
-    j, a, b = _reduced_forms(ds, _W["indptr"], _W["ddata"])
+    j, row, a, b, k = _reduced_forms(ds, _W["indptr"], _W["ddata"])
     n = len(j)
-    if n == 0:
-        return np.zeros(len(ds), dtype=np.int64)
-    rows = _row_counts(ds)
-    row = (np.cumsum(rows) - rows)[j] + ((b - 1) >> 1)
-    offs = np.zeros(int(rows.sum()) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=len(offs) - 1), out=offs[1:])
-    s = _isqrt(ds)[j]
-    c = (b * b - ds[j]) // (4 * a)
-    _fail_at(c >= 0, "odd rho cycle length", ds, j)
-    # sigma(a, b) = (|c|, b'): one rho step, then negation back to a > 0.
-    # b' <= s and b' = b mod 2, so if b' > 0 it is looked up in row
-    # row + (b' - b) / 2 of the same D, whose forms a[start:end] ascend in a.
-    ac = -c
-    w = s - 2 * ac + 1
-    bp = w + (-b - w) % (2 * ac)
-    inside = bp > 0
-    target = np.where(inside, row + ((bp - b) >> 1), 0)
-    start, end = offs[target], offs[target + 1]
-    sigma = _last_at_most(a, start, end, ac)
-    inside &= (sigma >= start) & (a.take(sigma, mode="clip") == ac)
-    _fail_at(~inside, "rho walk escaped the reduced set", ds, j)
-    _fail_at(np.bincount(sigma, minlength=n) != 1, "rho is not a permutation", ds, j)
-    # label[i] = least index among the first 2^k forms of i's sigma^2 orbit
+    s = _isqrt(ds)
+    width = int(s[-1]) + 1
+    bp = 2 * k * ((s.take(j) + b) // (2 * k)) - b
+    _fail_at(bp < 1, "rho walk escaped the reduced set", ds, j)
+    key = row * width + a
+    _fail_at(key[1:] <= key[:-1], "rho is not a permutation", ds, j[1:])
+    target = (row + ((bp - b) >> 1)) * width + k
+    order = np.argsort(target)
+    _fail_at(target.take(order) != key, "rho walk escaped the reduced set", ds, j)
+    principal = (np.cumsum(_row_counts(ds)) - 1) * width + 1
+    # the appended 0 is read for a principal key above every key, and is no key
+    found = np.append(key, 0).take(np.searchsorted(key, principal))
+    _fail_at(found != principal, "no principal form", ds, np.arange(len(ds)))
+    sigma = np.empty(n, dtype=np.int64)
+    sigma[order] = np.arange(n)
+    # label[i] = least index among the first 2^r forms of i's sigma^2 orbit
     q = sigma[sigma]
     label = np.arange(n)
     for _ in range((n - 1).bit_length() + 2):
@@ -377,12 +400,17 @@ def _imag_part(first: int) -> np.ndarray:
     return part
 
 
-def _fork_map(fn, items: list, workers: int) -> list:
-    """[fn(x) for x in items], on a fork pool of `workers` processes if >= 2."""
+def _fork_map(fn, items: list, workers: int) -> Iterator:
+    """Yield fn(x) for x in items, in order, on a fork pool of `workers`
+    processes if >= 2.  Results are yielded as they arrive, so the caller
+    can store each one before the next, instead of holding all of them;
+    chunks are sized as Pool.map sizes them."""
     if workers <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
+    chunk = max(1, -(-len(items) // (4 * workers)))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(fn, items)
+        yield from pool.imap(fn, items, chunk)
 
 
 # glibc's malloc moves its mmap and trim thresholds up to the largest block
@@ -475,16 +503,17 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
         _W["ds"] = ds
         if signature == IMAGINARY:
             _W.update(hi=hi, stride=workers)
-            parts = _fork_map(_imag_part, list(range(1, workers + 1)), workers)
             h = np.zeros(len(ds), dtype=np.int64)
-            for part in parts:
-                h += part  # in place: np.sum would first stack the parts in one copy
+            for part in _fork_map(_imag_part, list(range(1, workers + 1)), workers):
+                h += part  # in place, as each part arrives
             return QuadTable(ds, n, h)
         bounds = _segments(ds)
         _W["indptr"], _W["ddata"] = divisor_table(hi // 4 + 1)
         _reset_malloc()  # neither the map nor the forked workers keep the freed sieve heap
-        parts = _fork_map(_narrow_segment, bounds, workers)
-        return QuadTable(ds, n, np.concatenate([np.zeros(0, dtype=np.int64), *parts]))
+        h = np.empty(len(ds), dtype=np.int64)
+        for (i, j), part in zip(bounds, _fork_map(_narrow_segment, bounds, workers)):
+            h[i:j] = part
+        return QuadTable(ds, n, h)
     finally:
         _W.clear()
 

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import signal
+import subprocess
 import sys
 from contextlib import nullcontext, redirect_stdout
 
@@ -548,3 +549,30 @@ class TestPublicApi:
         assert len(set(classmax.__all__)) == len(classmax.__all__)
         for name in classmax.__all__:
             assert namespace[name] is getattr(classmax, name)
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+    def test_import_limits_openblas_threads(self, preset, want):
+        """A fresh `import classmax` sets OPENBLAS_NUM_THREADS to 1 before
+        numpy loads, and keeps a value the caller has set."""
+        import classmax
+
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(classmax.__file__))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        probe = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import classmax\n"
+            "print(seen[0], os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout.split() == [want, want]

@@ -76,7 +76,9 @@ class TestTables:
         the reference tries every a <= sqrt(D) dividing (D - b^2) / 4 for
         every b, with the exact test |sqrt(D) - 2a| < b, for every
         fundamental D <= 20000, and must give the same forms in the same
-        order.  (A reduced form has 2a < sqrt(D) + b < 2 sqrt(D).)"""
+        order.  (A reduced form has 2a < sqrt(D) + b < 2 sqrt(D).)  Each
+        cofactor k read from the divisor row must give 4ak = D - b^2, and
+        each row index must count the rows (D, b) before the form's row."""
         limit = 20000
         ds = np.flatnonzero(sweep.fundamental_mask(limit, REAL))
         want = []
@@ -87,8 +89,12 @@ class TestTables:
             ok = ((d - b * b) // 4 % a == 0) & (t1 * t1 > d) & ((t2 < 0) | (t2 * t2 < d))
             bi, ai = np.nonzero(ok)  # row-major: b ascending, then a
             want += zip([j] * len(bi), a[0, ai].tolist(), b[bi, 0].tolist())
-        j, a, b = sweep._reduced_forms(ds, *sweep.divisor_table(limit // 4 + 1))
+        j, row, a, b, k = sweep._reduced_forms(ds, *sweep.divisor_table(limit // 4 + 1))
         assert list(zip(j.tolist(), a.tolist(), b.tolist())) == want
+        assert np.array_equal(4 * a * k, ds[j] - b * b)
+        rows = [len(range(2 - d % 2, math.isqrt(d) + 1, 2)) for d in ds.tolist()]
+        before = np.cumsum([0] + rows)[j]
+        assert np.array_equal(row, before + (b - 2 + ds[j] % 2) // 2)
 
     def test_last_at_most_stays_in_range(self):
         values = np.array([1, 3, 3, 7, 2, 4, 9, 5, 6], dtype=np.int64)
@@ -204,8 +210,8 @@ class TestTriples:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
 
         class FakeContext:
             Pool = FakePool
@@ -337,6 +343,124 @@ class TestRealSegments:
         with pytest.raises(ArithmeticError, match="escaped the reduced set at d = 85$"):
             sweep.quad_triples(REAL, 85, 85)
 
+    @staticmethod
+    def corrupt(monkeypatch, edit) -> None:
+        """Make sweep.divisor_table return edit(indptr, ddata) of a copy of
+        the true table."""
+        table = sweep.divisor_table
+
+        def corrupted(limit):
+            indptr, ddata = table(limit)
+            return edit(indptr, ddata.copy())
+
+        monkeypatch.setattr(sweep, "divisor_table", corrupted)
+
+    @staticmethod
+    def row_of_6(indptr, ddata):
+        """Row m = 6, [1, 2, 3, 6]: D = 28, 33 and 40 (t = 1) read only its
+        middle [2, 3], D = 60 (b = 6, t = 0) all of it."""
+        row = ddata[indptr[6] : indptr[7]]
+        assert row.tolist() == [1, 2, 3, 6]
+        return row
+
+    def test_duplicated_divisors_raise(self, monkeypatch):
+        """With every entry twice, the offsets from both ends still pair
+        each divisor with its cofactor, so every form passes the reducedness
+        check, twice; only the strict ascent of the keys catches it."""
+        self.corrupt(monkeypatch, lambda indptr, ddata: (2 * indptr, np.repeat(ddata, 2)))
+        with pytest.raises(ArithmeticError, match="rho is not a permutation at d = 5$"):
+            sweep.quad_triples(REAL, 2, 3000)
+
+    @pytest.mark.parametrize(
+        "offset, first_bad, what",
+        [
+            (0, 60, "no principal form"),  # D = 60 reads only [2, 3], a closed pair
+            (1, 28, "rho walk escaped the reduced set"),  # hides the row from D = 28
+            (2, 28, "rho walk escaped the reduced set"),  # a = 2 read with a bad k
+            (3, 60, "rho walk escaped the reduced set"),  # a = 1 read with a bad k
+        ],
+    )
+    @pytest.mark.parametrize("bad", [lambda x: 0, lambda x: -x], ids=["zero", "negated"])
+    def test_bad_entry_raises(self, monkeypatch, offset, first_bad, what, bad):
+        def edit(indptr, ddata):
+            row = self.row_of_6(indptr, ddata)
+            row[offset] = bad(row[offset])
+            return indptr, ddata
+
+        self.corrupt(monkeypatch, edit)
+        with pytest.raises(ArithmeticError, match=f"{what} at d = {first_bad}$"):
+            sweep.quad_triples(REAL, 2, first_bad)
+
+    @pytest.mark.parametrize(
+        "i, k, what",
+        [
+            (1, 2, "rho is not a permutation"),  # forms (3, 2) and (2, 2) out of order
+            (0, 1, "rho walk escaped the reduced set"),  # row hidden: its last small divisor is 1
+            (2, 3, "rho walk escaped the reduced set"),  # a = 2 read with k = 6
+            (0, 3, "rho walk escaped the reduced set"),  # a = 6, k = 1 is not reduced
+        ],
+    )
+    def test_swapped_entries_raise(self, monkeypatch, i, k, what):
+        """Swaps in row m = 6, swept to D = 28, its first reader.  (Over a
+        longer range, D = 60 may fail an earlier check of the same segment
+        first: each check names the first D that fails it.)"""
+
+        def edit(indptr, ddata):
+            row = self.row_of_6(indptr, ddata)
+            row[[i, k]] = row[[k, i]]
+            return indptr, ddata
+
+        self.corrupt(monkeypatch, edit)
+        with pytest.raises(ArithmeticError, match=f"{what} at d = 28$"):
+            sweep.quad_triples(REAL, 2, 28)
+
+    def test_missing_principal_form_raises(self, monkeypatch):
+        """Hiding row m = 1 leaves D = 5, 8, 13 and 29 with no form at all,
+        so no successor is missing."""
+
+        def edit(indptr, ddata):
+            ddata[indptr[1]] = 0
+            return indptr, ddata
+
+        self.corrupt(monkeypatch, edit)
+        with pytest.raises(ArithmeticError, match="no principal form at d = 5$"):
+            sweep.quad_triples(REAL, 2, 30)
+
+    @pytest.mark.parametrize("kind", ["zero", "negated", "swapped"])
+    def test_any_bad_entry_raises_or_is_harmless(self, monkeypatch, kind):
+        """For 30 seeded entries of the table to 3000, and the divisor 1 of 10
+        seeded rows m <= 30 (the last rows (D, b) of some D, read in full), a
+        zeroed or negated entry, or one swapped with the next in its row:
+        every fundamental D <= 3000 that reads the entry's row m
+        (D = 4m + b^2), swept alone, raises ArithmeticError or gets its true
+        H."""
+        table = sweep.quad_triples(REAL, 2, 3000)
+        want = dict(zip(table.d.tolist(), table.h.tolist()))
+        indptr, ddata = sweep.divisor_table(3000 // 4 + 1)
+        raised = 0
+        rng = random.Random(20)
+        entries = rng.sample(range(len(ddata)), 30) + indptr[rng.sample(range(1, 31), 10)].tolist()
+        for e in entries:
+            m = int(np.searchsorted(indptr, e, "right")) - 1
+            if kind == "swapped" and e + 1 == indptr[m + 1]:
+                continue  # the last entry of its row
+            bad = ddata.copy()
+            if kind == "swapped":
+                bad[[e, e + 1]] = bad[[e + 1, e]]
+            else:
+                bad[e] = 0 if kind == "zero" else -bad[e]
+            monkeypatch.setattr(sweep, "divisor_table", lambda limit, bad=bad: (indptr, bad))
+            for d in (4 * m + b * b for b in range(1, math.isqrt(3000) + 1)):
+                if d not in want:
+                    continue
+                try:
+                    got = sweep.quad_triples(REAL, d, d).h.tolist()
+                except ArithmeticError:
+                    raised += 1
+                    continue
+                assert got == [want[d]], (kind, e, d)
+        assert raised > 0
+
 
 def fundamental_unit(d: int) -> tuple[int, int, int]:
     """(x, y, N) with eps = (x + y sqrt d) / 2 > 1 the fundamental unit of
@@ -388,6 +512,16 @@ class TestNarrowOracle:
         sample = random.Random(31).sample(sorted(triples), 100) + [5, 8, 12, 136, 1596]
         for d in sample:
             assert abs(narrow_class_number_analytic(d) - triples[d]) < 1e-6, d
+
+    @pytest.mark.parametrize("top, count", [(10**6, 14), (4 * 10**6, 6)])
+    def test_single_discriminants_far_out(self, top, count):
+        """Seeded fundamental D in [top - 20000, top], each swept alone (its
+        divisor table built to top / 4), against the per-D rho walk."""
+        lo = top - 20000
+        ds = np.flatnonzero(sweep.fundamental_mask(top, REAL)[lo:]) + lo
+        for d in random.Random(top).sample(ds.tolist(), count):
+            want = (d, arith.omega(d), classnum.narrow_class_number_real(d))
+            assert list(sweep.quad_triples(REAL, d, d)) == [want], d
 
 
 class TestRecords:
