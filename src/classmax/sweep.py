@@ -80,10 +80,25 @@ def fundamental_mask(limit: int, signature: str) -> np.ndarray:
 # below this is tiled up to the first multiple of a at least this long.
 PATTERN_ROW = 1024
 
+# Largest limit at which imag_class_table counts in uint16 (see its proof);
+# above it, int32.
+UINT16_LIMIT = 9 * 10**7
+
+# Most cells in one grid of imag_class_table's running sum over a group of
+# consecutive a (2 MB in uint16); a group holds at least one a.
+GROUP_CELLS = 2**20
+
+
+def _grid_shape(group: list[int]) -> tuple[int, int, int, int]:
+    """Shape (R + 1, G, 2, max a) of imag_class_table's grid for a group of
+    G ascending a, with R = ceil(max a / 4)."""
+    return (group[-1] + 3) // 4 + 1, len(group), 2, group[-1]
+
 
 def imag_class_table(limit: int, first: int = 1, stride: int = 1) -> np.ndarray:
     """H(-D) for all fundamental 3 <= D <= limit, by a form-count sieve, as a
-    (2, limit // 4 + 1) int32 array with H(-D) at [D & 1, D >> 2].
+    (2, limit // 4 + 1) array with H(-D) at [D & 1, D >> 2]: uint16 if
+    limit <= UINT16_LIMIT, else int32.
 
     Row 0 is the class D = 4m at index m, row 1 the class D = 4i + 3 at
     index i; they hold every imaginary fundamental D.  Entries at other
@@ -104,38 +119,71 @@ def imag_class_table(limit: int, first: int = 1, stride: int = 1) -> np.ndarray:
       running sum over rows of one mark per b, at most ceil(a / 4) rows
       (q_a <= a ceil(a / 4)); its next row, where b = 0 starts too, is the
       pattern.  The first form of each 0 < b < a, (a, b, a), then loses 1.
-    Each temporary of one a (the grid, its boundary rows by class) holds
-    about a^2 / 2 <= limit / 6 entries, a third of the table.
+      The region is added to a view of each class line as rows of a.
+    - Consecutive a share one grid of shape (R + 1, G, 2, max a), with
+      R = ceil(max a / 4), of at most GROUP_CELLS cells (or one a).  Each
+      a's rows end at the shared last row R; the rows above its first mark
+      stay zero under the running sum, which so costs R row adds per group,
+      not ceil(a / 4) per a.  Every grid is a prefix of one buffer, so no
+      temporary of about a^2 / 2 entries is allocated per a.
+
+    Why uint16 is exact up to UINT16_LIMIT.  For fundamental D > 4,
+    h(-D) = (sqrt D / pi) L(1, chi), chi = (-D / .) a character mod D.  Its
+    partial sums are below D in absolute value, as a full period sums to 0,
+    so by Abel summation |sum_{n > D} chi(n) / n| < 2, and |L(1, chi)| <
+    1 + log D + 2.  Hence h(-D) < (sqrt D / pi)(log D + 3), which increases
+    with D and is below 46,654 at 5e7 and 64,367 at 9e7, so below 2^16; and
+    h = 1 at D = 3 and 4.  numpy's in-place uint16 adds and subtracts wrap
+    mod 2^16, so every entry at a fundamental D equals its true count, and
+    so does every stride part, which counts a subset of those forms.
+    Entries at other indices may wrap.
     """
     width = limit // 4 + 1
-    counts = np.zeros((2, width), dtype=np.int32)
-    for a in range(first, math.isqrt(limit // 3) + 1, stride):
-        rows = (a + 3) // 4
-        top = a * a
-        start = top - rows * a
-        b = np.arange(a + 1)
+    dtype = np.uint16 if limit <= UINT16_LIMIT else np.int32
+    counts = np.zeros((2, width), dtype=dtype)
+    groups, avals = [], list(range(first, math.isqrt(limit // 3) + 1, stride))
+    while avals:
+        n = 1
+        while n < len(avals) and math.prod(_grid_shape(avals[: n + 1])) <= GROUP_CELLS:
+            n += 1
+        groups.append(avals[:n])
+        avals = avals[n:]
+    buf = np.empty(max((math.prod(_grid_shape(g)) for g in groups), default=0), dtype=dtype)
+    for group in groups:
+        shape = _grid_shape(group)
+        last = shape[0] - 1
+        # grid[r, g, c, j]: class c at index a^2 - (last - r) a + j, for a = group[g]
+        grid = buf[: math.prod(shape)].reshape(shape)
+        grid.fill(0)
+        # one mark per form (a, b, a), 0 <= b <= a, of each a = group[ga]
+        size = np.array(group) + 1
+        a = np.repeat(size - 1, size)
+        ga = np.repeat(np.arange(len(group)), size)
+        b = np.arange(len(a)) - np.repeat(np.cumsum(size) - size, size)
         cls = b & 1
-        # grid[r, c, j] is class c at index start + r a + j; row `rows` starts at top
-        row, col = np.divmod(rows * a - ((b * b + 3) >> 2), a)  # the form (a, b, a)
-        weight = np.full(a + 1, 2, dtype=np.int32)
-        weight[[0, a]] = 1
-        grid = np.zeros((rows + 1, 2, a), dtype=np.int32)
-        grid[row, cls, col] = weight  # q_b grows with b: no two b of a class share a cell
-        for r in range(1, rows + 1):  # np.cumsum along rows costs several times more
+        row, col = np.divmod(last * a - ((b * b + 3) >> 2), a)
+        # q_b grows with b: no two b of one a and class share a cell
+        grid[row, ga, cls, col] = 2 - ((b == 0) | (b == a))
+        inner = np.flatnonzero((b > 0) & (b < a))
+        for r in range(1, last + 1):  # np.cumsum along rows costs several times more
             grid[r] += grid[r - 1]
-        grid[row[1:a], cls[1:a], col[1:a]] -= 1  # a = c
-        end = min(top, width)
-        if start < end:
-            boundary = grid[:rows].transpose(1, 0, 2).reshape(2, -1)
-            counts[:, start:end] += boundary[:, : end - start]
-        tile = np.tile(grid[rows], -(-PATTERN_ROW // a))
-        period = tile.shape[1]
-        for line, pattern in zip(counts, tile):
-            tail = line[top:]
-            body = len(tail) - len(tail) % period
-            view = tail[:body].reshape(-1, period)
-            view += pattern
-            tail[body:] += pattern[: len(tail) - body]
+        grid[row[inner], ga[inner], cls[inner], col[inner]] -= 1  # a = c
+        for g, a in enumerate(group):
+            rows = (a + 3) // 4
+            top = a * a
+            tile = np.tile(grid[last, g, :, :a], -(-PATTERN_ROW // a))
+            period = tile.shape[1]
+            for c, (line, pattern) in enumerate(zip(counts, tile)):
+                head = line[top - rows * a : top]  # a's boundary rows, cut at the line's end
+                full = len(head) // a
+                view = head[: full * a].reshape(full, a)
+                view += grid[last - rows : last - rows + full, g, c, :a]
+                head[full * a :] += grid[last - rows + full, g, c, : len(head) - full * a]
+                tail = line[top:]
+                body = len(tail) - len(tail) % period
+                view = tail[:body].reshape(-1, period)
+                view += pattern
+                tail[body:] += pattern[: len(tail) - body]
     return counts
 
 
@@ -174,7 +222,7 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # (D, b) rows per segment of the real sweep, the only cut of its D list; a
-# segment's arrays then take a few MB whatever the range (see _narrow_segment).
+# segment's arrays then take a few MB whatever the range (see _narrow_counts).
 SEGMENT = 2**15
 
 
@@ -282,9 +330,13 @@ def reduced_form_pairs(
 
 
 def _fail_at(bad: np.ndarray, what: str, ds: np.ndarray, j: np.ndarray) -> None:
-    """Raise ArithmeticError naming the discriminant of the first bad form."""
+    """Raise ArithmeticError naming the discriminant of the first bad form,
+    in its message and as its attribute d."""
     if bad.any():
-        raise ArithmeticError(f"{what} at d = {ds[j[np.argmax(bad)]]}")
+        d = int(ds[j[np.argmax(bad)]])
+        err = ArithmeticError(f"{what} at d = {d}")
+        err.d = d
+        raise err
 
 
 def _segments(ds: np.ndarray) -> list[tuple[int, int]]:
@@ -305,9 +357,28 @@ _W: dict = {}
 
 def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
     """H+ of the fundamental discriminants ds[i:j] of the sweep, for
-    bounds = (i, j), one of the runs of _segments.
+    bounds = (i, j), one of the runs of _segments (see _narrow_counts).
 
-    Within the segment, the positive half of the reduced indefinite forms,
+    Each check of _narrow_counts names the first D of the run that fails
+    it, which need not be the first D that is wrong: a bad divisor entry
+    can make a later D fail an earlier check.  So on an ArithmeticError
+    the D before the one it names are counted again one at a time, in
+    order, and the first error of a single D is raised, or the original
+    error if none fails alone.  This runs only on the failure path.
+    """
+    ds = _W["ds"][slice(*bounds)]
+    try:
+        return _narrow_counts(ds)
+    except ArithmeticError as err:
+        for i in range(int(np.searchsorted(ds, err.d))):
+            _narrow_counts(ds[i : i + 1])
+        raise
+
+
+def _narrow_counts(ds: np.ndarray) -> np.ndarray:
+    """H+ of the fundamental discriminants ds, ascending.
+
+    Within ds, the positive half of the reduced indefinite forms,
     (a, b) with a > 0 and c = (b^2 - D) / 4a, is indexed in (D, b, a) order
     (see _reduced_forms).  sigma = negation o rho maps it to itself, and
     sigma o sigma = rho o rho, because rho commutes with negation and every
@@ -322,7 +393,7 @@ def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
     sigma(a, b, -k) = (k, b', -k'), with b' = 2k floor((s + b) / 2k) - b
     for s = isqrt(D): the b' = -b mod 2k in (sqrt(D) - 2k, sqrt(D)).  It is
     found by inverting a sort.  A form's key is row W + a, with row the
-    index of its row (D, b) in the segment (_reduced_forms) and
+    index of its row (D, b) in ds (_reduced_forms) and
     W = isqrt(max D) + 1; its successor's target is (row + (b' - b) / 2) W + k,
     in row (D, b') of the same D, since b' = b mod 2 and 0 < b' <= s.  A
     reduced form has a, k < sqrt(D) and b' <= s, so the keys are injective,
@@ -330,8 +401,8 @@ def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
     _isqrt allows.
 
     Checks keep the failure modes of a walk form by form.  They run in this
-    order, and each raises ArithmeticError naming the first D of the segment
-    that fails it:
+    order, and each raises ArithmeticError naming the first D of ds that
+    fails it (see _fail_at):
     - every gathered form is reduced (_reduced_forms: a >= 1, a k = m and
       |a - k| < b), which also gives c = -k < 0, so rho alternates the sign
       of a and every rho cycle is even, and gives b' >= 1 (checked anyway);
@@ -355,7 +426,6 @@ def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
     SEGMENT = 2^15 each array takes at most about 350 kB and a segment a
     few MB, whatever the length of the sweep.
     """
-    ds = _W["ds"][slice(*bounds)]
     j, row, a, b, k = _reduced_forms(ds, _W["indptr"], _W["ddata"])
     n = len(j)
     s = _isqrt(ds)

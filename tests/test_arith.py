@@ -174,10 +174,14 @@ class TestKronecker:
     def test_matches_definition(self, a, n):
         assert arith.kronecker(a, n) == brute_kronecker(a, n)
 
+    # Multiplicativity in the top argument fails only at n = -1 with a zero
+    # factor: (0/-1) = 1 (as for n = 1), but (0/-1) * (-1/-1) = -1.  There
+    # the product is 0 and the value is (0/-1) = 1.
     @given(st.integers(-200, 200), st.integers(-200, 200), st.integers(-60, 60))
     @settings(max_examples=300)
     def test_multiplicative_in_top(self, a, b, n):
-        assert arith.kronecker(a * b, n) == arith.kronecker(a, n) * arith.kronecker(b, n)
+        want = 1 if n == -1 and a * b == 0 else arith.kronecker(a, n) * arith.kronecker(b, n)
+        assert arith.kronecker(a * b, n) == want
 
     # Multiplicativity in the bottom argument holds only for nonzero m, n:
     # (-1/0) = 1 but (-1/0) * (-1/-1) = -1.  The zero case is pinned below.

@@ -49,7 +49,7 @@ class TestTables:
 
     def test_imag_table_matches_form_count(self):
         table = sweep.imag_class_table(20000)
-        assert (table.shape, table.dtype) == ((2, 5001), np.int32)
+        assert (table.shape, table.dtype) == ((2, 5001), np.uint16)
         ds, want = _imag_reference()
         assert table[ds & 1, ds >> 2].tolist() == want
 
@@ -114,20 +114,40 @@ def _imag_reference() -> tuple[np.ndarray, list[int]]:
     return ds, [classnum.class_number_imaginary(-d) for d in ds.tolist()]
 
 
+# imag_class_table's settings besides the defaults: the int32 path, every a
+# in a group of its own, and every a in one group.
+IMAG_VARIANTS = [
+    {"UINT16_LIMIT": 0},
+    {"GROUP_CELLS": 1},
+    {"GROUP_CELLS": 2**30},
+]
+
+
 class TestImagTable:
     """imag_class_table's patterns, boundary regions and tails, against the
     classnum reference: each check sums the parts of every stride 1..4 and
-    reads them at every fundamental D <= limit."""
+    reads them at every fundamental D <= limit.  Each part must also be the
+    same table, entry for entry, under every IMAG_VARIANTS setting."""
 
     def check(self, limit: int, strides=range(1, 5)) -> None:
         ds, want = _imag_reference()
         k = int(np.searchsorted(ds, limit, "right"))
         ds, want = ds[:k], want[:k]
         for stride in strides:
-            parts = [sweep.imag_class_table(limit, f, stride) for f in range(1, stride + 1)]
+            firsts = range(1, stride + 1)
+            parts = [sweep.imag_class_table(limit, f, stride) for f in firsts]
             table = np.sum(parts, axis=0)
             assert table.shape == (2, limit // 4 + 1), (limit, stride)
             assert table[ds & 1, ds >> 2].tolist() == want, (limit, stride)
+            for variant in IMAG_VARIANTS:
+                with pytest.MonkeyPatch.context() as mp:
+                    for name, value in variant.items():
+                        mp.setattr(sweep, name, value)
+                    dtype = np.uint16 if limit <= sweep.UINT16_LIMIT else np.int32
+                    for f, part in zip(firsts, parts):
+                        got = sweep.imag_class_table(limit, f, stride)
+                        assert got.dtype == dtype, (limit, variant)
+                        assert np.array_equal(got, part), (limit, stride, f, variant)
 
     def test_every_small_limit(self):
         for limit in range(301):
@@ -154,6 +174,27 @@ class TestImagTable:
         ds = random.Random(18).sample(np.flatnonzero(mask[2_900_000:]).tolist(), 200)
         for d in (d + 2_900_000 for d in ds):
             assert table[d & 1, d >> 2] == classnum.class_number_imaginary(-d), d
+
+    def test_seeded_sample_near_1e7(self):
+        limit, lo = 10**7, 9_900_000
+        table = sweep.imag_class_table(limit)
+        mask = sweep.fundamental_mask(limit, IMAGINARY)
+        ds = random.Random(22).sample(np.flatnonzero(mask[lo:]).tolist(), 50)
+        for d in (d + lo for d in ds):
+            assert table[d & 1, d >> 2] == classnum.class_number_imaginary(-d), d
+
+    def test_class_number_bound(self):
+        """H(-D) < sqrt(D) / pi (log D + 3) at every fundamental 4 < D <=
+        20000, and H = 1 at D = 3 and 4: the bound that keeps the uint16
+        counts exact.  It increases with D and stays below 2^16 at
+        UINT16_LIMIT."""
+        ds, want = _imag_reference()
+        want = np.array(want)
+        assert ds[:2].tolist() == [3, 4] and want[:2].tolist() == [1, 1]
+        bound = np.sqrt(ds[2:]) / np.pi * (np.log(ds[2:]) + 3)
+        assert (want[2:] < bound).all()
+        limit = sweep.UINT16_LIMIT
+        assert math.sqrt(limit) / math.pi * (math.log(limit) + 3) < 2**16
 
 
 class TestTriples:
@@ -382,6 +423,9 @@ class TestRealSegments:
     )
     @pytest.mark.parametrize("bad", [lambda x: 0, lambda x: -x], ids=["zero", "negated"])
     def test_bad_entry_raises(self, monkeypatch, offset, first_bad, what, bad):
+        """One entry of row m = 6 zeroed or negated, swept to 3000 (one
+        segment): the error names first_bad, the first D that fails alone."""
+
         def edit(indptr, ddata):
             row = self.row_of_6(indptr, ddata)
             row[offset] = bad(row[offset])
@@ -389,7 +433,7 @@ class TestRealSegments:
 
         self.corrupt(monkeypatch, edit)
         with pytest.raises(ArithmeticError, match=f"{what} at d = {first_bad}$"):
-            sweep.quad_triples(REAL, 2, first_bad)
+            sweep.quad_triples(REAL, 2, 3000)
 
     @pytest.mark.parametrize(
         "i, k, what",
@@ -401,9 +445,10 @@ class TestRealSegments:
         ],
     )
     def test_swapped_entries_raise(self, monkeypatch, i, k, what):
-        """Swaps in row m = 6, swept to D = 28, its first reader.  (Over a
-        longer range, D = 60 may fail an earlier check of the same segment
-        first: each check names the first D that fails it.)"""
+        """Swaps in row m = 6, whose first reader is D = 28.  Over the sweep
+        to 3000, one segment, D = 60 fails the reducedness check under the
+        swap (0, 1), before D = 28 fails a later check; the error still
+        names D = 28, the first D that fails alone."""
 
         def edit(indptr, ddata):
             row = self.row_of_6(indptr, ddata)
@@ -412,7 +457,7 @@ class TestRealSegments:
 
         self.corrupt(monkeypatch, edit)
         with pytest.raises(ArithmeticError, match=f"{what} at d = 28$"):
-            sweep.quad_triples(REAL, 2, 28)
+            sweep.quad_triples(REAL, 2, 3000)
 
     def test_missing_principal_form_raises(self, monkeypatch):
         """Hiding row m = 1 leaves D = 5, 8, 13 and 29 with no form at all,
