@@ -238,10 +238,18 @@ class Backend:
             raise BackendError(f"non-positive class number {value}", canonical_key(kind, args))
         return value
 
-    def classno_cubic(self, coeffs: tuple[int, int, int]) -> int:
+    def classno_cubic(self, coeffs: tuple[int, int, int], genus_number: int = 1) -> int:
+        """H of the field x^3 + c2 x^2 + c1 x + c0; a reply that the field's
+        genus number does not divide is a BackendError."""
         if len(coeffs) != 3 or not all(isinstance(c, int) for c in coeffs):
             raise ValueError("CLASSNO_CUBIC takes the three non-leading coefficients")
-        return self._query_int("CLASSNO_CUBIC", tuple(coeffs))
+        value = self._query_int("CLASSNO_CUBIC", tuple(coeffs))
+        if value % genus_number:
+            raise BackendError(
+                f"genus number {genus_number} does not divide class number {value}",
+                canonical_key("CLASSNO_CUBIC", tuple(coeffs)),
+            )
+        return value
 
     def classno_quad(self, d: int) -> int:
         from .discriminants import is_fundamental

@@ -15,6 +15,7 @@ from . import cubic as cubic_mod
 from . import sweep
 from .backend import Backend, BackendError
 from .discriminants import IMAGINARY, REAL
+from .genus import genus_number_cyclic
 from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, MaximaEvent, ShardResult
 from .maxima import merge_shards, scan_collect
 from .metric import EPS_ZERO, FULL, NONGENUS, PER_FIELD_MAX, RAW_H, RAW_SMALL_H, Epsilon
@@ -113,21 +114,33 @@ def scan_stream(stream, config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEv
 
 @contextmanager
 def _cubic_source(config: ScanConfig):
-    """The class-number source of a cubic scan; a backend process it starts
-    is closed on leaving the context, on errors too."""
+    """(lookup, conductors) for a cubic scan's FamilyStream: the fixtures'
+    class numbers, then, with a backend configured, the backend's for the
+    fields the fixtures lack; the fixtures' conductors with --fixtures-only,
+    else None.  A backend process it starts is closed on leaving the context,
+    on errors too."""
     fixtures = cubic_mod.FixtureStore.bundled()
     if config.fixtures_path:
         path = config.fixtures_path
         try:
-            extra = cubic_mod.FixtureStore.from_path(path)
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
-        fixtures.merge(extra)
+        fixtures.load_text(text)
+    conductors = fixtures.conductors if config.fixtures_only else None
     if config.fixtures_only or not (config.backend_cmd or config.cache_path):
-        yield fixtures
+        yield fixtures.get, conductors
         return
     with Backend(command=config.backend_cmd, cache_path=config.cache_path) as bridge:
-        yield cubic_mod.ChainSource(fixtures, cubic_mod.BackendClassNumbers(bridge))
+
+        def lookup(field: cubic_mod.CubicField) -> int:
+            big_h = fixtures.get(field)
+            if big_h is None:
+                big_h = bridge.classno_cubic(field.coeffs, genus_number_cyclic(3, field.n_ramified))
+            return big_h
+
+        yield lookup, conductors
 
 
 def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]:
@@ -135,9 +148,9 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
     config.validate()
     if config.family == CUBIC:
         # FamilyStream reads every class number while it is built
-        with _cubic_source(config) as source:
+        with _cubic_source(config) as (lookup, conductors):
             stream = cubic_mod.FamilyStream(
-                config.lo, config.hi, config.scope, config.metric_kind, source, config.fixtures_only
+                config.lo, config.hi, config.scope, config.metric_kind, lookup, conductors
             )
     else:
         signature = _SIGNATURES[config.family]

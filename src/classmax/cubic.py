@@ -1,10 +1,11 @@
 """Cyclic cubic fields: defining polynomials from 4f = a^2 + 27 b^2,
-conductor families, and family scan records built on pluggable class numbers.
+conductor families, and family scan records.
 
-Class numbers of cubic fields are never computed natively: they come from a
-fixture table (offline) or from the external backend bridge.  Family metrics
-are multiplicative means, so only products of member class numbers enter the
-record values; per-member values are still exposed individually.
+Class numbers of cubic fields are never computed natively: a family reads
+them through a lookup, a callable from a field to its H or None, such as
+FixtureStore.get or that chained with the external backend bridge.  Family
+metrics are multiplicative means, so only products of member class numbers
+enter the record values; per-member values are still exposed individually.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from importlib import resources
 from itertools import combinations
-from typing import Iterator, Protocol
+from typing import Callable, Iterator
 
 from . import arith
-from .discriminants import conductor_parts, is_cyclic_conductor
+from .discriminants import conductor_parts
 from .genus import genus_number_cyclic, nongenus_part
 from .maxima import FieldRecord
 from .metric import FULL, NONGENUS, PER_FIELD_MAX, Epsilon, c_eps, compare
@@ -75,10 +76,14 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 def enumerate_cubic_fields(f: int) -> list[CubicField]:
     """All cyclic cubic fields of conductor exactly f, in ascending-b order."""
+    return _fields(f, len(_parts(f)))
+
+
+def _parts(f: int) -> tuple[int, ...]:
     parts = conductor_parts(3, f)
     if not parts:
         raise ValueError(f"{f} is not a cyclic cubic conductor")
-    return _fields(f, len(parts))
+    return parts
 
 
 def _fields(f: int, n_ramified: int) -> list[CubicField]:
@@ -86,7 +91,8 @@ def _fields(f: int, n_ramified: int) -> list[CubicField]:
 
     Sweeps b with 27 b^2 <= 4f, keeps 4f - 27 b^2 = a^2, and normalizes a:
     for 3 not dividing f, a = -a when a = 1 mod 3; for 9 | f, a = -a when
-    a = 3 mod 9, and b divisible by 3 is skipped.
+    a = 3 mod 9, and b divisible by 3 is skipped.  There must be 2^(N-1)
+    fields.
     """
     wild = f % 9 == 0
     fields: list[CubicField] = []
@@ -110,49 +116,44 @@ def _fields(f: int, n_ramified: int) -> list[CubicField]:
                     coeffs = (0, c1, c0)
                 fields.append(CubicField(f=f, a=a, b=b, coeffs=coeffs, n_ramified=n_ramified))
         b += 1
+    expected = 1 << (n_ramified - 1)
+    if len(fields) != expected:
+        raise ArithmeticError(f"conductor {f}: found {len(fields)} fields, expected {expected}")
     return fields
 
 
 def family_members(f: int, scope: str) -> list[CubicField]:
-    """Fields of conductor exactly f, or of every conductor dividing f, from
-    one factorization: those conductors are the products of the nonempty sets
-    of f's parts, ascending, and N of each is the size of its set."""
-    parts = conductor_parts(3, f)
-    if not parts:
-        raise ValueError(f"{f} is not a cyclic cubic conductor")
+    """Fields of conductor exactly f, or of every conductor dividing f."""
+    return _members(_parts(f), scope)
+
+
+def _members(parts: tuple[int, ...], scope: str) -> list[CubicField]:
+    """family_members for the conductor of these parts, with no factorization:
+    the conductors dividing it are the products of the nonempty sets of its
+    parts, ascending, and N of each is the size of its set."""
     n = len(parts)
     if scope == EXACT_CONDUCTOR:
-        conductors = [(f, n)]
-        expected = 1 << (n - 1)
+        conductors = [(math.prod(parts), n)]
     elif scope == DIVISORS:
         conductors = sorted(
             (math.prod(subset), k) for k in range(1, n + 1) for subset in combinations(parts, k)
         )
-        expected = (3**n - 1) // 2
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    members = [field for d, k in conductors for field in _fields(d, k)]
-    if len(members) != expected:
-        raise ArithmeticError(
-            f"conductor {f}: found {len(members)} fields, expected {expected}"
-        )
-    return members
+    return [field for d, k in conductors for field in _fields(d, k)]
 
 
 # ---------------------------------------------------------------------------
-# class number sources
+# class numbers
 # ---------------------------------------------------------------------------
-
-
-class ClassNumberSource(Protocol):
-    def get(self, field: CubicField) -> int | None: ...
 
 
 class FixtureStore:
     """Class numbers keyed by defining polynomial, from CUBIC,<f>,<c2>,<c1>,<c0>,<H>
     text lines ('#' starts a comment), plus the set of conductors f the lines
     name.  Every line's polynomial must define a field of its conductor f, and
-    hold one H, so a family of f can be covered only if f is in `conductors`."""
+    hold one H that the field's genus number divides, so a family of f can be
+    covered only if f is in `conductors`.  `get` is a class-number lookup."""
 
     def __init__(self) -> None:
         self._by_coeffs: dict[tuple[int, int, int], int] = {}
@@ -165,13 +166,6 @@ class FixtureStore:
             resources.files("classmax.fixtures").joinpath("cubic_h.txt").read_text()
         )
         store.load_text(text)
-        return store
-
-    @classmethod
-    def from_path(cls, path: str) -> "FixtureStore":
-        store = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            store.load_text(fh.read())
         return store
 
     def load_text(self, text: str) -> None:
@@ -188,27 +182,21 @@ class FixtureStore:
                 raise ValueError(f"bad fixture line {lineno}: {raw!r}") from None
             if big_h < 1:
                 raise ValueError(f"bad class number on fixture line {lineno}")
+            at = f"fixture line {lineno}: "
             try:
                 fields = enumerate_cubic_fields(f)
             except ValueError:
-                raise ValueError(f"fixture line {lineno}: {f} is not a conductor") from None
+                raise ValueError(f"{at}{f} is not a conductor") from None
             coeffs = (c2, c1, c0)
             if coeffs not in [field.coeffs for field in fields]:
-                raise ValueError(
-                    f"fixture line {lineno}: {coeffs} does not define a field of conductor {f}"
-                )
-            self._put(coeffs, big_h, f"fixture line {lineno}: ")
+                raise ValueError(f"{at}{coeffs} does not define a field of conductor {f}")
+            genus = genus_number_cyclic(3, fields[0].n_ramified)
+            if big_h % genus:
+                raise ValueError(f"{at}genus number {genus} does not divide class number {big_h}")
+            held = self._by_coeffs.setdefault(coeffs, big_h)
+            if held != big_h:
+                raise ValueError(f"{at}conflicting class numbers {held} and {big_h} for {coeffs}")
             self.conductors.add(f)
-
-    def merge(self, other: "FixtureStore") -> None:
-        for coeffs, big_h in other._by_coeffs.items():
-            self._put(coeffs, big_h, "fixtures: ")
-        self.conductors |= other.conductors
-
-    def _put(self, coeffs: tuple[int, int, int], big_h: int, where: str) -> None:
-        held = self._by_coeffs.setdefault(coeffs, big_h)
-        if held != big_h:
-            raise ValueError(f"{where}conflicting class numbers {held} and {big_h} for {coeffs}")
 
     def __len__(self) -> int:
         return len(self._by_coeffs)
@@ -217,43 +205,20 @@ class FixtureStore:
         return self._by_coeffs.get(field.coeffs)
 
 
-class BackendClassNumbers:
-    """Adapter querying the external bridge for CLASSNO_CUBIC."""
-
-    def __init__(self, backend) -> None:
-        self._backend = backend
-
-    def get(self, field: CubicField) -> int | None:
-        return self._backend.classno_cubic(field.coeffs)
-
-
-class ChainSource:
-    """Try sources in order; first answer wins."""
-
-    def __init__(self, *sources: ClassNumberSource) -> None:
-        self._sources = sources
-
-    def get(self, field: CubicField) -> int | None:
-        for source in self._sources:
-            value = source.get(field)
-            if value is not None:
-                return value
-        return None
-
-
 # ---------------------------------------------------------------------------
 # family records
 # ---------------------------------------------------------------------------
 
 
 def family_class_numbers(
-    f: int, scope: str, source: ClassNumberSource
+    members: list[CubicField], lookup: Callable[[CubicField], int | None]
 ) -> list[tuple[CubicField, int, int]]:
-    """(field, H, h) per member of the family, with h = H / 3^(N-1) for the
-    member's N; the part of a family record that does not depend on eps."""
+    """(field, H, h) per member of a family, H from the class-number lookup
+    and h = H / 3^(N-1) for the member's N; the part of a family record that
+    does not depend on eps."""
     rows = []
-    for member in family_members(f, scope):
-        big_h = source.get(member)
+    for member in members:
+        big_h = lookup(member)
         if big_h is None:
             raise ClassNumberUnavailable(member)
         genus = genus_number_cyclic(3, member.n_ramified)
@@ -299,26 +264,29 @@ def family_scan_record(
     )
 
 
-def iter_conductors(lo: int, hi: int) -> Iterator[int]:
-    """Valid cyclic cubic conductors in [lo, hi], ascending.  Only f = 1 (mod 3)
-    or 9 (mod 27), the residues of such products, are factorized."""
+def iter_conductors(lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(f, parts) per valid cyclic cubic conductor f in [lo, hi], ascending,
+    with f's parts from conductor_parts.  Only f = 1 (mod 3) or 9 (mod 27),
+    the residues of such products, are factorized."""
     for f in range(max(lo, 7), hi + 1):
-        if (f % 3 == 1 or f % 27 == 9) and is_cyclic_conductor(3, f):
-            yield f
+        if f % 3 == 1 or f % 27 == 9:
+            parts = conductor_parts(3, f)
+            if parts:
+                yield f, parts
 
 
 class FamilyStream:
     """The cyclic cubic families of conductors in [lo, hi] under one scope
     and metric, each kept as (f, members), its members' class numbers read
-    once; records(eps) builds every family's record at eps, so a scan
-    reads the source once whatever the number of eps.
+    once from the lookup; records(eps) builds every family's record at eps,
+    so a scan reads the lookup once whatever the number of eps.
 
-    With skip_uncovered, the source must be a FixtureStore and only its
-    conductors are walked: every family has a member of its own conductor f,
-    and every fixture line is filed under its field's conductor, so no other
-    f can be covered.  Families the store does not fully cover are left out
-    (for offline runs against the fixtures).  Otherwise every conductor is
-    walked and a missing class number raises.
+    With conductors None, every conductor is walked and a class number the
+    lookup lacks raises.  Otherwise only the given conductors (a fixture
+    store's) are walked, and families the lookup does not fully cover are
+    left out (for offline runs against the fixtures): every family has a
+    member of its own conductor f, and every fixture line is filed under its
+    field's conductor, so no other f can be covered.
     """
 
     raw = False  # records carry eps, not 0
@@ -329,20 +297,20 @@ class FamilyStream:
         hi: int,
         scope: str,
         metric_kind: str,
-        source: ClassNumberSource,
-        skip_uncovered: bool,
+        lookup: Callable[[CubicField], int | None],
+        conductors: set[int] | None,
     ) -> None:
         self.metric_kind = metric_kind
-        if skip_uncovered:
-            conductors = sorted(f for f in source.conductors if lo <= f <= hi)
+        if conductors is None:
+            walk = iter_conductors(lo, hi)
         else:
-            conductors = iter_conductors(lo, hi)
+            walk = ((f, _parts(f)) for f in sorted(conductors) if lo <= f <= hi)
         self.families = []
-        for f in conductors:
+        for f, parts in walk:
             try:
-                self.families.append((f, family_class_numbers(f, scope, source)))
+                self.families.append((f, family_class_numbers(_members(parts, scope), lookup)))
             except ClassNumberUnavailable:
-                if not skip_uncovered:
+                if conductors is None:
                     raise
 
     def __len__(self) -> int:

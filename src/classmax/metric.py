@@ -139,9 +139,7 @@ def compare(a: MetricValue, b: MetricValue) -> Ordering:
 
 
 def format_value(x) -> str:
-    """19 significant digits, the rendering used by all text output."""
-    if not isinstance(x, mpmath.mpf) and not hasattr(x, "_mpf_"):
-        x = _CTX.mpf(x)
+    """19 significant digits of an mpf, the rendering used by all text output."""
     return mpmath.nstr(x, 19, strip_zeros=False)
 
 

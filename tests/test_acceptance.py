@@ -212,7 +212,7 @@ def test_criterion_10_cubic_enumeration():
         assert [x.coeffs for x in pair] == [
             (1, -55296, 3809303), (1, -55296, -1996812)
         ]
-        for f in cubic.iter_conductors(7, 100_000):
+        for f, _ in cubic.iter_conductors(7, 100_000):
             members = cubic.family_members(f, cubic.EXACT_CONDUCTOR)
             assert len(members) == 1 << (arith.omega(f) - 1), f
 
@@ -220,7 +220,8 @@ def test_criterion_10_cubic_enumeration():
 def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
     with criterion(11, 60.0, "cubic family means against the published tables"):
         stream = cubic.FamilyStream(
-            1, 1500, cubic.EXACT_CONDUCTOR, cubic.NONGENUS, bundled_fixtures, True
+            1, 1500, cubic.EXACT_CONDUCTOR, cubic.NONGENUS,
+            bundled_fixtures.get, bundled_fixtures.conductors,
         )
         _, recs = stream.records(Epsilon(1, 100))
         events, _ = scan_collect(iter(recs))
@@ -229,7 +230,9 @@ def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
         for ev in events[:4]:
             assert rel_err(ev.record.value.approx, gold[ev.record.f]) < 1e-10
         # divisor-closed scope at eps = 1/50: the f = 63 family mean
-        stream = cubic.FamilyStream(1, 200, cubic.DIVISORS, cubic.FULL, bundled_fixtures, True)
+        stream = cubic.FamilyStream(
+            1, 200, cubic.DIVISORS, cubic.FULL, bundled_fixtures.get, bundled_fixtures.conductors
+        )
         _, recs = stream.records(Epsilon(1, 50))
         events, _ = scan_collect(iter(recs))
         row63 = {e.record.f: e for e in events}[63]

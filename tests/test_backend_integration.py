@@ -12,7 +12,7 @@ import pytest
 
 from classmax.backend import Backend
 from classmax.classnum import class_number_imaginary, narrow_class_number_real
-from classmax.cubic import BackendClassNumbers, enumerate_cubic_fields
+from classmax.cubic import enumerate_cubic_fields
 from classmax.discriminants import IMAGINARY, iter_fundamental
 
 COMMAND = os.environ.get("CLASSMAX_TEST_BACKEND_CMD")
@@ -41,6 +41,5 @@ def test_native_backend_agreement_real(live_backend):
 
 
 def test_cubic_backend_source(live_backend):
-    source = BackendClassNumbers(live_backend)
-    assert source.get(enumerate_cubic_fields(163)[0]) == 4
-    assert source.get(enumerate_cubic_fields(7)[0]) == 1
+    assert live_backend.classno_cubic(enumerate_cubic_fields(163)[0].coeffs) == 4
+    assert live_backend.classno_cubic(enumerate_cubic_fields(7)[0].coeffs) == 1

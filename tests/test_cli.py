@@ -218,17 +218,16 @@ class TestScanCommand:
         assert "f=2763" in out
 
 
-class CountingStore(cubic.FixtureStore):
-    """The bundled fixtures, counting class-number lookups."""
+class CountingLookup:
+    """The bundled fixtures' lookup, counting its calls."""
 
     def __init__(self):
-        super().__init__()
-        self.merge(cubic.FixtureStore.bundled())
+        self.store = cubic.FixtureStore.bundled()
         self.gets = 0
 
-    def get(self, field):
+    def __call__(self, field):
         self.gets += 1
-        return super().get(field)
+        return self.store.get(field)
 
 
 class TestCubicStream:
@@ -237,8 +236,9 @@ class TestCubicStream:
     )
     def test_each_field_read_once_per_scan(self, monkeypatch, bundled_fixtures, scope):
         """The families and their class numbers are read once, not per eps."""
-        store = CountingStore()
-        monkeypatch.setattr(cli, "_cubic_source", lambda config: nullcontext(store))
+        lookup = CountingLookup()
+        source = (lookup, lookup.store.conductors)
+        monkeypatch.setattr(cli, "_cubic_source", lambda config: nullcontext(source))
         eps_list = [cli.parse_eps(e) for e in ("1/100", "1/10", "1/2")]
         config = cli.ScanConfig(
             family=cli.CUBIC, eps_list=eps_list, lo=1, hi=100_000, scope=scope,
@@ -249,7 +249,7 @@ class TestCubicStream:
             cubic.family_members(f, scope) for f in bundled_fixtures.conductors if f <= 100_000
         ]
         assert all(bundled_fixtures.get(m) for members in families for m in members)
-        assert store.gets == sum(len(members) for members in families)
+        assert lookup.gets == sum(len(members) for members in families)
         assert [total for _, _, total in results] == [len(families)] * 3
 
     @pytest.mark.parametrize("scope", ["exact", "divisors"])
@@ -363,8 +363,23 @@ class TestScanConfigErrors:
         )
         assert rc == cli.EXIT_CONFIG and out == ""
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "conflicting class numbers" in err
+        assert err.startswith("config error: fixture line ") and "conflicting class numbers" in err
         assert err.count("\n") == 1
+
+    def test_fixture_class_number_its_genus_number_does_not_divide(self, tmp_path, capsys):
+        """f = 2763 = 9 * 307 has N = 2, so 3 must divide each H: a table
+        line with H = 5 is a config error naming the line, not a traceback."""
+        extra = tmp_path / "extra.txt"
+        extra.write_text("CUBIC,2763,0,-921,-10745,5\nCUBIC,2763,0,-921,5833,9\n")
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "3000", "--eps", "1/20", "--fixtures-only",
+             "--fixtures", str(extra)]
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: fixture line 1: genus number 3 does not divide class number 5\n"
+        )
 
     def test_repeated_equal_fixture_line(self, tmp_path):
         extra = tmp_path / "extra.txt"
@@ -494,6 +509,68 @@ class TestBackendExitCode:
         )
         assert (rc, out) == (cli.EXIT_BACKEND, "")
         assert capsys.readouterr().err.startswith("backend error: cannot start backend")
+
+    def test_class_number_its_genus_number_does_not_divide(self, tmp_path, capsys):
+        """A reply H = 3 for a field with N = 3 (9 must divide H) is a
+        backend error naming its request, not a traceback."""
+        adapter = tmp_path / "adapter.py"
+        adapter.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print('A', line.split()[1], 'OK 3', flush=True)\n"
+        )
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "3000", "--eps", "1/20", "--scope", "divisors",
+             "--backend-cmd", f"{sys.executable} {adapter}"]
+        )
+        assert (rc, out) == (cli.EXIT_BACKEND, "")
+        err = capsys.readouterr().err
+        assert err.startswith("backend error: genus number 9 does not divide class number 3 ")
+        assert err.endswith("[request CLASSNO_CUBIC:0:-273:1729]\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["maxima", "minima"])
+    def test_fixtures_answer_before_the_backend(self, tmp_path, bundled_fixtures, mode):
+        """The backend is asked once for each field the fixtures lack and for
+        no other, and a family the fixtures cover keeps their class numbers.
+        The adapter logs each request and answers H = 7 * 3^(N-1), which no
+        fixture holds."""
+        log = tmp_path / "requests.txt"
+        adapter = tmp_path / "adapter.py"
+        adapter.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    _, req, _, c2, c1, c0 = line.split()\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        fh.write(f'{c2} {c1} {c0}\\n')\n"
+            "    f = 1 - 3 * int(c1) if c2 == '1' else -3 * int(c1)\n"
+            "    primes = [q for q in range(2, f + 1) if all(q % r for r in range(2, q))]\n"
+            "    n = sum(1 for q in primes if f % q == 0)\n"
+            "    print('A', req, 'OK', 7 * 3 ** (n - 1), flush=True)\n"
+        )
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "200", "--eps", "1/100", "--mode", mode,
+             "--backend-cmd", f"{sys.executable} {adapter}"]
+        )
+        assert rc == cli.EXIT_OK
+        lacking = [
+            field.coeffs
+            for f, _ in cubic.iter_conductors(1, 200)
+            for field in cubic.family_members(f, cubic.EXACT_CONDUCTOR)
+            if bundled_fixtures.get(field) is None
+        ]
+        asked = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert asked == lacking and lacking
+        assert out == {
+            "maxima": "eps=1/100\n"
+            "f=7 P=x^3+x^2-2*x-1 H=1 h=1 N=1 C=0.9807290047229150047\n"
+            "f=13 P=x^3+x^2-4*x+1 H=7 h=7 N=1 C=6.822736621231840471\n"
+            "ND=27 N1=2 N2=0 N3=0\n",
+            "minima": "eps=1/100\n"
+            "f=7 P=x^3+x^2-2*x-1 H=1 h=1 N=1 C=0.9807290047229150047\n"
+            "f=9 P=x^3-3*x+1 H=1 h=1 N=1 C=0.9782673857291711692\n"
+            "f=63 H=3.000000000000000000 h=1.000000000000000000 N=2 C=0.9594151995590580263\n"
+            "ND=27 N1=2 N2=1 N3=0\n",
+        }[mode]
 
     def test_cache_variable_is_ignored(self, tmp_path, monkeypatch):
         """Only --cache names a cache file: with --backend-cmd alone, a

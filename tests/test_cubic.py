@@ -1,6 +1,6 @@
 import pytest
 
-from classmax import arith
+from classmax import arith, cubic
 from classmax.cubic import (
     ClassNumberUnavailable,
     DIVISORS,
@@ -49,20 +49,17 @@ class CountingFactorize:
         monkeypatch.setattr(arith, "factorize", counted)
 
 
-class StubSource:
+def stub_lookup(field):
     """Made-up class numbers H = 3^(N-1) * (1 + (7a + 13b) mod 5) for every
     field; reads no factorization of its own."""
-
-    def get(self, field):
-        return 3 ** (field.n_ramified - 1) * (1 + (7 * field.a + 13 * field.b) % 5)
+    return 3 ** (field.n_ramified - 1) * (1 + (7 * field.a + 13 * field.b) % 5)
 
 
-def extra_store(bundled: FixtureStore) -> FixtureStore:
+def extra_store() -> FixtureStore:
     """Bundled fixtures plus the two conductors whose member class numbers are
     pinned only as a set ({63, 9} resp. {228, 3}); the scanned metrics are
     insensitive to which member carries which value."""
-    store = FixtureStore()
-    store.merge(bundled)
+    store = FixtureStore.bundled()
     rows = [
         f"CUBIC,{f},{fld.coeffs[0]},{fld.coeffs[1]},{fld.coeffs[2]},{h}"
         for f, hs in ((2763, (63, 9)), (4867, (228, 3)))
@@ -103,7 +100,7 @@ class TestEnumeration:
         assert [f.b for f in fields] == [101, 144]
 
     def test_representation_invariants(self):
-        for f in list(iter_conductors(7, 4000)):
+        for f, _ in iter_conductors(7, 4000):
             for field in enumerate_cubic_fields(f):
                 assert field.a * field.a + 27 * field.b * field.b == 4 * f
                 if field.f % 9:
@@ -113,12 +110,12 @@ class TestEnumeration:
                     assert field.b % 3 != 0
 
     def test_member_counts(self):
-        for f in iter_conductors(7, 20000):
+        for f, _ in iter_conductors(7, 20000):
             members = family_members(f, EXACT_CONDUCTOR)
             assert len(members) == 1 << (arith.omega(f) - 1), f
 
     def test_polynomial_discriminants(self):
-        for f in list(iter_conductors(7, 3000)) + [165889]:
+        for f in [f for f, _ in iter_conductors(7, 3000)] + [165889]:
             for field in enumerate_cubic_fields(f):
                 disc = poly_disc(*field.coeffs)
                 quo, rem = divmod(disc, f * f)
@@ -130,6 +127,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_cubic_fields(21)
 
+    def test_field_count_checked(self):
+        """A conductor of N parts has 2^(N-1) fields; another count is a fault."""
+        with pytest.raises(ArithmeticError, match="^conductor 7: found 1 fields, expected 2$"):
+            cubic._fields(7, 2)
+
 
 class TestFamilies:
     def test_divisor_conductors(self):
@@ -140,7 +142,7 @@ class TestFamilies:
     def test_divisor_members_match_reference(self):
         """The members built from f's parts are the fields of the conductors
         d | f found one by one, in the same order, each with N = omega(d)."""
-        for f in iter_conductors(7, 20_000):
+        for f, _ in iter_conductors(7, 20_000):
             members = family_members(f, DIVISORS)
             want = [
                 field for d in reference_divisor_conductors(f) for field in enumerate_cubic_fields(d)
@@ -151,18 +153,20 @@ class TestFamilies:
     def test_one_factorization_per_fixture_conductor(self, monkeypatch, bundled_fixtures):
         for scope in (EXACT_CONDUCTOR, DIVISORS):
             counter = CountingFactorize(monkeypatch)
-            FamilyStream(1, 7_000_000, scope, "nongenus", bundled_fixtures, True)
+            FamilyStream(
+                1, 7_000_000, scope, "nongenus", bundled_fixtures.get, bundled_fixtures.conductors
+            )
             walked = [f for f in bundled_fixtures.conductors if f <= 7_000_000]
             assert counter.calls == len(walked), scope
 
     def test_factorizations_of_a_walk_over_every_conductor(self, monkeypatch):
         """iter_conductors factorizes only f = 1 (mod 3) and f = 9 (mod 27),
-        once each, and each family's members come from one more."""
+        once each, and each family's members come from those parts."""
         candidates = sum(1 for f in range(7, 20_001) if f % 3 == 1 or f % 27 == 9)
         for scope in (EXACT_CONDUCTOR, DIVISORS):
             counter = CountingFactorize(monkeypatch)
-            stream = FamilyStream(1, 20_000, scope, "nongenus", StubSource(), False)
-            assert counter.calls == candidates + len(stream), scope
+            FamilyStream(1, 20_000, scope, "nongenus", stub_lookup, None)
+            assert counter.calls == candidates, scope
 
     def test_family_sizes(self):
         assert len(family_members(165889, EXACT_CONDUCTOR)) == 2
@@ -188,7 +192,7 @@ class TestFixtureStore:
 
     def test_missing_raises_with_polynomial(self, bundled_fixtures):
         with pytest.raises(ClassNumberUnavailable) as err:
-            family_class_numbers(331, EXACT_CONDUCTOR, bundled_fixtures)
+            family_class_numbers(family_members(331, EXACT_CONDUCTOR), bundled_fixtures.get)
         assert "331" in str(err.value)
 
     def test_rejects_malformed_lines(self):
@@ -209,15 +213,14 @@ class TestFixtureStore:
             FixtureStore().load_text(f"# header\n{line}\n")
         assert str(err.value) == f"bad fixture line 2: {line!r}"
 
-    def test_conflicting_class_numbers_rejected(self, bundled_fixtures):
+    def test_conflicting_class_numbers_rejected(self):
         store = FixtureStore()
         store.load_text("CUBIC,7,1,-2,-1,1\nCUBIC,7,1,-2,-1,1\n")  # a repeat is fine
         with pytest.raises(ValueError, match="^fixture line 2: conflicting"):
             store.load_text("CUBIC,163,1,-54,-169,4\nCUBIC,163,1,-54,-169,8\n")
-        other = FixtureStore()
-        other.load_text("CUBIC,7,1,-2,-1,5\n")
-        with pytest.raises(ValueError, match="conflicting class numbers"):
-            other.merge(bundled_fixtures)
+        bundled = FixtureStore.bundled()
+        with pytest.raises(ValueError, match="^fixture line 2: conflicting class numbers 1 and 5"):
+            bundled.load_text("# another table\nCUBIC,7,1,-2,-1,5\n")
 
     def test_rejects_polynomial_of_another_conductor(self):
         store = FixtureStore()
@@ -226,9 +229,8 @@ class TestFixtureStore:
 
     def test_conductors(self, bundled_fixtures):
         assert {7, 9, 63, 163, 165889} <= bundled_fixtures.conductors
-        store = FixtureStore()
+        store = FixtureStore.bundled()
         store.load_text("CUBIC,7,1,-2,-1,1\n")
-        store.merge(bundled_fixtures)
         assert store.conductors == bundled_fixtures.conductors
 
     def test_comments_and_blanks_ok(self):
@@ -239,12 +241,12 @@ class TestFixtureStore:
 
 class TestFamilyRecords:
     def test_f7_nongenus_mean(self, bundled_fixtures):
-        members = family_class_numbers(7, EXACT_CONDUCTOR, bundled_fixtures)
+        members = family_class_numbers(family_members(7, EXACT_CONDUCTOR), bundled_fixtures.get)
         rec = family_scan_record(7, members, Epsilon(1, 100), "nongenus")
         assert rel_err(rec.value.approx, "0.9807290047229") < 1e-10
 
     def test_f63_divisors_mean_h(self, bundled_fixtures):
-        members = family_class_numbers(63, DIVISORS, bundled_fixtures)
+        members = family_class_numbers(family_members(63, DIVISORS), bundled_fixtures.get)
         rec = family_scan_record(63, members, Epsilon(1, 50), "full")
         assert rec.n_fields == 4
         assert rec.H_prod == 9
@@ -252,13 +254,15 @@ class TestFamilyRecords:
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
-        members = family_class_numbers(163, EXACT_CONDUCTOR, bundled_fixtures)
+        members = family_class_numbers(family_members(163, EXACT_CONDUCTOR), bundled_fixtures.get)
         rec = family_scan_record(163, members, Epsilon(1, 100), "nongenus")
         assert rec.h == 4
         assert rec.poly == "x^3+x^2-54*x-169"
 
     def test_per_field_max_picks_max(self, bundled_fixtures):
-        members = family_class_numbers(165889, EXACT_CONDUCTOR, bundled_fixtures)
+        members = family_class_numbers(
+            family_members(165889, EXACT_CONDUCTOR), bundled_fixtures.get
+        )
         rec = family_scan_record(165889, members, Epsilon(1, 10), "per-field-max")
         assert rec.H == 2352
         assert rec.h == 784
@@ -266,27 +270,33 @@ class TestFamilyRecords:
 
     def test_genus_divisibility_enforced(self):
         # N = 2 forces 3 | H; a fabricated H = 4 must be rejected loudly
-        store = FixtureStore()
         fields = enumerate_cubic_fields(91)
         rows = [
             f"CUBIC,91,{f.coeffs[0]},{f.coeffs[1]},{f.coeffs[2]},{h}"
             for f, h in zip(fields, (3, 4))
         ]
-        store.load_text("\n".join(rows))
+        with pytest.raises(
+            ValueError, match="^fixture line 2: genus number 3 does not divide class number 4$"
+        ):
+            FixtureStore().load_text("\n".join(rows))
+        # a lookup is trusted to hold the genus divisibility: breaking it is
+        # an internal fault
         with pytest.raises(ArithmeticError):
-            family_class_numbers(91, EXACT_CONDUCTOR, store)
+            family_class_numbers(fields, dict(zip(fields, (3, 4))).get)
 
 
 class TestFixtureStreams:
     def test_exact_stream_covered_conductors(self, bundled_fixtures):
-        stream = FamilyStream(1, 1500, EXACT_CONDUCTOR, "nongenus", bundled_fixtures, True)
+        stream = FamilyStream(
+            1, 1500, EXACT_CONDUCTOR, "nongenus", bundled_fixtures.get, bundled_fixtures.conductors
+        )
         keep, recs = stream.records(Epsilon(1, 100))
         assert [r.f for r in recs] == [7, 9, 63, 163, 313, 1063, 1489]
         assert len(stream) == 7 and list(keep) == list(range(7))
 
     def test_uncovered_conductor_raises_without_skip(self, bundled_fixtures):
         with pytest.raises(ClassNumberUnavailable):
-            FamilyStream(1, 400, EXACT_CONDUCTOR, "nongenus", bundled_fixtures, False)
+            FamilyStream(1, 400, EXACT_CONDUCTOR, "nongenus", bundled_fixtures.get, None)
 
     @pytest.mark.parametrize(
         "scope", [EXACT_CONDUCTOR, DIVISORS], ids=["exact_conductor", "divisors"]
@@ -297,31 +307,34 @@ class TestFixtureStreams:
         eps = Epsilon(1, 100)
         for metric in ("nongenus", "full", "per-field-max"):
             want = []
-            for f in iter_conductors(1, 20_000):
+            for f, _ in iter_conductors(1, 20_000):
                 try:
-                    members = family_class_numbers(f, scope, bundled_fixtures)
+                    members = family_class_numbers(family_members(f, scope), bundled_fixtures.get)
                 except ClassNumberUnavailable:
                     continue
                 want.append(family_scan_record(f, members, eps, metric))
-            got = FamilyStream(1, 20_000, scope, metric, bundled_fixtures, True).records(eps)[1]
+            lookup, conductors = bundled_fixtures.get, bundled_fixtures.conductors
+            got = FamilyStream(1, 20_000, scope, metric, lookup, conductors).records(eps)[1]
             assert got == want and want
-            window = FamilyStream(63, 1489, scope, metric, bundled_fixtures, True).records(eps)[1]
+            window = FamilyStream(63, 1489, scope, metric, lookup, conductors).records(eps)[1]
             assert window == [r for r in want if 63 <= r.f <= 1489]
 
     def test_partially_covered_family_is_skipped(self):
         store = FixtureStore()
         store.load_text("CUBIC,63,0,-21,-35,3\n")  # one of the two f = 63 fields
-        stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store, True)
+        stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store.get, store.conductors)
         assert stream.records(Epsilon(1, 100))[1] == []
         store.load_text("CUBIC,63,0,-21,28,3\n")
-        stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store, True)
+        stream = FamilyStream(1, 100, EXACT_CONDUCTOR, "nongenus", store.get, store.conductors)
         assert [r.f for r in stream.records(Epsilon(1, 100))[1]] == [63]
 
-    def test_max_field_scan_reproduces_listing(self, bundled_fixtures, data_rows):
+    def test_max_field_scan_reproduces_listing(self, data_rows):
         """With the two set-pinned families added, the per-field-max scan at
         eps = 1/10 over covered conductors reproduces the published rows."""
-        store = extra_store(bundled_fixtures)
-        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "per-field-max", store, True)
+        store = extra_store()
+        stream = FamilyStream(
+            1, 200_000, EXACT_CONDUCTOR, "per-field-max", store.get, store.conductors
+        )
         _, recs = stream.records(Epsilon(1, 10))
         events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
         gold = [r for r in data_rows("cubic_eps_1_10_maxfield_listed.csv") if int(r["f"]) <= 200_000]
@@ -331,11 +344,11 @@ class TestFixtureStreams:
         for ev, r in zip(events, gold):
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
 
-    def test_mean_scan_drops_all_composite_records(self, bundled_fixtures):
+    def test_mean_scan_drops_all_composite_records(self):
         """Replacing per-field max by the family mean removes the composite
         conductors from the record list (the corrected program's behavior)."""
-        store = extra_store(bundled_fixtures)
-        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "nongenus", store, True)
+        store = extra_store()
+        stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "nongenus", store.get, store.conductors)
         _, recs = stream.records(Epsilon(1, 10))
         events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
         assert all(e.record.n_ramified == 1 for e in events)
