@@ -3,15 +3,13 @@
 Wire protocol (newline-delimited text, one request in flight):
 
     request:  Q <id> CLASSNO_CUBIC <c2> <c1> <c0>
-              Q <id> CLASSNO_QUAD <D>
     reply:    A <id> OK <value>
               A <id> ERR <message>
 
-CLASSNO_QUAD returns the ordinary class number for D < 0 and the narrow
-(restricted-sense) class number for D > 0.
-
 The cache file is append-only text, `<key>,<result>,<timestamp>` per line,
 last entry winning; compaction rewrites it and is an explicit CLI action.
+Only a reply that passes the class-number checks is cached, and a cached
+value is checked again when it is read.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from contextlib import contextmanager
 
 DEFAULT_TIMEOUT = 60.0
 
-KINDS = ("CLASSNO_CUBIC", "CLASSNO_QUAD")
-
 
 class BackendError(Exception):
     """Backend failure (timeout, malformed reply, process death), with the key."""
@@ -39,10 +35,20 @@ class BackendError(Exception):
         super().__init__(message)
 
 
-def canonical_key(kind: str, args: tuple[int, ...]) -> str:
-    if kind not in KINDS:
-        raise ValueError(f"unknown request kind {kind!r}")
-    return ":".join([kind, *[str(a) for a in args]])
+def _class_number(text: str, genus_number: int, key: str) -> int:
+    """The class number in a reply or cache entry: a positive integer that
+    the field's genus number divides, else a BackendError naming `key`."""
+    try:
+        value = int(text.strip())
+    except ValueError:
+        raise BackendError(f"non-integer class number {text!r}", key)
+    if value < 1:
+        raise BackendError(f"non-positive class number {value}", key)
+    if value % genus_number:
+        raise BackendError(
+            f"genus number {genus_number} does not divide class number {value}", key
+        )
+    return value
 
 
 @contextmanager
@@ -135,8 +141,12 @@ class Backend:
             raise BackendError("no backend command configured and result not cached")
         self._buf = b""
         try:
+            argv = shlex.split(self.command)
+        except ValueError as exc:  # unbalanced quotes: a bad setting
+            raise ValueError(f"--backend-cmd {self.command!r}: {exc}") from exc
+        try:
             self._proc = subprocess.Popen(
-                shlex.split(self.command),
+                argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 bufsize=0,
@@ -190,70 +200,51 @@ class Backend:
 
     # -- queries ------------------------------------------------------------
 
-    def query(self, kind: str, args: tuple[int, ...]) -> str:
-        """Cache-first single query; raises BackendError on any backend
-        failure, and ValueError if the cache file cannot be written."""
-        key = canonical_key(kind, args)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-            proc = self._ensure_proc(key)
-            req_id = self._next_id
-            self._next_id += 1
-            line = f"Q {req_id} {kind} {' '.join(str(a) for a in args)}\n"
-            try:
-                proc.stdin.write(line.encode("utf-8"))
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                code = proc.poll()
-                self._kill()
-                raise BackendError(f"backend pipe broke (exit={code}): {exc}", key)
-            reply = self._readline(proc, key)
-            parts = reply.split(" ", 3)
-            if len(parts) < 3 or parts[0] != "A":
-                self._kill()
-                raise BackendError(f"malformed reply {reply!r}", key)
-            if parts[1] != str(req_id):
-                self._kill()
-                raise BackendError(f"reply id mismatch: {reply!r}", key)
-            if parts[2] == "OK" and len(parts) == 4:
-                self.cache.put(key, parts[3])
-                return parts[3]
-            if parts[2] == "ERR":
-                raise BackendError(f"backend error: {parts[3] if len(parts) > 3 else ''}", key)
+    def _ask(self, key: str) -> str:
+        """Send the request `key` names (its fields joined by spaces) and
+        return the text of its OK reply; the caller holds the lock.  Raises
+        BackendError on any backend failure."""
+        proc = self._ensure_proc(key)
+        req_id = self._next_id
+        self._next_id += 1
+        try:
+            proc.stdin.write(f"Q {req_id} {key.replace(':', ' ')}\n".encode("utf-8"))
+            proc.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            code = proc.poll()
+            self._kill()
+            raise BackendError(f"backend pipe broke (exit={code}): {exc}", key)
+        reply = self._readline(proc, key)
+        parts = reply.split(" ", 3)
+        if len(parts) < 3 or parts[0] != "A":
             self._kill()
             raise BackendError(f"malformed reply {reply!r}", key)
-
-    def _query_int(self, kind: str, args: tuple[int, ...]) -> int:
-        text = self.query(kind, args)
-        try:
-            value = int(text.strip())
-        except ValueError:
-            raise BackendError(f"non-integer class number {text!r}", canonical_key(kind, args))
-        if value < 1:
-            raise BackendError(f"non-positive class number {value}", canonical_key(kind, args))
-        return value
+        if parts[1] != str(req_id):
+            self._kill()
+            raise BackendError(f"reply id mismatch: {reply!r}", key)
+        if parts[2] == "OK" and len(parts) == 4:
+            return parts[3]
+        if parts[2] == "ERR":
+            raise BackendError(f"backend error: {parts[3] if len(parts) > 3 else ''}", key)
+        self._kill()
+        raise BackendError(f"malformed reply {reply!r}", key)
 
     def classno_cubic(self, coeffs: tuple[int, int, int], genus_number: int = 1) -> int:
-        """H of the field x^3 + c2 x^2 + c1 x + c0; a reply that the field's
-        genus number does not divide is a BackendError."""
+        """H of the field x^3 + c2 x^2 + c1 x + c0, from the cache or else the
+        process.  A value that is not a positive integer, or that the field's
+        genus number does not divide, is a BackendError naming the request;
+        only a reply that passes is cached.  ValueError if the cache file
+        cannot be written."""
         if len(coeffs) != 3 or not all(isinstance(c, int) for c in coeffs):
             raise ValueError("CLASSNO_CUBIC takes the three non-leading coefficients")
-        value = self._query_int("CLASSNO_CUBIC", tuple(coeffs))
-        if value % genus_number:
-            raise BackendError(
-                f"genus number {genus_number} does not divide class number {value}",
-                canonical_key("CLASSNO_CUBIC", tuple(coeffs)),
-            )
-        return value
-
-    def classno_quad(self, d: int) -> int:
-        from .discriminants import is_fundamental
-
-        if not is_fundamental(d):
-            raise ValueError(f"{d} is not a fundamental discriminant")
-        return self._query_int("CLASSNO_QUAD", (d,))
+        key = ":".join(["CLASSNO_CUBIC", *map(str, coeffs)])
+        text = self.cache.get(key)
+        if text is None:
+            with self._lock:
+                text = self.cache.get(key)
+                if text is None:
+                    text = self._ask(key)
+                    value = _class_number(text, genus_number, key)
+                    self.cache.put(key, text)
+                    return value
+        return _class_number(text, genus_number, key)

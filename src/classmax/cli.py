@@ -290,8 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cubic: restrict the stream to fixture-covered conductor families",
     )
-    p_scan.add_argument("--backend-cmd", default=None)
-    p_scan.add_argument("--cache", default=None)
+    p_scan.add_argument(
+        "--backend-cmd",
+        default=None,
+        help="cubic: external process asked for the class numbers the fixtures lack",
+    )
+    p_scan.add_argument("--cache", default=None, help="cubic: file caching the backend's replies")
     p_scan.add_argument(
         "--compat-minima-init-one",
         action="store_true",

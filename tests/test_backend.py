@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from classmax.backend import DEFAULT_TIMEOUT, Backend, BackendError, ResultCache, canonical_key
+from classmax.backend import DEFAULT_TIMEOUT, Backend, BackendError, ResultCache
 
 FAKE_BACKEND = textwrap.dedent(
     """\
@@ -15,8 +15,9 @@ FAKE_BACKEND = textwrap.dedent(
     TABLE = {
         ("CLASSNO_CUBIC", "1", "-54", "-169"): "4",
         ("CLASSNO_CUBIC", "1", "-2", "-1"): "1",
-        ("CLASSNO_QUAD", "-23"): "3",
-        ("CLASSNO_QUAD", "136"): "4",
+        ("CLASSNO_CUBIC", "0", "-273", "1729"): "3",
+        ("CLASSNO_CUBIC", "0", "-21", "-35"): "three",
+        ("CLASSNO_CUBIC", "0", "-21", "7"): "0",
     }
 
     mode = sys.argv[1] if len(sys.argv) > 1 else "ok"
@@ -61,30 +62,35 @@ def make_backend(fake_path, tmp_path, mode="ok", timeout=10.0):
     )
 
 
-class TestCanonicalKey:
+def request_key(coeffs) -> str:
+    """The key a failed request for `coeffs` is reported and cached under."""
+    with pytest.raises(BackendError) as err:
+        Backend(command="/nonexistent/adapter").classno_cubic(coeffs)
+    return err.value.request_key
+
+
+class TestRequestKey:
     def test_shapes(self):
-        assert canonical_key("CLASSNO_CUBIC", (1, -2, -1)) == "CLASSNO_CUBIC:1:-2:-1"
-        assert canonical_key("CLASSNO_QUAD", (-23,)) == "CLASSNO_QUAD:-23"
+        assert request_key((1, -2, -1)) == "CLASSNO_CUBIC:1:-2:-1"
+        assert request_key((0, -273, 1729)) == "CLASSNO_CUBIC:0:-273:1729"
 
     def test_injective_on_distinct_args(self):
         keys = {
-            canonical_key("CLASSNO_CUBIC", args)
-            for args in [(1, -2, -1), (1, -2, 1), (1, 2, -1), (-1, -2, -1)]
+            request_key(args) for args in [(1, -2, -1), (1, -2, 1), (1, 2, -1), (-1, -2, -1)]
         }
         assert len(keys) == 4
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            canonical_key("FACTOR", (10,))
-        with pytest.raises(ValueError):
-            canonical_key("SUBCYCLO", (7, 3))
+    @pytest.mark.parametrize("coeffs", [(1, -2), (1, -2, -1, 0), (1, -2, -1.0)])
+    def test_not_three_integers(self, coeffs):
+        with pytest.raises(ValueError, match="three non-leading coefficients"):
+            Backend(command="/nonexistent/adapter").classno_cubic(coeffs)
 
 
 class TestQueries:
     def test_classno_cubic(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path) as bk:
             assert bk.classno_cubic((1, -54, -169)) == 4
-            assert bk.classno_quad(-23) == 3
+            assert bk.classno_cubic((1, -2, -1)) == 1
 
     def test_cache_survives_process_restart(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path) as bk:
@@ -96,13 +102,58 @@ class TestQueries:
     def test_uncached_without_command_fails(self, tmp_path):
         bk = Backend(command=None, cache_path=str(tmp_path / "cache.txt"))
         with pytest.raises(BackendError):
-            bk.classno_quad(-47)
+            bk.classno_cubic((1, -54, -169))
 
     def test_err_reply_surfaces_key(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path) as bk:
             with pytest.raises(BackendError) as err:
-                bk.classno_quad(-99991)
-            assert "CLASSNO_QUAD:-99991" in str(err.value)
+                bk.classno_cubic((0, -3, 1))
+            assert "CLASSNO_CUBIC:0:-3:1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "coeffs, genus_number, message",
+        [
+            ((0, -3, 1), 1, "backend error: unknown request"),
+            ((0, -21, -35), 1, "non-integer class number 'three'"),
+            ((0, -21, 7), 1, "non-positive class number 0"),
+            ((0, -273, 1729), 9, "genus number 9 does not divide class number 3"),
+        ],
+        ids=["err", "non-integer", "non-positive", "genus"],
+    )
+    def test_rejected_reply_is_not_cached(
+        self, fake_backend_path, tmp_path, coeffs, genus_number, message
+    ):
+        key = "CLASSNO_CUBIC:" + ":".join(map(str, coeffs))
+        with make_backend(fake_backend_path, tmp_path) as bk:
+            with pytest.raises(BackendError, match=re.escape(f"{message} [request {key}]")):
+                bk.classno_cubic(coeffs, genus_number)
+            assert bk.cache.get(key) is None
+            assert bk.classno_cubic((1, -2, -1)) == 1
+        cache_file = tmp_path / "cache.txt"
+        assert [line.split(",")[0] for line in cache_file.read_text().splitlines()] == [
+            "CLASSNO_CUBIC:1:-2:-1"
+        ]
+        with pytest.raises(BackendError, match="no backend command configured"):
+            Backend(command=None, cache_path=str(cache_file)).classno_cubic(coeffs, genus_number)
+
+    @pytest.mark.parametrize(
+        "cached, genus_number, message",
+        [
+            ("3", 9, "genus number 9 does not divide class number 3"),
+            ("three", 1, "non-integer class number 'three'"),
+            ("-3", 1, "non-positive class number -3"),
+        ],
+        ids=["genus", "non-integer", "non-positive"],
+    )
+    def test_cached_value_is_checked_on_read(self, tmp_path, cached, genus_number, message):
+        """A cache written by an earlier version may hold a value that was
+        never checked: it is rejected on read, and no process is asked."""
+        cache_file = tmp_path / "cache.txt"
+        cache_file.write_text(f"CLASSNO_CUBIC:0:-273:1729,{cached},1\n")
+        bk = Backend(command="/nonexistent/adapter", cache_path=str(cache_file))
+        expected = f"{message} [request CLASSNO_CUBIC:0:-273:1729]"
+        with pytest.raises(BackendError, match=re.escape(expected)):
+            bk.classno_cubic((0, -273, 1729), genus_number)
 
     def test_unstartable_command_surfaces_key(self, tmp_path):
         bk = Backend(command="/nonexistent/adapter", cache_path=str(tmp_path / "cache.txt"))
@@ -114,19 +165,19 @@ class TestQueries:
     def test_timeout(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path, mode="sleep", timeout=0.3) as bk:
             with pytest.raises(BackendError) as err:
-                bk.classno_quad(-23)
+                bk.classno_cubic((1, -54, -169))
             assert "timeout" in str(err.value)
 
     def test_malformed_reply(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path, mode="garbage") as bk:
             with pytest.raises(BackendError) as err:
-                bk.classno_quad(-23)
+                bk.classno_cubic((1, -54, -169))
             assert "malformed" in str(err.value)
 
     def test_process_death(self, fake_backend_path, tmp_path):
         with make_backend(fake_backend_path, tmp_path, mode="die") as bk:
             with pytest.raises(BackendError):
-                bk.classno_quad(-23)
+                bk.classno_cubic((1, -54, -169))
 
     def test_reads_no_environment(self, fake_backend_path, tmp_path, monkeypatch):
         """The CLI flags are the only settings: variables named like them
@@ -137,7 +188,7 @@ class TestQueries:
         with Backend() as bk:
             assert (bk.command, bk.cache.path, bk.timeout) == (None, None, DEFAULT_TIMEOUT)
             with pytest.raises(BackendError, match="no backend command configured"):
-                bk.classno_quad(136)
+                bk.classno_cubic((1, -54, -169))
         assert not (tmp_path / "envcache.txt").exists()
 
 
@@ -145,22 +196,22 @@ class TestResultCache:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "c.txt")
         cache = ResultCache(path)
-        cache.put("CLASSNO_QUAD:-23", "3")
+        cache.put("CLASSNO_CUBIC:1:-54:-169", "4")
         reloaded = ResultCache(path)
-        assert reloaded.get("CLASSNO_QUAD:-23") == "3"
+        assert reloaded.get("CLASSNO_CUBIC:1:-54:-169") == "4"
 
     def test_last_entry_wins(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text(
-            "CLASSNO_QUAD:-23,2,100\nCLASSNO_QUAD:-23,3,200\n"
+            "CLASSNO_CUBIC:1:-54:-169,2,100\nCLASSNO_CUBIC:1:-54:-169,4,200\n"
         )
-        assert ResultCache(str(path)).get("CLASSNO_QUAD:-23") == "3"
+        assert ResultCache(str(path)).get("CLASSNO_CUBIC:1:-54:-169") == "4"
 
     def test_torn_tail_line_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
-        path.write_text("CLASSNO_QUAD:-23,3,100\nCLASSNO_QUAD:-47")
-        assert ResultCache(str(path)).get("CLASSNO_QUAD:-23") == "3"
-        assert ResultCache(str(path)).get("CLASSNO_QUAD:-47") is None
+        path.write_text("CLASSNO_CUBIC:1:-54:-169,4,100\nCLASSNO_CUBIC:1:-2:-1")
+        assert ResultCache(str(path)).get("CLASSNO_CUBIC:1:-54:-169") == "4"
+        assert ResultCache(str(path)).get("CLASSNO_CUBIC:1:-2:-1") is None
 
     def test_put_after_torn_tail_starts_a_new_line(self, tmp_path):
         path = tmp_path / "c.txt"

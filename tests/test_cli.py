@@ -494,6 +494,36 @@ class TestCacheCompact:
         assert err == f"config error: cannot write cache {path}: No such file or directory\n"
 
 
+OK_3_ADAPTER = (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    print('A', line.split()[1], 'OK 3', flush=True)\n"
+)
+
+
+def genus_adapter(log) -> str:
+    """An adapter that appends each request's coefficients to `log` and
+    answers H = 7 * 3^(N-1): genus theory allows it, and no fixture holds it."""
+    return (
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    _, req, _, c2, c1, c0 = line.split()\n"
+        f"    with open({str(log)!r}, 'a') as fh:\n"
+        "        fh.write(f'{c2} {c1} {c0}\\n')\n"
+        "    f = 1 - 3 * int(c1) if c2 == '1' else -3 * int(c1)\n"
+        "    primes = [q for q in range(2, f + 1) if all(q % r for r in range(2, q))]\n"
+        "    n = sum(1 for q in primes if f % q == 0)\n"
+        "    print('A', req, 'OK', 7 * 3 ** (n - 1), flush=True)\n"
+    )
+
+
+def write_adapter(tmp_path, source: str) -> str:
+    """A --backend-cmd value that runs `source` with this interpreter."""
+    adapter = tmp_path / "adapter.py"
+    adapter.write_text(source)
+    return f"{sys.executable} {adapter}"
+
+
 class TestBackendExitCode:
     def test_backend_error_is_exit_3(self, tmp_path):
         rc, _ = run_cli(
@@ -512,44 +542,32 @@ class TestBackendExitCode:
 
     def test_class_number_its_genus_number_does_not_divide(self, tmp_path, capsys):
         """A reply H = 3 for a field with N = 3 (9 must divide H) is a
-        backend error naming its request, not a traceback."""
-        adapter = tmp_path / "adapter.py"
-        adapter.write_text(
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    print('A', line.split()[1], 'OK 3', flush=True)\n"
-        )
-        rc, out = run_cli(
-            ["scan", "--family", "cubic", "--max", "3000", "--eps", "1/20", "--scope", "divisors",
-             "--backend-cmd", f"{sys.executable} {adapter}"]
-        )
+        backend error naming its request, not a traceback.  The rejected
+        reply never reaches --cache, so a later run with a correct backend
+        and the same cache succeeds."""
+        cache = tmp_path / "c.txt"
+        argv = ["scan", "--family", "cubic", "--max", "3000", "--eps", "1/20",
+                "--scope", "divisors", "--cache", str(cache), "--backend-cmd"]
+        rc, out = run_cli(argv + [write_adapter(tmp_path, OK_3_ADAPTER)])
         assert (rc, out) == (cli.EXIT_BACKEND, "")
         err = capsys.readouterr().err
         assert err.startswith("backend error: genus number 9 does not divide class number 3 ")
         assert err.endswith("[request CLASSNO_CUBIC:0:-273:1729]\n") and err.count("\n") == 1
+        keys = [line.split(",")[0] for line in cache.read_text().splitlines()]
+        assert keys and "CLASSNO_CUBIC:0:-273:1729" not in keys
+        rc, _ = run_cli(argv + [write_adapter(tmp_path, genus_adapter(tmp_path / "log.txt"))])
+        assert rc == cli.EXIT_OK
 
     @pytest.mark.parametrize("mode", ["maxima", "minima"])
     def test_fixtures_answer_before_the_backend(self, tmp_path, bundled_fixtures, mode):
         """The backend is asked once for each field the fixtures lack and for
         no other, and a family the fixtures cover keeps their class numbers.
-        The adapter logs each request and answers H = 7 * 3^(N-1), which no
-        fixture holds."""
+        The adapter logs each request and answers H = 7 * 3^(N-1)."""
         log = tmp_path / "requests.txt"
-        adapter = tmp_path / "adapter.py"
-        adapter.write_text(
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    _, req, _, c2, c1, c0 = line.split()\n"
-            f"    with open({str(log)!r}, 'a') as fh:\n"
-            "        fh.write(f'{c2} {c1} {c0}\\n')\n"
-            "    f = 1 - 3 * int(c1) if c2 == '1' else -3 * int(c1)\n"
-            "    primes = [q for q in range(2, f + 1) if all(q % r for r in range(2, q))]\n"
-            "    n = sum(1 for q in primes if f % q == 0)\n"
-            "    print('A', req, 'OK', 7 * 3 ** (n - 1), flush=True)\n"
-        )
+        adapter = write_adapter(tmp_path, genus_adapter(log))
         rc, out = run_cli(
             ["scan", "--family", "cubic", "--max", "200", "--eps", "1/100", "--mode", mode,
-             "--backend-cmd", f"{sys.executable} {adapter}"]
+             "--backend-cmd", adapter]
         )
         assert rc == cli.EXIT_OK
         lacking = [
@@ -575,16 +593,11 @@ class TestBackendExitCode:
     def test_cache_variable_is_ignored(self, tmp_path, monkeypatch):
         """Only --cache names a cache file: with --backend-cmd alone, a
         CLASSMAX_CACHE in the environment is not written."""
-        adapter = tmp_path / "adapter.py"
-        adapter.write_text(
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    print('A', line.split()[1], 'OK 3', flush=True)\n"
-        )
+        adapter = write_adapter(tmp_path, OK_3_ADAPTER)
         monkeypatch.setenv("CLASSMAX_CACHE", str(tmp_path / "env_cache.txt"))
         rc, _ = run_cli(
             ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
-             "--backend-cmd", f"{sys.executable} {adapter}"]
+             "--backend-cmd", adapter]
         )
         assert rc == cli.EXIT_OK
         assert not (tmp_path / "env_cache.txt").exists()
@@ -592,18 +605,18 @@ class TestBackendExitCode:
     def test_scan_closes_its_backend(self, tmp_path):
         """The adapter outlives stdin EOF; the scan still ends its process."""
         pid_file = tmp_path / "pid"
-        adapter = tmp_path / "adapter.py"
-        adapter.write_text(
+        adapter = write_adapter(
+            tmp_path,
             "import os, sys, time\n"
             f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
             "for line in sys.stdin:\n"
             "    print('A', line.split()[1], 'OK 1', flush=True)\n"
-            "time.sleep(20)\n"
+            "time.sleep(20)\n",
         )
         try:
             rc, _ = run_cli(
                 ["scan", "--family", "cubic", "--max", "60", "--eps", "1/100",
-                 "--backend-cmd", f"{sys.executable} {adapter}"]
+                 "--backend-cmd", adapter]
             )
             assert rc == cli.EXIT_OK
             pid = int(pid_file.read_text())
@@ -615,6 +628,36 @@ class TestBackendExitCode:
                     os.kill(int(pid_file.read_text()), signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+
+    def test_cached_class_number_is_checked_on_read(self, tmp_path, capsys):
+        """A cache line an earlier version wrote without checking it is
+        rejected when it is read, with or without a backend, and the
+        backend is never asked for that field."""
+        cache = tmp_path / "c.txt"
+        cache.write_text("CLASSNO_CUBIC:0:-273:1729,3,1\n")
+        log = tmp_path / "requests.txt"
+        argv = ["scan", "--family", "cubic", "--max", "3000", "--eps", "1/20",
+                "--scope", "divisors", "--cache", str(cache)]
+        expected = (
+            "backend error: genus number 9 does not divide class number 3 "
+            "[request CLASSNO_CUBIC:0:-273:1729]\n"
+        )
+        rc, out = run_cli(argv + ["--backend-cmd", write_adapter(tmp_path, genus_adapter(log))])
+        assert (rc, out, capsys.readouterr().err) == (cli.EXIT_BACKEND, "", expected)
+        asked = log.read_text().splitlines()
+        assert asked and "0 -273 1729" not in asked
+        rc, out = run_cli(argv)  # every earlier field is cached now
+        assert (rc, out, capsys.readouterr().err) == (cli.EXIT_BACKEND, "", expected)
+
+    def test_bad_command_quoting_names_the_option(self, capsys):
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
+             "--backend-cmd", '"unterminated']
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        err = capsys.readouterr().err
+        assert err == "config error: --backend-cmd '\"unterminated': No closing quotation\n"
 
 
 class TestPublicApi:
