@@ -138,7 +138,7 @@ class Backend:
         if self._proc is not None and self._proc.poll() is None:
             return self._proc
         if not self.command:
-            raise BackendError("no backend command configured and result not cached")
+            raise BackendError("no backend command configured and result not cached", key)
         self._buf = b""
         try:
             argv = shlex.split(self.command)
@@ -225,7 +225,7 @@ class Backend:
         if parts[2] == "OK" and len(parts) == 4:
             return parts[3]
         if parts[2] == "ERR":
-            raise BackendError(f"backend error: {parts[3] if len(parts) > 3 else ''}", key)
+            raise BackendError(parts[3] if len(parts) > 3 else "", key)
         self._kill()
         raise BackendError(f"malformed reply {reply!r}", key)
 

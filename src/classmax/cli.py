@@ -19,7 +19,7 @@ from .genus import genus_number_cyclic
 from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, MaximaEvent, ShardResult
 from .maxima import merge_shards, scan_collect
 from .metric import EPS_ZERO, FULL, NONGENUS, PER_FIELD_MAX, RAW_H, RAW_SMALL_H, Epsilon
-from .metric import c_eps, format_value, root_mean
+from .metric import c_eps, format_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,7 +169,7 @@ def _display_h(record: FieldRecord, which: str) -> str:
     if exact is not None:
         return str(exact)
     prod = record.H_prod if which == "H" else record.h_prod
-    return format_value(root_mean(prod, record.n_fields))
+    return format_value(c_eps(prod, 1, EPS_ZERO, root=record.n_fields).approx)
 
 
 def _text_line(record: FieldRecord) -> str:

@@ -11,6 +11,7 @@ record decision is never wrong.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,25 +70,22 @@ EPS_ZERO = Epsilon(0, 1)
 
 @dataclass(frozen=True)
 class MetricValue:
-    """(h_num/h_den / disc^(eps/2))^(1/root), with a certified approximation.
+    """(h / disc^(eps/2))^(1/root), with a certified approximation.
 
     For a single field, root == 1, h is the (non-)genus part and disc = |D|.
     For a family mean, h and disc are products over the members and root is
     the member count.
     """
 
-    h_num: int
-    h_den: int
+    h: int
     disc: int
     root: int
     eps: Epsilon
     approx: object  # 120-bit mpf
 
 
-def _approx(h_num: int, h_den: int, disc: int, root: int, eps: Epsilon):
-    val = _CTX.mpf(h_num)
-    if h_den != 1:
-        val = val / h_den
+def _approx(h: int, disc: int, root: int, eps: Epsilon):
+    val = _CTX.mpf(h)
     if eps.num:
         expo = _CTX.mpf(-eps.num) / (2 * eps.den)
         val = val * _CTX.power(disc, expo)
@@ -96,28 +94,14 @@ def _approx(h_num: int, h_den: int, disc: int, root: int, eps: Epsilon):
     return val
 
 
-def c_eps(
-    h: int | Fraction, disc_abs: int, eps: Epsilon | Fraction | int | str, root: int = 1
-) -> MetricValue:
+def c_eps(h: int, disc_abs: int, eps: Epsilon | Fraction | int | str, root: int = 1) -> MetricValue:
     """(h / disc^(eps/2))^(1/root): one field's value, or with root = n the
     mean of n fields' values, from the products of their h and disc."""
     eps = Epsilon.of(eps)
-    h = Fraction(h)
+    h = operator.index(h)
     if h <= 0 or disc_abs < 1 or root < 1:
         raise ValueError("need root >= 1" if root < 1 else "need h > 0 and disc >= 1")
-    return MetricValue(
-        h_num=h.numerator,
-        h_den=h.denominator,
-        disc=disc_abs,
-        root=root,
-        eps=eps,
-        approx=_approx(h.numerator, h.denominator, disc_abs, root, eps),
-    )
-
-
-def root_mean(h_prod: int, root: int) -> object:
-    """120-bit value of h_prod^(1/root), for display of family means."""
-    return _CTX.exp(_CTX.log(_CTX.mpf(h_prod)) / root)
+    return MetricValue(h, disc_abs, root, eps, _approx(h, disc_abs, root, eps))
 
 
 def compare(a: MetricValue, b: MetricValue) -> Ordering:
@@ -129,13 +113,24 @@ def compare(a: MetricValue, b: MetricValue) -> Ordering:
     scale = max(abs(fa), abs(fb))
     if abs(diff) > _CTX.ldexp(scale, -_FLOAT_GAP_BITS):
         return 1 if diff > 0 else -1
-    # Exact route: a >= b  iff  a^(2q*ra*rb) >= b^(2q*ra*rb) with eps = p/q.
+    # Exact route, with eps = p/q.  Raising both sides to the power
+    # 2q * a.root * b.root keeps the order, so a > b iff
+    #     ha^(2q) * db^p > hb^(2q) * da^p,
+    # where ha = a.h^b.root, hb = b.h^a.root, da = a.disc^b.root and
+    # db = b.disc^a.root.  If ha == hb, the h factors cancel and the sign is
+    # that of db^p - da^p: of db - da, or 0 when p == 0.  If da == db or
+    # p == 0, the disc factors cancel and the sign is that of ha - hb.  Only
+    # otherwise are the powers taken, so equal h at a tiny eps costs nothing.
     p, q = a.eps.num, a.eps.den
-    lhs = a.h_num ** (2 * q * b.root) * b.h_den ** (2 * q * a.root) * b.disc ** (p * a.root)
-    rhs = b.h_num ** (2 * q * a.root) * a.h_den ** (2 * q * b.root) * a.disc ** (p * b.root)
-    if lhs == rhs:
-        return 0
-    return 1 if lhs > rhs else -1
+    ha, hb = a.h**b.root, b.h**a.root
+    da, db = a.disc**b.root, b.disc**a.root
+    if ha == hb:
+        lhs, rhs = (db, da) if p else (0, 0)
+    elif p == 0 or da == db:
+        lhs, rhs = ha, hb
+    else:
+        lhs, rhs = ha ** (2 * q) * db**p, hb ** (2 * q) * da**p
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def format_value(x) -> str:

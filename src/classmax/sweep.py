@@ -35,6 +35,7 @@ def omega_table(limit: int) -> np.ndarray:
 
     Divides every prime p <= sqrt(limit), with its powers, out of an int32
     remainder; what is left above 1 is one prime larger than sqrt(limit).
+    That remainder wraps at 2^31, so quad_triples refuses hi >= 2^31.
     """
     om = np.zeros(limit + 1, dtype=np.uint8)
     rest = np.arange(limit + 1, dtype=np.int32)
@@ -560,6 +561,8 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
     """
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
+    if hi >= 2**31:
+        raise ValueError("need |D| < 2^31: the omega sieve holds |D| in int32")
     if signature not in (IMAGINARY, REAL):
         raise ValueError(f"unknown signature {signature!r}")
     workers = max(1, min(workers, os.cpu_count() or 1))

@@ -13,7 +13,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
@@ -26,7 +25,7 @@ from classmax.classnum import (
 )
 from classmax.discriminants import IMAGINARY, REAL, iter_fundamental
 from classmax.maxima import BucketSpec, ShardResult, merge_shards, scan_collect
-from classmax.metric import EPS_ZERO, Epsilon, c_eps, compare, rel_err, root_mean
+from classmax.metric import EPS_ZERO, Epsilon, c_eps, compare, rel_err
 
 
 @contextmanager
@@ -236,7 +235,7 @@ def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
         _, recs = stream.records(Epsilon(1, 50))
         events, _ = scan_collect(iter(recs))
         row63 = {e.record.f: e for e in events}[63]
-        mean_h = root_mean(row63.record.H_prod, row63.record.n_fields)
+        mean_h = c_eps(row63.record.H_prod, 1, EPS_ZERO, root=row63.record.n_fields).approx
         assert rel_err(mean_h, "1.7320508075688772936") < 1e-12
 
 
@@ -332,12 +331,10 @@ def test_criterion_12_property_suites(request):
         triples = [t for t in imag_triples if t[0] <= 50_000]
         base = sweep.quad_records(triples, IMAGINARY, eps, sweep.NONGENUS)
         base_events, _ = scan_collect(iter(base))
-        scale = Fraction(17, 5)
-        scaled = [
-            dataclasses.replace(
-                r, value=c_eps(Fraction(r.value.h_num) * scale, r.value.disc, eps)
-            )
-            for r in base
-        ]
-        scaled_events, _ = scan_collect(iter(scaled))
-        assert [e.record.f for e in scaled_events] == [e.record.f for e in base_events]
+        for scale in (17, 5):  # the scaling by 17/5, as two integer scalings
+            scaled = [
+                dataclasses.replace(r, value=c_eps(r.value.h * scale, r.value.disc, eps))
+                for r in base
+            ]
+            scaled_events, _ = scan_collect(iter(scaled))
+            assert [e.record.f for e in scaled_events] == [e.record.f for e in base_events]

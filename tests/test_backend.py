@@ -113,7 +113,7 @@ class TestQueries:
     @pytest.mark.parametrize(
         "coeffs, genus_number, message",
         [
-            ((0, -3, 1), 1, "backend error: unknown request"),
+            ((0, -3, 1), 1, "unknown request"),
             ((0, -21, -35), 1, "non-integer class number 'three'"),
             ((0, -21, 7), 1, "non-positive class number 0"),
             ((0, -273, 1729), 9, "genus number 9 does not divide class number 3"),
@@ -125,8 +125,9 @@ class TestQueries:
     ):
         key = "CLASSNO_CUBIC:" + ":".join(map(str, coeffs))
         with make_backend(fake_backend_path, tmp_path) as bk:
-            with pytest.raises(BackendError, match=re.escape(f"{message} [request {key}]")):
+            with pytest.raises(BackendError) as err:
                 bk.classno_cubic(coeffs, genus_number)
+            assert str(err.value) == f"{message} [request {key}]"
             assert bk.cache.get(key) is None
             assert bk.classno_cubic((1, -2, -1)) == 1
         cache_file = tmp_path / "cache.txt"

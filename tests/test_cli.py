@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from contextlib import nullcontext, redirect_stdout
 import pytest
 
 from classmax import cli, cubic, sweep
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -302,6 +305,21 @@ class TestScanConfigErrors:
         assert rc == cli.EXIT_CONFIG and out == ""
         assert capsys.readouterr().err == message + "\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--family", "quad-imaginary", "--eps", "1/20"],
+            ["threshold", "--family", "quad-real", "--grid", "1/10"],
+        ],
+    )
+    def test_range_beyond_int32_is_refused(self, capsys, argv):
+        """The sieves hold |D| in int32: --max 10^19 is one config error
+        naming 2^31, not numpy's allocation message."""
+        rc, out = run_cli([*argv, "--max", str(10**19)])
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "2^31" in err and err.count("\n") == 1
+
     def test_unknown_mode_rejected_before_the_sweep(self, monkeypatch):
         """ScanConfig.validate rejects a misspelt mode from a library caller,
         which argparse's choices never see, before any sweep starts."""
@@ -411,6 +429,47 @@ class TestScanConfigErrors:
         with pytest.raises(SystemExit) as err:
             run_cli(["scan", "--family", "martian", "--max", "100"])
         assert err.value.code == cli.EXIT_CONFIG
+
+
+def run_cli_process(argv, seconds=60) -> subprocess.CompletedProcess:
+    """The CLI in a child process, killed after `seconds` and held to 3 GB of
+    address space, so that a comparison that takes huge powers fails the
+    test instead of stalling the suite."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "classmax.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=seconds, preexec_fn=cap_memory,
+    )
+
+
+class TestTinyEps:
+    """At eps = 10^-24 these scans have the events of eps = 0.  Values that
+    tie at eps = 0 then differ by less than the float gap, so compare's
+    exact route decides them: it cancels the equal h instead of raising it
+    to the power 2 * 10^24."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "quad-imaginary", "--max", "200"],
+            ["--family", "quad-real", "--min", "2", "--max", "20000", "--metric", "full",
+             "--counters"],
+            ["--family", "cubic", "--fixtures-only", "--max", "7000000", "--scope",
+             "divisors", "--metric", "full", "--counters"],
+        ],
+        ids=["imaginary", "real-full", "cubic-divisors"],
+    )
+    def test_tiny_eps_prints_the_eps_zero_lines(self, argv):
+        tiny = run_cli_process(["scan", *argv, "--eps", "1e-24"])
+        rc, zero = run_cli(["scan", *argv, "--eps", "0"])
+        assert (tiny.returncode, tiny.stderr, rc) == (0, "", 0)
+        head, rest = zero.split("\n", 1)
+        assert head == "eps=0/1" and rest.count("\n") > 2
+        assert tiny.stdout == "eps=1/1000000000000000000000000\n" + rest
 
 
 class TestGenusFamilyCommand:
@@ -539,6 +598,33 @@ class TestBackendExitCode:
         )
         assert (rc, out) == (cli.EXIT_BACKEND, "")
         assert capsys.readouterr().err.startswith("backend error: cannot start backend")
+
+    def test_err_reply_prints_one_prefix(self, tmp_path, capsys):
+        adapter = write_adapter(
+            tmp_path,
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print('A', line.split()[1], 'ERR no such field', flush=True)\n",
+        )
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
+             "--backend-cmd", adapter]
+        )
+        assert (rc, out) == (cli.EXIT_BACKEND, "")
+        assert capsys.readouterr().err == (
+            "backend error: no such field [request CLASSNO_CUBIC:1:-4:1]\n"
+        )
+
+    def test_no_command_names_the_uncached_request(self, tmp_path, capsys):
+        rc, out = run_cli(
+            ["scan", "--family", "cubic", "--max", "100", "--eps", "1/20",
+             "--cache", str(tmp_path / "c.txt")]
+        )
+        assert (rc, out) == (cli.EXIT_BACKEND, "")
+        assert capsys.readouterr().err == (
+            "backend error: no backend command configured and result not cached "
+            "[request CLASSNO_CUBIC:1:-4:1]\n"
+        )
 
     def test_class_number_its_genus_number_does_not_divide(self, tmp_path, capsys):
         """A reply H = 3 for a field with N = 3 (9 must divide H) is a

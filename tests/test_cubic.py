@@ -15,7 +15,7 @@ from classmax.cubic import (
 )
 from classmax.discriminants import is_cyclic_conductor
 from classmax.maxima import BucketSpec, scan_collect
-from classmax.metric import Epsilon, rel_err, root_mean
+from classmax.metric import EPS_ZERO, Epsilon, c_eps, rel_err
 
 
 def poly_disc(c2: int, c1: int, c0: int) -> int:
@@ -250,7 +250,8 @@ class TestFamilyRecords:
         rec = family_scan_record(63, members, Epsilon(1, 50), "full")
         assert rec.n_fields == 4
         assert rec.H_prod == 9
-        assert rel_err(root_mean(rec.H_prod, rec.n_fields), "1.7320508075688772936") < 1e-12
+        mean_h = c_eps(rec.H_prod, 1, EPS_ZERO, root=rec.n_fields).approx
+        assert rel_err(mean_h, "1.7320508075688772936") < 1e-12
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):

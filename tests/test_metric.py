@@ -13,7 +13,6 @@ from classmax.metric import (
     compare,
     format_value,
     rel_err,
-    root_mean,
 )
 
 HI = mpmath.mp.clone()
@@ -22,7 +21,7 @@ HI.prec = 260
 
 def independent_value(mv) -> object:
     """256-bit reference evaluation, structurally unlike the production path."""
-    ln = HI.log(HI.mpf(mv.h_num)) - HI.log(HI.mpf(mv.h_den))
+    ln = HI.log(HI.mpf(mv.h))
     ln -= HI.mpf(mv.eps.num) / (2 * mv.eps.den) * HI.log(HI.mpf(mv.disc))
     return HI.exp(ln / mv.root)
 
@@ -89,6 +88,11 @@ class TestCEps:
         with pytest.raises(ValueError):
             c_eps(0, 5, EPS_ZERO)
 
+    @pytest.mark.parametrize("h", [Fraction(1, 3), 2.5])
+    def test_h_must_be_an_integer(self, h):
+        with pytest.raises(TypeError):
+            c_eps(h, 5, Epsilon(1, 20))
+
 
 class TestCompare:
     def test_equal_values(self):
@@ -141,6 +145,76 @@ class TestCompare:
             assert compare(a, b) == want_sign, (h1, d1, h2, d2)
 
 
+def cross_power_sign(a, b) -> int:
+    """Sign of a - b by the cross powers a^(2q ra rb) against b^(2q ra rb),
+    eps = p/q, taken in full."""
+    p, q = a.eps.num, a.eps.den
+    lhs = a.h ** (2 * q * b.root) * b.disc ** (p * a.root)
+    rhs = b.h ** (2 * q * a.root) * a.disc ** (p * b.root)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+class TestExactRoute:
+    """Values closer than the float gap: compare cancels an equal h or an
+    equal disc before it takes the cross powers."""
+
+    def test_equal_h_at_tiny_eps_is_decided_by_disc(self):
+        # the relative gap is about 5e-42; the full cross powers would raise
+        # h to the power 2 * 10^24
+        eps = Epsilon(1, 10**24)
+        a, b = c_eps(5, 10**17, eps), c_eps(5, 10**17 + 1, eps)
+        assert abs(a.approx - b.approx) < mpmath.ldexp(a.approx, -80)
+        assert (compare(a, b), compare(b, a), compare(a, a)) == (1, -1, 0)
+
+    def test_equal_disc_at_tiny_eps_is_decided_by_h(self):
+        eps = Epsilon(1, 10**24)
+        big = 10**30
+        assert compare(c_eps(big, 7, eps), c_eps(big + 1, 7, eps)) == -1
+
+    def test_equal_means_under_unequal_roots(self):
+        # h = 3 at root 1 against h = 9 at root 2: 3^2 == 9, so disc decides
+        eps = Epsilon(1, 1000)
+        d = 10**15
+        one, two = c_eps(3, d, eps), c_eps(9, d * d, eps, root=2)
+        assert compare(one, two) == compare(two, one) == 0
+        wider = c_eps(9, d * d + 1, eps, root=2)
+        assert abs(one.approx - wider.approx) < mpmath.ldexp(one.approx, -80)
+        assert (compare(one, wider), compare(wider, one)) == (1, -1)
+
+    def test_ties_at_eps_zero(self):
+        assert compare(c_eps(7, 5, EPS_ZERO), c_eps(7, 10**17, EPS_ZERO)) == 0
+        assert compare(c_eps(3, 5, EPS_ZERO), c_eps(9, 10**17, EPS_ZERO, root=2)) == 0
+        assert compare(c_eps(3, 5, EPS_ZERO), c_eps(10, 5, EPS_ZERO, root=2)) == -1
+
+    def test_agrees_with_cross_powers(self):
+        """Seeded cases: small powers of 2 and 3, of which many tie, and
+        near ties, where a k-th root mean of h^k over d^k + delta meets the
+        single value h over d, or h and h + 1 meet at eps = 0."""
+        rng = random.Random(25)
+        eps_list = [EPS_ZERO, Epsilon(1, 3), Epsilon(1, 2), Epsilon(1, 1), Epsilon(3, 2)]
+        small = [1, 2, 3, 4, 8, 9, 16, 27]
+        pairs = []
+        for _ in range(3000):
+            eps = rng.choice(eps_list)
+            a = c_eps(rng.choice(small), rng.choice(small), eps, root=rng.randint(1, 3))
+            b = c_eps(rng.choice(small), rng.choice(small), eps, root=rng.randint(1, 3))
+            pairs.append((a, b))
+        for _ in range(300):
+            eps = rng.choice([EPS_ZERO, Epsilon(1, 1000), Epsilon(1, 999)])
+            h, d, k = rng.randint(1, 50), rng.randint(10**11, 10**12), rng.randint(2, 3)
+            a = c_eps(h, d, eps)
+            pairs.append((a, c_eps(h**k, d**k + rng.randint(-1, 1), eps, root=k)))
+            big = 10**30 + rng.randint(0, 1)
+            pairs.append((c_eps(big, d, EPS_ZERO), c_eps(10**30, 7, EPS_ZERO)))
+        signs = []
+        for a, b in pairs:
+            want = cross_power_sign(a, b)
+            assert compare(a, b) == want, (a, b)
+            if abs(a.approx - b.approx) <= mpmath.ldexp(max(a.approx, b.approx), -80):
+                signs.append(want)  # decided by the exact route
+        assert signs.count(0) > 100 and signs.count(1) > 100 and signs.count(-1) > 50
+
+
 class TestGeometricMean:
     """A family mean is one c_eps of the products of its members' h and
     disc, with root = the member count."""
@@ -156,7 +230,7 @@ class TestGeometricMean:
 
     def test_mean_h_84(self):
         # class numbers {3, 2352} at one conductor: mean H = sqrt(7056) = 84
-        assert rel_err(root_mean(3 * 2352, 2), 84) < 1e-25
+        assert rel_err(c_eps(3 * 2352, 1, EPS_ZERO, root=2).approx, 84) < 1e-25
 
     def test_n_copies(self):
         v = c_eps(5, 1000, Epsilon(1, 20))

@@ -47,6 +47,24 @@ class TestTables:
             assert om[0] == 0
             assert om[1:].tolist() == [arith.omega(n) for n in range(1, limit + 1)], limit
 
+    @pytest.mark.parametrize("signature", [IMAGINARY, REAL])
+    def test_range_beyond_int32_refused_before_any_sieve(self, monkeypatch, signature):
+        """omega_table's int32 remainder wraps at 2^31, so quad_triples
+        refuses hi >= 2^31 before it allocates anything; 2^31 - 1 passes."""
+
+        class Sieved(Exception):
+            pass
+
+        def no_sieve(limit):
+            raise Sieved(limit)
+
+        monkeypatch.setattr(sweep, "omega_table", no_sieve)
+        for hi in (2**31, 10**19):
+            with pytest.raises(ValueError, match=r"^need \|D\| < 2\^31"):
+                sweep.quad_triples(signature, 1, hi)
+        with pytest.raises(Sieved):
+            sweep.quad_triples(signature, 2**31 - 2, 2**31 - 1)
+
     def test_imag_table_matches_form_count(self):
         table = sweep.imag_class_table(20000)
         assert (table.shape, table.dtype) == ((2, 5001), np.uint16)
@@ -576,7 +594,7 @@ class TestRecords:
         assert recs[0].d_signed == -3
         assert recs[1].h == 1
         full = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.FULL)
-        assert full[1].value.h_num == 2
+        assert full[1].value.h == 2
         raw = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.RAW_H)
         assert raw[1].value.eps == EPS_ZERO and raw[1].value.approx == 2
 
@@ -596,11 +614,10 @@ class TestScaling:
         eps = Epsilon(1, 20)
         base = sweep.quad_records(triples, IMAGINARY, eps, sweep.NONGENUS)
         events, _ = scan_collect(iter(base))
-        for scale in (Fraction(7), Fraction(1, 3), Fraction(355, 113)):
+        # the scalings by 7, 1/3 and 355/113, each as two integer scalings
+        for scale in (7, 1, 1, 3, 355, 113):
             scaled = [
-                dataclasses.replace(
-                    rec, value=c_eps(Fraction(rec.value.h_num) * scale, rec.value.disc, eps)
-                )
+                dataclasses.replace(rec, value=c_eps(rec.value.h * scale, rec.value.disc, eps))
                 for rec in base
             ]
             scaled_events, _ = scan_collect(iter(scaled))
@@ -619,17 +636,17 @@ class TestScaling:
                 for k, h in zip(keys, hs)
             ]
             base_events, _ = scan_collect(iter(recs))
-            scale = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-            scaled = [
-                dataclasses.replace(
-                    r, value=c_eps(Fraction(r.value.h_num) * scale, r.value.disc, eps)
-                )
-                for r in recs
-            ]
-            scaled_events, _ = scan_collect(iter(scaled))
-            assert [e.record.f for e in scaled_events] == [
-                e.record.f for e in base_events
-            ]
+            # the scaling by num/den, as two integer scalings
+            num, den = rng.randint(1, 40), rng.randint(1, 40)
+            for scale in (num, den):
+                scaled = [
+                    dataclasses.replace(r, value=c_eps(r.value.h * scale, r.value.disc, eps))
+                    for r in recs
+                ]
+                scaled_events, _ = scan_collect(iter(scaled))
+                assert [e.record.f for e in scaled_events] == [
+                    e.record.f for e in base_events
+                ]
 
 
 class TestEpsOneListing:
