@@ -63,8 +63,23 @@ class ScanConfig:
         if self.family == CUBIC:
             if self.metric_kind in (RAW_H, RAW_SMALL_H):
                 raise ValueError("raw metrics apply to quadratic scans only")
-        elif self.metric_kind == PER_FIELD_MAX:
-            raise ValueError("per-field-max applies to cubic scans only")
+            scan, unread = "a cubic --fixtures-only scan", {}
+            if self.fixtures_only:
+                unread = {"--backend-cmd": self.backend_cmd, "--cache": self.cache_path}
+        else:
+            if self.metric_kind == PER_FIELD_MAX:
+                raise ValueError("per-field-max applies to cubic scans only")
+            scan = "a quadratic scan"
+            unread = {
+                "--scope": self.scope != cubic_mod.EXACT_CONDUCTOR,
+                "--fixtures": self.fixtures_path,
+                "--fixtures-only": self.fixtures_only,
+                "--backend-cmd": self.backend_cmd,
+                "--cache": self.cache_path,
+            }
+        for option, given in unread.items():
+            if given:
+                raise ValueError(f"{option} is not read by {scan}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.buckets < 1:
@@ -105,8 +120,7 @@ def scan_stream(stream, config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEv
         events, _ = scan_collect(records, config.mode, buckets)
         del records  # so that the next eps's records do not build beside these
         events = tuple(replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events)
-        start_eps = EPS_ZERO if stream.raw else eps  # raw-metric records carry eps 0
-        initial = c_eps(1, 1, start_eps) if config.compat_minima_init_one else None
+        initial = c_eps(1, 1, eps) if config.compat_minima_init_one else None
         shard = ShardResult(config.lo, config.hi, events, len(stream))
         out.append((eps, *merge_shards([shard], config.mode, buckets, initial)))
     return out
@@ -129,7 +143,7 @@ def _cubic_source(config: ScanConfig):
             raise ValueError(f"cannot read fixtures {path}: {exc.strerror}") from exc
         fixtures.load_text(text)
     conductors = fixtures.conductors if config.fixtures_only else None
-    if config.fixtures_only or not (config.backend_cmd or config.cache_path):
+    if not (config.backend_cmd or config.cache_path):  # validate refuses them with --fixtures-only
         yield fixtures.get, conductors
         return
     with Backend(command=config.backend_cmd, cache_path=config.cache_path) as bridge:

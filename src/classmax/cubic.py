@@ -289,8 +289,6 @@ class FamilyStream:
     field's conductor, so no other f can be covered.
     """
 
-    raw = False  # records carry eps, not 0
-
     def __init__(
         self,
         lo: int,

@@ -4,12 +4,14 @@ record-safe comparison.
 A metric value is h / (sqrt(D))^eps, possibly with an nK-th root on top when
 it is a multiplicative mean over nK fields.  Values carry a 120-bit float
 approximation for fast comparisons; whenever two values are too close for the
-floats to decide, an exact integer cross-power comparison settles it, so a
-record decision is never wrong.
+floats to decide, an exact comparison settles it (integer cross powers where
+the values can be equal, decimal logarithms at a proven precision where they
+cannot), so a record decision is never wrong.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from dataclasses import dataclass
@@ -72,7 +74,8 @@ EPS_ZERO = Epsilon(0, 1)
 class MetricValue:
     """(h / disc^(eps/2))^(1/root), with a certified approximation.
 
-    For a single field, root == 1, h is the (non-)genus part and disc = |D|.
+    For a single field, root == 1, h is the (non-)genus part and disc = |D|,
+    or disc = 1 under a raw metric, whose value is then h at every eps.
     For a family mean, h and disc are products over the members and root is
     the member count.
     """
@@ -105,7 +108,7 @@ def c_eps(h: int, disc_abs: int, eps: Epsilon | Fraction | int | str, root: int 
 
 
 def compare(a: MetricValue, b: MetricValue) -> Ordering:
-    """Sign of a - b: floats when the gap is clear, exact integers otherwise."""
+    """Sign of a - b: floats when the gap is clear, decided exactly otherwise."""
     if a.eps != b.eps:
         raise ValueError(f"comparing metric values with eps {a.eps} and {b.eps}")
     fa, fb = a.approx, b.approx
@@ -120,7 +123,7 @@ def compare(a: MetricValue, b: MetricValue) -> Ordering:
     # db = b.disc^a.root.  If ha == hb, the h factors cancel and the sign is
     # that of db^p - da^p: of db - da, or 0 when p == 0.  If da == db or
     # p == 0, the disc factors cancel and the sign is that of ha - hb.  Only
-    # otherwise are the powers taken, so equal h at a tiny eps costs nothing.
+    # otherwise does _cross_sign decide, so equal h at a tiny eps costs nothing.
     p, q = a.eps.num, a.eps.den
     ha, hb = a.h**b.root, b.h**a.root
     da, db = a.disc**b.root, b.disc**a.root
@@ -129,8 +132,66 @@ def compare(a: MetricValue, b: MetricValue) -> Ordering:
     elif p == 0 or da == db:
         lhs, rhs = ha, hb
     else:
-        lhs, rhs = ha ** (2 * q) * db**p, hb ** (2 * q) * da**p
+        return _cross_sign(ha, hb, da, db, p, q)
     return (lhs > rhs) - (lhs < rhs)
+
+
+def _cross_sign(ha: int, hb: int, da: int, db: int, p: int, q: int) -> Ordering:
+    """Sign of ha^(2q) * db^p - hb^(2q) * da^p for ha != hb, da != db and
+    p >= 1, without a power of more than about 2 B^2 bits, B the largest
+    bit length of the reduced ratios' terms.
+
+    With g = gcd(2q, p), m = 2q/g and n = p/g, raising to the power g keeps
+    the order, so the sign is that of (ha/hb)^m - (da/db)^n, and with
+    u/v = ha/hb and x/y = da/db in lowest terms, that of u^m y^n - v^m x^n.
+    Lemma: if the two sides are equal, then n <= bitlen(max(u, v)) and
+    m <= bitlen(max(x, y)).  Both (u/v)^m and (x/y)^n are in lowest terms,
+    so equality means u^m = x^n and v^m = y^n.  m and n are coprime, so
+    u = t^n and x = t^m for an integer t >= 1 (each prime's exponent in u^m
+    = x^n is a multiple of m and of n, hence of mn), and likewise
+    v = w^n and y = w^m.  u != v gives t != w, so max(u, v) >= 2^n, and
+    x != y gives max(x, y) >= 2^m.
+    - When both bounds hold, each of u^m, v^m, x^n and y^n has at most B^2
+      bits, and the powers are taken.
+    - Otherwise the sides differ, so T = m (ln u - ln v) - n (ln x - ln y)
+      is not 0 and has the sign sought, and _log_sign finds it.
+    """
+    ratio_h, ratio_d = Fraction(ha, hb), Fraction(da, db)
+    u, v = ratio_h.numerator, ratio_h.denominator
+    x, y = ratio_d.numerator, ratio_d.denominator
+    g = math.gcd(2 * q, p)
+    m, n = 2 * q // g, p // g
+    if n <= max(u, v).bit_length() and m <= max(x, y).bit_length():
+        lhs, rhs = u**m * y**n, v**m * x**n
+        return (lhs > rhs) - (lhs < rhs)
+    return _log_sign(u, v, x, y, m, n)
+
+
+def _log_sign(u: int, v: int, x: int, y: int, m: int, n: int) -> Ordering:
+    """Sign of T = m (ln u - ln v) - n (ln x - ln y) for positive integers
+    with T != 0, from decimal logs at 40 digits and then twice as many
+    until a proven error bound excludes 0.
+
+    Decimal(z) is exact for an int z, and Context.ln is correctly rounded
+    to the context's P significant digits, so a result r is within half a
+    unit in its last place of ln z, hence within 10^(r.adjusted() - P + 1)
+    (a whole unit, or more for the exact r = 0 of ln 1).  S, the form T
+    taken of the four rounded logs, and E, the form's bound m (eu + ev) +
+    n (ex + ey) from the four errors, are computed exactly as fractions, so
+    |S - T| <= E, and |S| > E gives sign(T) = sign(S).  Each error bound
+    falls like 10^-P times its log, so once E < |T| / 2, |S| >= |T| - E > E:
+    the loop ends because T != 0.
+    """
+    prec = 40
+    while True:
+        ctx = decimal.Context(prec=prec)
+        logs = [ctx.ln(decimal.Decimal(z)) for z in (u, v, x, y)]
+        ru, rv, rx, ry = (Fraction(r) for r in logs)
+        eu, ev, ex, ey = (Fraction(10) ** (r.adjusted() - prec + 1) for r in logs)
+        total = m * (ru - rv) - n * (rx - ry)
+        if abs(total) > m * (eu + ev) + n * (ex + ey):
+            return 1 if total > 0 else -1
+        prec *= 2
 
 
 def format_value(x) -> str:

@@ -600,7 +600,7 @@ QUAD_METRICS = (NONGENUS, FULL, RAW_H, RAW_SMALL_H)
 
 def metric_terms(metric_kind: str) -> tuple[bool, bool]:
     """(by_genus, raw) of a quadratic metric: its h is H / 2^(N-1) if
-    by_genus, else H, and its exponent is 0 if raw, else eps."""
+    by_genus, else H, and its disc is 1 if raw, else D."""
     if metric_kind not in QUAD_METRICS:
         raise ValueError(f"unknown metric {metric_kind!r}")
     return metric_kind in (NONGENUS, RAW_SMALL_H), metric_kind in (RAW_H, RAW_SMALL_H)
@@ -614,7 +614,6 @@ def quad_records(
 ) -> list[FieldRecord]:
     """Turn (D, N, H) triples into scan records under one metric."""
     by_genus, raw = metric_terms(metric_kind)
-    exponent = EPS_ZERO if raw else eps
     sign = -1 if signature == IMAGINARY else 1
     out = []
     for d, n, big_h in triples:
@@ -622,7 +621,7 @@ def quad_records(
         if big_h % g:
             raise ArithmeticError(f"genus number 2^{n - 1} does not divide H at D = {d}")
         small_h = big_h // g
-        value = c_eps(small_h if by_genus else big_h, d, exponent)
+        value = c_eps(small_h if by_genus else big_h, 1 if raw else d, eps)
         out.append(
             FieldRecord(f=d, d_signed=sign * d, n_ramified=n, value=value, H=big_h, h=small_h)
         )
@@ -666,8 +665,8 @@ class QuadStream:
     across blocks, so S does not depend on the block size, and no array but
     S and its logs grows with the table.
 
-    Prefilter.  For an exponent e (0 for the raw metrics) and the metric's
-    h (H >> (N-1) for nongenus and raw-h, H otherwise), position i gets
+    Prefilter.  For an exponent e, the metric's h (H >> (N-1) for nongenus
+    and raw-h, H otherwise) and its D (1 for raw metrics), position i gets
     v_i = log h_i - (e/2) log D_i in float64, negated in minima mode.  Write
     x_i for the exact value of that expression: compare orders the metric
     values exactly as x orders them.  A position is a candidate iff
@@ -684,7 +683,8 @@ class QuadStream:
     fl(e/2 * log D) is within 44 u + 44 u + 2^-42 + 2^-52 of the exact
     (e/2) log D, and the final subtraction of two terms below 44 adds at most
     88 u.  In all, |v_i - x_i| <= delta < 2 (2^-42 + 2^-52) + 176 u < 2^-40,
-    and 2 delta < 2^-39 = MARGIN / 512.  Negation and max are exact.
+    and 2 delta < 2^-39 = MARGIN / 512.  Negation and max are exact.  A raw
+    row's log D is exactly 0: it is set, not computed.
 
     Exactness.  A fresh full scan makes the first position an event, and a
     later i an event iff x_i > R_i = max(x_j for j < i); ties never are.
@@ -704,22 +704,22 @@ class QuadStream:
     maxima.merge_shards, which takes fresh scans.
 
     Lifetimes.  Write x_i(e) for x_i at exponent e.  Keys ascend, so
-    log(D_i / D_j) > 0 for j < i, and in maxima mode x_i(e) > x_j(e) iff
-    log(h_i / h_j) > (e/2) log(D_i / D_j), whose right side grows with e.
-    So a position that beats every earlier one at some e >= 0 also does at
-    e = 0: every event at any eps is an event at e0 = 0.  In minima mode the
-    inequality turns, and every event at any eps < 2 is an event at e0 = 2.
-    The raw metrics do not depend on eps, and e0 = 0 in both modes.  By
-    Exactness at e0, S holds every event of every eps.
+    log(D_i / D_j) >= 0 for j < i (0 for the raw metrics' D = 1), and in
+    maxima mode x_i(e) > x_j(e) iff log(h_i / h_j) > (e/2) log(D_i / D_j),
+    whose right side never falls as e grows.  So a position that beats
+    every earlier one at some e >= 0 also does at e = 0: every event at any
+    eps is an event at e0 = 0.  In minima mode the inequality turns, and
+    every event at any eps < 2 is an event at e0 = 2.  By Exactness at e0,
+    S holds every event of every eps.
     """
 
     def __init__(
         self, triples: Sequence[tuple[int, int, int]], signature: str, metric_kind: str, mode: str
     ) -> None:
-        by_genus, self.raw = metric_terms(metric_kind)
+        by_genus, raw = metric_terms(metric_kind)
         self.table = table = QuadTable.of(triples)
         self.signature, self.metric_kind, self.mode = signature, metric_kind, mode
-        half_e0 = 1.0 if mode == MINIMA and not self.raw else 0.0
+        half_e0 = 1.0 if mode == MINIMA else 0.0
         top, unsorted, parts = -np.inf, [], [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0))]
         for i in range(0, len(table), STREAM_BLOCK):
             block = slice(i, i + STREAM_BLOCK)
@@ -734,7 +734,8 @@ class QuadStream:
             edge = table.d[max(i - 1, 0) : i + STREAM_BLOCK]
             unsorted.extend(edge[1:][edge[1:] <= edge[:-1]][:1])
             h = big_h >> (n - 1) if by_genus else big_h
-            log_h, log_d = np.log(h.astype(np.float64)), np.log(d.astype(np.float64))
+            log_h = np.log(h.astype(np.float64))
+            log_d = np.zeros(len(d)) if raw else np.log(d.astype(np.float64))
             kept, top = _prefilter(log_h, log_d, half_e0, mode, top)
             parts.append((np.flatnonzero(kept) + i, log_h[kept], log_d[kept]))
         if unsorted:
@@ -760,8 +761,8 @@ class QuadStream:
         stream: the position that first reached R_i is an event, so it lies
         in S and is kept.
         """
-        half_eps = 0.0 if self.raw else eps.num / (2 * eps.den)
-        keep = self.support[_prefilter(self.log_h, self.log_d, half_eps, self.mode)[0]]
+        kept, _ = _prefilter(self.log_h, self.log_d, eps.num / (2 * eps.den), self.mode)
+        keep = self.support[kept]
         return keep.tolist(), quad_records(self.table[keep], self.signature, eps, self.metric_kind)
 
 
@@ -824,10 +825,9 @@ def threshold_search(
     Position 0 is always an event.  There is a second at e iff some i >= 1
     beats position 0 at e, for then the first such i beats every earlier
     position.  By the inequality of QuadStream's Lifetimes, a row that beats
-    row 0 at some e >= 0 also beats it at every smaller e, and under the raw
-    metrics at every e.  So the grid indices k with >= 2 events at
-    k * grid_step form a prefix, and bisection finds its end, deciding each
-    probe by an exact scan.
+    row 0 at some e >= 0 also beats it at every smaller e.  So the grid
+    indices k with >= 2 events at k * grid_step form a prefix, and bisection
+    finds its end, deciding each probe by an exact scan.
     """
     if grid_step <= 0:
         raise ValueError("grid step must be positive")

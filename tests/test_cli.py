@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 from contextlib import nullcontext, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -155,8 +156,8 @@ class TestScanCommand:
         assert got == want
 
     def test_raw_metric_ignores_eps_with_compat_preset(self):
-        """Raw metrics compare at eps 0, so the preset starting value 1 must
-        too; any --eps then only changes the header line."""
+        """A raw value is H over disc 1 at the scan's eps, and so is the
+        preset starting value 1; any --eps then only changes the header line."""
         outs = {}
         for eps in ("0", "1/50"):
             for mode in ("maxima", "minima"):
@@ -288,6 +289,34 @@ class TestScanConfigErrors:
              "--metric", "per-field-max"]
         )
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv, option, scan",
+        [
+            (["--family", "quad-imaginary", "--scope", "divisors"], "--scope", "a quadratic scan"),
+            (["--family", "quad-real", "--fixtures", "extra.txt"], "--fixtures",
+             "a quadratic scan"),
+            (["--family", "quad-imaginary", "--fixtures-only"], "--fixtures-only",
+             "a quadratic scan"),
+            (["--family", "quad-real", "--backend-cmd", "false"], "--backend-cmd",
+             "a quadratic scan"),
+            (["--family", "quad-imaginary", "--cache", "c.txt"], "--cache", "a quadratic scan"),
+            (["--family", "cubic", "--fixtures-only", "--backend-cmd", "false"], "--backend-cmd",
+             "a cubic --fixtures-only scan"),
+            (["--family", "cubic", "--fixtures-only", "--cache", "c.txt"], "--cache",
+             "a cubic --fixtures-only scan"),
+        ],
+        ids=["quad-scope", "quad-fixtures", "quad-fixtures-only", "quad-backend-cmd",
+             "quad-cache", "cubic-fixtures-only-backend-cmd", "cubic-fixtures-only-cache"],
+    )
+    def test_option_the_scan_never_reads(self, tmp_path, monkeypatch, capsys, argv, option, scan):
+        """An option that the scan would ignore is one config error line,
+        given before any sweep, fixture read, backend start or cache write."""
+        monkeypatch.chdir(tmp_path)
+        rc, out = run_cli(["scan", "--max", "200", "--eps", "1/50", *argv])
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {option} is not read by {scan}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_eps(self):
         rc, _ = run_cli(["scan", "--family", "quad-imaginary", "--max", "100", "--eps", "x"])
@@ -470,6 +499,40 @@ class TestTinyEps:
         head, rest = zero.split("\n", 1)
         assert head == "eps=0/1" and rest.count("\n") > 2
         assert tiny.stdout == "eps=1/1000000000000000000000000\n" + rest
+
+    @pytest.mark.parametrize("mode", ["minima", "maxima"])
+    def test_tiny_eps_raw_scan_from_one(self, mode):
+        """A raw record is its h over disc 1 at the scan's eps, and so is
+        the preset C = 1: at eps = 10^-24 both are h, compared without a
+        power.  Minima from C = 1 have no event (no h is below 1)."""
+        argv = ["scan", "--family", "quad-real", "--min", "2", "--max", "20000", "--metric",
+                "raw-h", "--mode", mode, "--compat-minima-init-one", "--counters"]
+        tiny = run_cli_process([*argv, "--eps", "1e-24"])
+        rc, zero = run_cli([*argv, "--eps", "0"])
+        assert (tiny.returncode, tiny.stderr, rc) == (0, "", 0)
+        head, rest = zero.split("\n", 1)
+        assert head == "eps=0/1" and tiny.stdout == "eps=1/1000000000000000000000000\n" + rest
+        if mode == "minima":
+            assert rest == "ND=6081 N1=0 N2=0 N3=0\n"
+        else:
+            assert rest.startswith("D_K=") and rest.count("\n") > 2
+
+    def test_threshold_on_a_tiny_grid(self):
+        """Bisection to a 10^-24 grid probes an eps within 10^-24 of a
+        crossing, where unequal h and unequal disc differ by less than the
+        float gap: compare decides by logs instead of powers of 2 * 10^24."""
+        run = run_cli_process(
+            ["threshold", "--family", "quad-imaginary", "--max", "3000", "--grid", "1e-24"],
+            seconds=30,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        head, found = run.stdout.rstrip("\n").split("=")
+        assert head == "threshold eps"
+        assert Fraction(1269, 1000) <= Fraction(found) < Fraction(1270, 1000)
+        rc, coarse = run_cli(
+            ["threshold", "--family", "quad-imaginary", "--max", "3000", "--grid", "1/1000"]
+        )
+        assert (rc, coarse) == (0, "threshold eps=1269/1000\n")
 
 
 class TestGenusFamilyCommand:

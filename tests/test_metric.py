@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classmax import metric
 from classmax.metric import (
     EPS_ZERO,
     Epsilon,
@@ -213,6 +215,98 @@ class TestExactRoute:
             if abs(a.approx - b.approx) <= mpmath.ldexp(max(a.approx, b.approx), -80):
                 signs.append(want)  # decided by the exact route
         assert signs.count(0) > 100 and signs.count(1) > 100 and signs.count(-1) > 50
+
+
+def brute_sign(ha, hb, da, db, p, q) -> int:
+    """Sign of ha^(2q) db^p - hb^(2q) da^p, the powers taken in full."""
+    lhs, rhs = ha ** (2 * q) * db**p, hb ** (2 * q) * da**p
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def reduced_terms(ha, hb, da, db, p, q):
+    """(u, v, x, y, m, n): ha/hb = u/v and da/db = x/y in lowest terms, and
+    m = 2q/g, n = p/g with g = gcd(2q, p)."""
+    g = math.gcd(2 * q, p)
+    rh, rd = Fraction(ha, hb), Fraction(da, db)
+    return rh.numerator, rh.denominator, rd.numerator, rd.denominator, 2 * q // g, p // g
+
+
+def power_tie(rng):
+    """(ha, hb, da, db, p, q) with ha^(2q) db^p == hb^(2q) da^p, ha != hb
+    and da != db: ha/hb = (t/w)^n and da/db = (t/w)^m for coprime n < m."""
+    while True:
+        m, n = rng.randint(2, 6), rng.randint(1, 5)
+        t, w = rng.sample(range(1, 5), 2)
+        if n < m and math.gcd(m, n) == 1 and max(t, w) ** n < 50 and max(t, w) ** m < 10**3:
+            break
+    p, q = (n, m // 2) if m % 2 == 0 else (2 * n, m)  # 2q/g = m and p/g = n
+    k, c = rng.randint(1, 999), rng.randint(1, 49 // max(t, w) ** n)
+    return c * t**n, c * w**n, k * t**m, k * w**m, p, q
+
+
+class TestLogRoute:
+    """compare's last exact branch, unequal h and unequal disc at eps > 0:
+    the cross powers where the lemma lets the sides be equal, logs
+    elsewhere, and the same sign as the full powers."""
+
+    def test_perfect_power_ties(self):
+        """h = 1 at disc k ties h = 2 at disc 4k at eps = 1, h = 2 at disc 8k
+        at eps = 2/3 and h = 4 at disc 8k at eps = 4/3; their neighbours
+        do not."""
+        cases = ((Epsilon(1, 1), 2, 4), (Epsilon(4, 3), 4, 8), (Epsilon(2, 3), 2, 8))
+        for eps, big_h, scale in cases:
+            for k in (1, 2, 3, 7, 1000, 99991, 10**12 + 39):
+                b = c_eps(1, k, eps)
+                assert compare(c_eps(big_h, scale * k, eps), b) == 0, (eps, k)
+                for d in (scale * k - 1, scale * k + 1):
+                    a = c_eps(big_h, d, eps)
+                    want = cross_power_sign(a, b)
+                    assert want and (compare(a, b), compare(b, a)) == (want, -want), (eps, k, d)
+
+    def test_seeded_cases_against_cross_powers(self):
+        """h < 50, disc < 10^6 and roots 1 to 3, at eps = p/q with p, q < 40,
+        three in ten built as perfect-power ties.  Every case whose sides
+        differ is also decided by the log route alone."""
+        rng = random.Random(26)
+        ties = forced = 0
+        for _ in range(3000):
+            if rng.random() < 0.3:
+                ha, hb, da, db, p, q = power_tie(rng)
+                a, b = c_eps(ha, da, Epsilon(p, q)), c_eps(hb, db, Epsilon(p, q))
+            else:
+                q = rng.randint(1, 39)
+                p = rng.randint(1, min(39, 2 * q - 1))
+                if math.gcd(p, q) != 1:
+                    continue
+                ra, rb = rng.randint(1, 3), rng.randint(1, 3)
+                a = c_eps(rng.randint(1, 49), rng.randint(1, 10**6 - 1), Epsilon(p, q), root=ra)
+                b = c_eps(rng.randint(1, 49), rng.randint(1, 10**6 - 1), Epsilon(p, q), root=rb)
+                ha, hb, da, db = a.h**rb, b.h**ra, a.disc**rb, b.disc**ra
+                if ha == hb or da == db:
+                    continue
+            want = brute_sign(ha, hb, da, db, p, q)
+            assert want == cross_power_sign(a, b)
+            assert metric._cross_sign(ha, hb, da, db, p, q) == want, (ha, hb, da, db, p, q)
+            assert compare(a, b) == want
+            if want:
+                assert metric._log_sign(*reduced_terms(ha, hb, da, db, p, q)) == want
+                forced += 1
+            else:
+                ties += 1
+        assert ties > 500 and forced > 1000
+
+    def test_probes_next_to_a_crossing(self):
+        """eps within 3 * 10^-25 of the crossing of h = 5 at disc 47 and h = 3 at
+        disc 23, where the floats cannot decide and n, m exceed every bit
+        length: the log route gives the sign of the 256-bit reference."""
+        s = 2 * HI.log(HI.mpf(5) / 3) / HI.log(HI.mpf(47) / 23)
+        base = int(HI.floor(s * 10**25))
+        for k in (-2, -1, 0, 1, 2):
+            eps = Epsilon.of(Fraction(base + k, 10**25))
+            a, b = c_eps(5, 47, eps), c_eps(3, 23, eps)
+            assert abs(a.approx - b.approx) < mpmath.ldexp(a.approx, -80)
+            want = 1 if HI.mpf(eps.num) / eps.den < s else -1
+            assert (compare(a, b), compare(b, a)) == (want, -want), k
 
 
 class TestGeometricMean:

@@ -596,7 +596,18 @@ class TestRecords:
         full = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.FULL)
         assert full[1].value.h == 2
         raw = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 20), sweep.RAW_H)
-        assert raw[1].value.eps == EPS_ZERO and raw[1].value.approx == 2
+        assert raw[1].value.disc == 1 and raw[1].value.approx == 2
+        assert raw[1].value.eps == Epsilon(1, 20)
+
+    @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H])
+    def test_raw_value_is_h_over_disc_one(self, metric):
+        """A raw record carries the scan's eps over disc 1, so its value is
+        H (or h) at that eps."""
+        triples = [(3, 1, 1), (15, 2, 2), (120, 3, 4)]
+        for rec in sweep.quad_records(triples, REAL, Epsilon(1, 2), metric):
+            assert rec.value.disc == 1 and rec.value.eps == Epsilon(1, 2)
+            assert rec.value.h == (rec.H if metric == sweep.RAW_H else rec.h)
+            assert rec.value.approx == rec.value.h
 
     def test_genus_divisibility_checked(self):
         with pytest.raises(ArithmeticError):
@@ -836,8 +847,7 @@ def reference(triples, signature, eps, metric, mode, from_one, records=None):
     """quad_records over every triple, then scan_collect: no prefilter."""
     if records is None:
         records = sweep.quad_records(triples, signature, eps, metric)
-    raw = metric in (sweep.RAW_H, sweep.RAW_SMALL_H)
-    initial = c_eps(1, 1, EPS_ZERO if raw else eps) if from_one else None
+    initial = c_eps(1, 1, eps) if from_one else None
     events, total = scan_collect(iter(records), mode, BucketSpec(3), initial)
     return summary(events), total
 
@@ -922,6 +932,20 @@ class TestPrefilterEquivalence:
     @pytest.mark.parametrize("metric", [sweep.RAW_H, sweep.RAW_SMALL_H], ids=["raw_H", "raw_h"])
     def test_real_raw_ties(self, real_30k, metric):
         assert_equivalent(real_30k, REAL, EPS_ZERO, metric, shards=(1, 2))
+
+    def test_raw_compat_start_is_one_at_every_eps(self, real_30k):
+        """The preset C = 1 is c_eps(1, 1, eps) for every stream, and a raw
+        record is its h over disc 1 at the same eps: a raw-h minima scan
+        from C = 1 has the same events at eps 0, 1/2 and 19/10 (none: no h is
+        below 1), and so has a maxima scan, whose first event is h = 2."""
+        eps_list = [Epsilon.of(Fraction(e)) for e in ("0", "1/2", "19/10")]
+        for mode in MODES:
+            runs = prefiltered_all(real_30k, REAL, eps_list, sweep.RAW_SMALL_H, mode, True)
+            assert runs == [runs[0]] * 3 and runs[0][1] == len(real_30k)
+            if mode == "minima":
+                assert runs[0][0] == []
+            else:
+                assert runs[0][0][0][3] == format_value(mpmath.mpf(2))
 
     def test_imaginary_eps_list(self, imag_200k, imag_200k_want):
         eps_list = [Epsilon.of(Fraction(e)) for e in ("0", "1/50", "1/20", "1", "5/4", "19/10")]
