@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import arith
 from . import backend as backend_mod
 from . import cubic as cubic_mod
 from . import sweep
@@ -33,17 +34,29 @@ CUBIC = "cubic"
 _SIGNATURES = {QUAD_IMAGINARY: IMAGINARY, QUAD_REAL: REAL}
 
 
+def _check_sweep(lo: int, hi: int, shards: int) -> None:
+    """The range and worker checks that `scan` and `threshold` share."""
+    if lo > hi or lo < 1:
+        raise ValueError("need 1 <= min <= max")
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+
+
 @dataclass
 class ScanConfig:
+    """A scan's settings and their only defaults: `scan`'s options set the
+    fields of the same names, and only the options given."""
+
     family: str
     eps_list: list[Epsilon]
-    lo: int
     hi: int
+    lo: int = 1
     metric_kind: str = NONGENUS
     mode: str = MAXIMA
     scope: str = cubic_mod.EXACT_CONDUCTOR
     buckets: int = 3
     fmt: str = "text"
+    counters: bool = False
     shards: int = 1
     fixtures_path: str | None = None
     fixtures_only: bool = False
@@ -52,8 +65,7 @@ class ScanConfig:
     compat_minima_init_one: bool = False
 
     def validate(self) -> None:
-        if self.lo > self.hi or self.lo < 1:
-            raise ValueError("need 1 <= min <= max")
+        _check_sweep(self.lo, self.hi, self.shards)
         if not self.eps_list:
             raise ValueError("need at least one eps")
         if self.family not in (QUAD_IMAGINARY, QUAD_REAL, CUBIC):
@@ -80,8 +92,11 @@ class ScanConfig:
         for option, given in unread.items():
             if given:
                 raise ValueError(f"{option} is not read by {scan}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        # csv prints no counters; json-lines prints them without --counters
+        if self.counters and self.fmt != "text":
+            raise ValueError(f"--counters is not read by --format {self.fmt}")
+        if self.buckets != ScanConfig.buckets and self.fmt == "csv":
+            raise ValueError("--buckets is not read by --format csv")
         if self.buckets < 1:
             raise ValueError("buckets must be >= 1")
 
@@ -271,34 +286,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scan = sub.add_parser("scan", help="successive maxima/minima over a field family")
+    p_scan = sub.add_parser(
+        "scan",
+        help="successive maxima/minima over a field family",
+        argument_default=argparse.SUPPRESS,  # ScanConfig holds the defaults
+    )
+    p_scan.set_defaults(run=_cmd_scan)
     p_scan.add_argument("--family", required=True, choices=[QUAD_IMAGINARY, QUAD_REAL, CUBIC])
     p_scan.add_argument(
         "--eps",
         action="append",
-        default=None,
+        dest="eps_list",
         metavar="P/Q",
         help="exact rational or decimal exponent; repeatable (default 1/20)",
     )
-    p_scan.add_argument("--min", type=int, default=1, dest="lo")
+    p_scan.add_argument("--min", type=int, dest="lo")
     p_scan.add_argument("--max", type=int, required=True, dest="hi")
     p_scan.add_argument(
-        "--metric",
-        default=NONGENUS,
-        choices=[NONGENUS, FULL, RAW_H, RAW_SMALL_H, PER_FIELD_MAX],
+        "--metric", dest="metric_kind", choices=[NONGENUS, FULL, RAW_H, RAW_SMALL_H, PER_FIELD_MAX]
     )
-    p_scan.add_argument("--mode", default=MAXIMA, choices=[MAXIMA, MINIMA])
+    p_scan.add_argument("--mode", choices=[MAXIMA, MINIMA])
     p_scan.add_argument(
         "--scope",
-        default=cubic_mod.EXACT_CONDUCTOR,
         choices=[cubic_mod.EXACT_CONDUCTOR, cubic_mod.DIVISORS],
         help="cubic families: exact conductor, or all conductors dividing f",
     )
-    p_scan.add_argument("--buckets", type=int, default=3)
-    p_scan.add_argument("--format", default="text", choices=["text", "csv", "json-lines"])
-    p_scan.add_argument("--shards", type=int, default=1)
+    p_scan.add_argument("--buckets", type=int)
+    p_scan.add_argument("--format", dest="fmt", choices=["text", "csv", "json-lines"])
+    p_scan.add_argument("--shards", type=int)
     p_scan.add_argument("--counters", action="store_true", help="print counter line per event")
-    p_scan.add_argument("--fixtures", default=None, help="extra fixture table path")
+    p_scan.add_argument(
+        "--fixtures", dest="fixtures_path", metavar="FIXTURES", help="extra fixture table path"
+    )
     p_scan.add_argument(
         "--fixtures-only",
         action="store_true",
@@ -306,10 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan.add_argument(
         "--backend-cmd",
-        default=None,
         help="cubic: external process asked for the class numbers the fixtures lack",
     )
-    p_scan.add_argument("--cache", default=None, help="cubic: file caching the backend's replies")
+    p_scan.add_argument(
+        "--cache", dest="cache_path", metavar="CACHE",
+        help="cubic: file caching the backend's replies",
+    )
     p_scan.add_argument(
         "--compat-minima-init-one",
         action="store_true",
@@ -317,14 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fam = sub.add_parser("genus-family", help="class numbers along prime-product discriminants")
+    p_fam.set_defaults(run=_cmd_genus_family)
     group = p_fam.add_mutually_exclusive_group(required=True)
-    group.add_argument("--primes", default=None, help="comma-separated primes, e.g. 2,3,5")
-    group.add_argument("--count", type=int, default=None, help="use the first COUNT primes")
-    p_fam.add_argument("--start", type=int, default=2, help="first prime when using --count")
+    group.add_argument("--primes", help="comma-separated primes, e.g. 2,3,5")
+    group.add_argument("--count", type=int, help="use the first COUNT primes")
+    p_fam.add_argument("--start", type=int, help="first prime when using --count")
     p_fam.add_argument("--eps", default="1/20")
-    p_fam.add_argument("--budget-seconds", type=float, default=None)
+    p_fam.add_argument("--budget-seconds", type=float)
 
     p_thr = sub.add_parser("threshold", help="largest grid eps with at least 2 maxima events")
+    p_thr.set_defaults(run=_cmd_threshold)
     p_thr.add_argument("--family", required=True, choices=[QUAD_IMAGINARY, QUAD_REAL])
     p_thr.add_argument("--min", type=int, default=1, dest="lo")
     p_thr.add_argument("--max", type=int, required=True, dest="hi")
@@ -333,49 +356,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--shards", type=int, default=1)
 
     p_cmp = sub.add_parser("cache-compact", help="rewrite the backend cache file")
+    p_cmp.set_defaults(run=_cmd_cache_compact)
     p_cmp.add_argument("--cache", required=True)
 
     return parser
 
 
 def _cmd_scan(args) -> int:
-    eps_list = [parse_eps(e) for e in (args.eps or ["1/20"])]
-    config = ScanConfig(
-        family=args.family,
-        eps_list=eps_list,
-        lo=args.lo,
-        hi=args.hi,
-        metric_kind=args.metric,
-        mode=args.mode,
-        scope=args.scope,
-        buckets=args.buckets,
-        fmt=args.format,
-        shards=args.shards,
-        fixtures_path=args.fixtures,
-        fixtures_only=args.fixtures_only,
-        backend_cmd=args.backend_cmd,
-        cache_path=args.cache,
-        compat_minima_init_one=args.compat_minima_init_one,
-    )
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
+    given["eps_list"] = [parse_eps(e) for e in given.get("eps_list", ["1/20"])]
+    config = ScanConfig(**given)
     results = run_scan(config)
     buckets = BucketSpec(config.buckets)
     for eps, events, total in results:
-        render_events(eps, events, total, buckets, config.fmt, args.counters, sys.stdout)
+        render_events(eps, events, total, buckets, config.fmt, config.counters, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_genus_family(args) -> int:
-    if args.primes:
+    """genus_family_rows checks the whole prime list before any row; --count
+    stops once the primes' product passes 63 bits, which it refuses."""
+    if args.primes is not None:
+        if args.start is not None:
+            raise ValueError("--start is not read by genus-family --primes")
         primes = [int(p) for p in args.primes.split(",") if p.strip()]
     else:
-        from . import arith
-
-        primes = []
-        q = args.start - 1
-        while len(primes) < args.count:
+        primes, product = [], 1
+        q = (2 if args.start is None else args.start) - 1
+        while len(primes) < args.count and product.bit_length() <= 63:
             q += 1
             if arith.is_prime(q):
                 primes.append(q)
+                product *= q
     eps = parse_eps(args.eps)
     rows, exceeded = sweep.genus_family_rows(primes, eps, args.budget_seconds)
     for record in rows:
@@ -387,8 +399,7 @@ def _cmd_genus_family(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if args.shards < 1:
-        raise ValueError("shards must be >= 1")
+    _check_sweep(args.lo, args.hi, args.shards)
     signature = _SIGNATURES[args.family]
     grid = parse_fraction(args.grid)
     if grid <= 0:
@@ -410,17 +421,9 @@ def _cmd_cache_compact(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "genus-family":
-            return _cmd_genus_family(args)
-        if args.command == "threshold":
-            return _cmd_threshold(args)
-        if args.command == "cache-compact":
-            return _cmd_cache_compact(args)
+        return args.run(args)
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
@@ -430,8 +433,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("config error: the range needs more memory than is available", file=sys.stderr)
         return EXIT_CONFIG
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -784,22 +784,24 @@ def genus_family_rows(
     """The records of Q(sqrt(-m)) for the prefix products m of the given
     primes, nongenus metric at eps.
 
-    Rows are produced in prefix order; if a row's class-number computation
-    would start after the time budget is exhausted, the remaining rows are
-    skipped and the flag comes back True.
+    The whole list is checked before the first class number; the product of
+    all the primes is the largest prefix product, so its 63-bit bound covers
+    every row.  Rows are produced in prefix order; if a row's class-number
+    computation would start after the time budget is exhausted, the
+    remaining rows are skipped and the flag comes back True.
     """
     if len(set(primes)) != len(primes) or not primes:
         raise ValueError("need a nonempty list of distinct primes")
     for p in primes:
         if not arith.is_prime(p):
             raise ValueError(f"{p} is not prime")
+    if math.prod(primes).bit_length() > 63:
+        raise ValueError("the product of the primes exceeds the 63-bit input bound")
     rows: list[FieldRecord] = []
     started = time.monotonic()
     m = 1
     for p in primes:
         m *= p
-        if m.bit_length() > 63:
-            raise ValueError("prefix product exceeds the 63-bit input bound")
         if budget_seconds is not None and time.monotonic() - started > budget_seconds:
             return rows, True
         d = attached_imaginary_discriminant(m)

@@ -305,9 +305,16 @@ class TestScanConfigErrors:
              "a cubic --fixtures-only scan"),
             (["--family", "cubic", "--fixtures-only", "--cache", "c.txt"], "--cache",
              "a cubic --fixtures-only scan"),
+            (["--family", "quad-imaginary", "--format", "csv", "--counters"], "--counters",
+             "--format csv"),
+            (["--family", "quad-real", "--format", "json-lines", "--counters"], "--counters",
+             "--format json-lines"),
+            (["--family", "quad-imaginary", "--format", "csv", "--buckets", "5"], "--buckets",
+             "--format csv"),
         ],
         ids=["quad-scope", "quad-fixtures", "quad-fixtures-only", "quad-backend-cmd",
-             "quad-cache", "cubic-fixtures-only-backend-cmd", "cubic-fixtures-only-cache"],
+             "quad-cache", "cubic-fixtures-only-backend-cmd", "cubic-fixtures-only-cache",
+             "csv-counters", "json-lines-counters", "csv-buckets"],
     )
     def test_option_the_scan_never_reads(self, tmp_path, monkeypatch, capsys, argv, option, scan):
         """An option that the scan would ignore is one config error line,
@@ -554,6 +561,36 @@ class TestGenusFamilyCommand:
         )
         assert rc == cli.EXIT_BUDGET
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--primes", "2,3", "--start", "5"], "--start is not read by genus-family --primes"),
+            (["--primes", ""], "need a nonempty list of distinct primes"),
+            (["--primes", "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53", "--budget-seconds", "5"],
+             "the product of the primes exceeds the 63-bit input bound"),
+        ],
+        ids=["start-with-primes", "empty-primes", "product-past-63-bits"],
+    )
+    def test_config_error_line(self, monkeypatch, capsys, argv, message):
+        """The whole input is checked before the first class number."""
+
+        def no_class_number(d):
+            raise AssertionError("a class number was computed")
+
+        monkeypatch.setattr(sweep.classnum, "class_number_imaginary", no_class_number)
+        rc, out = run_cli(["genus-family", *argv])
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_count_past_63_bits_is_refused_at_once(self):
+        """--count stops generating primes once their product passes 63
+        bits, so 100000 primes are never generated."""
+        run = run_cli_process(["genus-family", "--count", "100000"], seconds=30)
+        assert (run.returncode, run.stdout) == (cli.EXIT_CONFIG, "")
+        assert run.stderr == (
+            "config error: the product of the primes exceeds the 63-bit input bound\n"
+        )
+
     def test_row_is_the_scan_row(self):
         """genus-family and scan print a field's record through one layout."""
         line = "D_K=-8 H=1 h=1 N=1 C=0.9493421209505192093"
@@ -572,6 +609,27 @@ class TestThresholdCommand:
              "--shards", "0"]
         )
         assert rc == cli.EXIT_CONFIG and out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--shards", "0"], "config error: shards must be >= 1"),
+            (["--min", "5", "--max", "4"], "config error: need 1 <= min <= max"),
+        ],
+        ids=["shards", "range"],
+    )
+    def test_config_error_line(self, monkeypatch, capsys, argv, message):
+        """threshold checks its range and workers as scan does, before the sweep."""
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before the range was checked")
+
+        monkeypatch.setattr(sweep, "quad_triples", no_sweep)
+        rc, out = run_cli(
+            ["threshold", "--family", "quad-imaginary", "--max", "100", "--grid", "1/10", *argv]
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("grid", ["--grid=0", "--grid=-1/10"])
     def test_rejects_nonpositive_grid_before_sweep(self, monkeypatch, capsys, grid):

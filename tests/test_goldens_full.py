@@ -13,6 +13,7 @@ import decimal
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,7 @@ SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 def scan_rows(argv) -> list[dict]:
     """The event lines of a text-format scan, run in a child process, as
-    dicts with D (as |D_K|), H, h, N and C."""
+    dicts with D (as |D_K|), H, h, N, C and the eps of their block."""
     env = dict(os.environ, PYTHONPATH=SRC)
     run = subprocess.run(
         [sys.executable, "-m", "classmax.cli", "scan", *argv],
@@ -34,10 +35,12 @@ def scan_rows(argv) -> list[dict]:
     assert (run.returncode, run.stderr) == (0, "")
     rows = []
     for line in run.stdout.splitlines():
-        if line.startswith("D_K="):
+        if line.startswith("eps="):
+            eps = line.removeprefix("eps=")
+        elif line.startswith("D_K="):
             row = dict(field.split("=", 1) for field in line.split())
             row["D"] = str(abs(int(row.pop("D_K"))))
-            rows.append(row)
+            rows.append({**row, "eps": eps})
     return rows
 
 
@@ -62,20 +65,30 @@ def test_real_raw_maxima_to_the_last_row(data_rows, metric, name, last_d):
     assert [key(r) for r in got] == [key(r) for r in gold]
 
 
-def nineteen_digits(x: decimal.Decimal) -> decimal.Decimal:
-    """x rounded half-even to 19 significant digits."""
-    unit = decimal.Decimal(1).scaleb(x.adjusted() - 18)
-    return x.quantize(unit, rounding=decimal.ROUND_HALF_EVEN)
+def last_unit(x: decimal.Decimal, digits: int = 19) -> decimal.Decimal:
+    """One unit in the last of x's first `digits` significant digits."""
+    return decimal.Decimal(1).scaleb(x.adjusted() - digits + 1)
 
 
-def correctly_rounded(h: int, d: int) -> decimal.Decimal:
-    """h / sqrt(d) to 19 significant digits, from an 80-digit quotient that
-    is checked to lie clear of a rounding boundary."""
+def round_digits(x: decimal.Decimal, digits: int = 19) -> decimal.Decimal:
+    """x rounded half-even to 19 (or `digits`) significant digits."""
+    return x.quantize(last_unit(x, digits), rounding=decimal.ROUND_HALF_EVEN)
+
+
+def exact_c(h: int, d: int, eps: Fraction = Fraction(1)) -> decimal.Decimal:
+    """h / d^(eps/2) to 80 digits."""
     ctx = decimal.Context(prec=80)
-    exact = ctx.divide(decimal.Decimal(h), ctx.sqrt(decimal.Decimal(d)))
-    rounded = nineteen_digits(exact)
-    unit = decimal.Decimal(1).scaleb(rounded.adjusted() - 18)
-    assert abs(abs(exact - rounded) - unit / 2) > unit.scaleb(-50), (h, d)
+    half = ctx.divide(decimal.Decimal(eps.numerator), decimal.Decimal(2 * eps.denominator))
+    return ctx.divide(decimal.Decimal(h), ctx.exp(ctx.multiply(half, ctx.ln(decimal.Decimal(d)))))
+
+
+def correctly_rounded(h: int, d: int, eps: Fraction = Fraction(1)) -> decimal.Decimal:
+    """h / d^(eps/2) to 19 significant digits, from an 80-digit value that
+    is checked to lie clear of a rounding boundary."""
+    exact = exact_c(h, d, eps)
+    rounded = round_digits(exact)
+    unit = last_unit(rounded)
+    assert abs(abs(exact - rounded) - unit / 2) > unit.scaleb(-50), (h, d, eps)
     return rounded
 
 
@@ -96,8 +109,36 @@ def test_imaginary_eps_one_minima_readme_example(data_rows):
     for row in gold:
         ours = got.get(int(row["D"]))
         assert ours is not None and key(ours) == key(row), row
-        c_ours, c_gold = decimal.Decimal(ours["C"]), nineteen_digits(decimal.Decimal(row["C"]))
+        c_ours, c_gold = decimal.Decimal(ours["C"]), round_digits(decimal.Decimal(row["C"]))
         if c_ours != c_gold:
             unit = decimal.Decimal(1).scaleb(c_ours.adjusted() - 18)
             want = correctly_rounded(int(row["h"]), int(row["D"]))
             assert abs(c_ours - c_gold) == unit and c_ours == want, (row, ours["C"])
+
+
+def test_imaginary_nongenus_to_the_last_row(data_rows):
+    """One scan to 106105271, the last D of the eps = 1 table, at eps = 1/20
+    and eps = 1.  At eps = 1 the events are the table's 56 rows, in order,
+    on D, H, h and N; at eps = 1/20 each of the table's 30 rows is among the
+    313 events.  Every C that classmax prints is h / D^(eps/2) correctly
+    rounded to 19 significant digits.  The tables' C carry 18 or 19 digits
+    and lie within one unit in their last digit of that value; 30 of the 86
+    rows are not its correctly rounded digits."""
+    got = scan_rows(
+        ["--family", "quad-imaginary", "--max", "106105271", "--eps", "1/20", "--eps", "1",
+         "--shards", "2"]
+    )
+    for row in got:
+        want = correctly_rounded(int(row["h"]), int(row["D"]), Fraction(row["eps"]))
+        assert decimal.Decimal(row["C"]) == want, row
+    ones = [r for r in got if r["eps"] == "1/1"]
+    twentieths = {key(r) for r in got if r["eps"] == "1/20"}
+    gold_ones = data_rows("imag_eps_1_nongenus_listed.csv")
+    gold_twentieths = data_rows("imag_eps_1_20_nongenus_listed.csv")
+    assert [key(r) for r in ones] == [key(r) for r in gold_ones]
+    assert all(key(r) in twentieths for r in gold_twentieths)
+    for eps, gold in ((Fraction(1), gold_ones), (Fraction(1, 20), gold_twentieths)):
+        for row in gold:
+            c_gold = decimal.Decimal(row["C"])
+            exact = exact_c(int(row["h"]), int(row["D"]), eps)
+            assert abs(c_gold - exact) < last_unit(c_gold, len(c_gold.as_tuple().digits)), row
