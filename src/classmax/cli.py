@@ -33,6 +33,10 @@ CUBIC = "cubic"
 
 _SIGNATURES = {QUAD_IMAGINARY: IMAGINARY, QUAD_REAL: REAL}
 
+# N <= 15 below 2^63, which the product of the first 16 primes exceeds, so a
+# sixteenth bucket would only ever count 0
+MAX_BUCKETS = 15
+
 
 def _check_sweep(lo: int, hi: int, shards: int) -> None:
     """The range and worker checks that `scan` and `threshold` share."""
@@ -99,6 +103,8 @@ class ScanConfig:
             raise ValueError("--buckets is not read by --format csv")
         if self.buckets < 1:
             raise ValueError("buckets must be >= 1")
+        if self.buckets > MAX_BUCKETS:
+            raise ValueError(f"buckets must be <= {MAX_BUCKETS}, the largest N below 2^63")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -128,16 +134,15 @@ def scan_stream(stream, config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEv
     fresh scan of [lo, hi] is merge_shards' one shard, so that the merge
     alone applies the --compat-minima-init-one value C = 1.
     """
-    buckets = BucketSpec(config.buckets)
     out = []
     for eps in config.eps_list:
         keep, records = stream.records(eps)
-        events, _ = scan_collect(records, config.mode, buckets)
+        events, _ = scan_collect(records, config.mode)
         del records  # so that the next eps's records do not build beside these
         events = tuple(replace(ev, nd=keep[ev.nd - 1] + 1) for ev in events)
         initial = c_eps(1, 1, eps) if config.compat_minima_init_one else None
         shard = ShardResult(config.lo, config.hi, events, len(stream))
-        out.append((eps, *merge_shards([shard], config.mode, buckets, initial)))
+        out.append((eps, *merge_shards([shard], config.mode, initial)))
     return out
 
 
@@ -194,11 +199,11 @@ def run_scan(config: ScanConfig) -> list[tuple[Epsilon, list[MaximaEvent], int]]
 
 
 def _display_h(record: FieldRecord, which: str) -> str:
-    exact = record.H if which == "H" else record.h
-    if exact is not None:
-        return str(exact)
-    prod = record.H_prod if which == "H" else record.h_prod
-    return format_value(c_eps(prod, 1, EPS_ZERO, root=record.n_fields).approx)
+    """H or h, or for a family mean the value.root-th root of its product."""
+    held = record.H if which == "H" else record.h
+    if record.value.root == 1:
+        return str(held)
+    return format_value(c_eps(held, 1, EPS_ZERO, root=record.value.root).approx)
 
 
 def _text_line(record: FieldRecord) -> str:
@@ -245,14 +250,16 @@ def render_events(
     show_counters: bool,
     out,
 ) -> None:
+    """One eps's events in fmt; the text counter lines and json-lines'
+    buckets count the events printed so far."""
     if fmt == "text":
         print(f"eps={eps}", file=out)
-        for ev in events:
+        counts = (0,) * buckets.n_buckets
+        for ev, counts in zip(events, buckets.counts(events)):
             print(_text_line(ev.record), file=out)
             if show_counters:
-                print(_counter_text(ev.nd, buckets, ev.buckets), file=out)
-        final = events[-1].buckets if events else (0,) * buckets.n_buckets
-        print(_counter_text(total, buckets, final), file=out)
+                print(_counter_text(ev.nd, buckets, counts), file=out)
+        print(_counter_text(total, buckets, counts), file=out)
         return
     if fmt == "csv":
         for ev in events:
@@ -260,8 +267,8 @@ def render_events(
             print(",".join([str(eps), *("" if c is None else str(c) for c in cols)]), file=out)
         return
     if fmt == "json-lines":
-        for ev in events:
-            obj = {"eps": str(eps), **_columns(ev.record), "ND": ev.nd, "buckets": list(ev.buckets)}
+        for ev, counts in zip(events, buckets.counts(events)):
+            obj = {"eps": str(eps), **_columns(ev.record), "ND": ev.nd, "buckets": list(counts)}
             print(json.dumps(obj, sort_keys=True), file=out)
         summary = {
             "eps": str(eps),

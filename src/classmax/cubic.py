@@ -210,56 +210,36 @@ class FixtureStore:
 # ---------------------------------------------------------------------------
 
 
-def family_class_numbers(
-    members: list[CubicField], lookup: Callable[[CubicField], int | None]
-) -> list[tuple[CubicField, int, int]]:
-    """(field, H, h) per member of a family, H from the class-number lookup
-    and h = H / 3^(N-1) for the member's N; the part of a family record that
-    does not depend on eps."""
-    rows = []
-    for member in members:
-        big_h = lookup(member)
-        if big_h is None:
-            raise ClassNumberUnavailable(member)
-        genus = genus_number_cyclic(3, member.n_ramified)
-        rows.append((member, big_h, nongenus_part(big_h, genus)))
-    return rows
-
-
 def family_scan_record(
     f: int, members: list[tuple[CubicField, int, int]], eps: Epsilon, metric_kind: str
 ) -> FieldRecord:
-    """One conductor's entry for the maxima engine; N is its last member's (f's).
+    """One conductor's entry for the maxima engine, from its members'
+    (field, H, h); N is its last member's (f's).
 
     nongenus / full take the geometric mean of h / sqrt(D)^eps resp.
-    H / sqrt(D)^eps over the members, one c_eps of their products;
+    H / sqrt(D)^eps over the members, one c_eps of the products of their
+    h (resp. H) and D, which the record keeps as its H and h;
     per-field-max takes the largest member value of the nongenus metric
-    (the uncorrected per-field record scan).
+    (the uncorrected per-field record scan) and that member's H and h.
     """
-    if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
-        raise ValueError(f"unknown cubic metric {metric_kind!r}")
     n_k = len(members)
     if metric_kind == PER_FIELD_MAX:
         data = [(*m, c_eps(m[2], m[0].f * m[0].f, eps)) for m in members]
-        *single, value = max(data, key=cmp_to_key(lambda a, b: compare(a[3], b[3])))
-        big_prod = small_prod = None
+        field, big_h, small_h, value = max(data, key=cmp_to_key(lambda a, b: compare(a[3], b[3])))
     else:
-        single = members[0] if n_k == 1 else (None, None, None)
-        big_prod = math.prod(m[1] for m in members)
-        small_prod = math.prod(m[2] for m in members)
+        field = members[0][0]
+        big_h = math.prod(m[1] for m in members)
+        small_h = math.prod(m[2] for m in members)
         disc = math.prod(m[0].f * m[0].f for m in members)
-        value = c_eps(small_prod if metric_kind == NONGENUS else big_prod, disc, eps, root=n_k)
-    field, big_h, small_h = single
+        value = c_eps(small_h if metric_kind == NONGENUS else big_h, disc, eps, root=n_k)
     return FieldRecord(
         f=f,
         d_signed=None,
         n_ramified=members[-1][0].n_ramified,
         value=value,
-        n_fields=n_k,
         H=big_h,
         h=small_h,
-        H_prod=big_prod,
-        h_prod=small_prod,
+        n_fields=n_k,
         poly=str(field) if n_k == 1 else None,
     )
 
@@ -277,9 +257,10 @@ def iter_conductors(lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 class FamilyStream:
     """The cyclic cubic families of conductors in [lo, hi] under one scope
-    and metric, each kept as (f, members), its members' class numbers read
-    once from the lookup; records(eps) builds every family's record at eps,
-    so a scan reads the lookup once whatever the number of eps.
+    and metric, each kept as (f, members) with each member's (field, H, h):
+    H read once from the lookup, h = H / 3^(N-1) for the member's N.
+    records(eps) builds every family's record at eps, so a scan reads the
+    lookup once whatever the number of eps.
 
     With conductors None, every conductor is walked and a class number the
     lookup lacks raises.  Otherwise only the given conductors (a fixture
@@ -298,6 +279,8 @@ class FamilyStream:
         lookup: Callable[[CubicField], int | None],
         conductors: set[int] | None,
     ) -> None:
+        if metric_kind not in (NONGENUS, FULL, PER_FIELD_MAX):
+            raise ValueError(f"unknown cubic metric {metric_kind!r}")
         self.metric_kind = metric_kind
         if conductors is None:
             walk = iter_conductors(lo, hi)
@@ -305,11 +288,17 @@ class FamilyStream:
             walk = ((f, _parts(f)) for f in sorted(conductors) if lo <= f <= hi)
         self.families = []
         for f, parts in walk:
-            try:
-                self.families.append((f, family_class_numbers(_members(parts, scope), lookup)))
-            except ClassNumberUnavailable:
-                if conductors is None:
-                    raise
+            members = []
+            for field in _members(parts, scope):
+                big_h = lookup(field)
+                if big_h is None:
+                    if conductors is None:
+                        raise ClassNumberUnavailable(field)
+                    break
+                genus = genus_number_cyclic(3, field.n_ramified)
+                members.append((field, big_h, nongenus_part(big_h, genus)))
+            else:
+                self.families.append((f, members))
 
     def __len__(self) -> int:
         return len(self.families)

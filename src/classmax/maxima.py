@@ -1,4 +1,4 @@
-"""Streaming successive-maxima/minima engine with counters and shard merging."""
+"""Streaming successive-maxima/minima engine, shard merging, and N counters."""
 
 from __future__ import annotations
 
@@ -17,20 +17,18 @@ class FieldRecord:
     record, keyed by f, and one printed row.
 
     A quadratic field has f = |D| and its signed D in d_signed; a cubic
-    family has d_signed None.  H and h are exact integers when the family
-    has a single member; families carry the exact products instead, and
-    display means are derived later.
+    family has d_signed None.  H and h are the integers the value is built
+    from: one field's class number and non-genus part, or, when value.root
+    is the member count of a family mean, the products over its members.
     """
 
     f: int
     d_signed: int | None
     n_ramified: int
     value: MetricValue
+    H: int
+    h: int
     n_fields: int = 1
-    H: int | None = None
-    h: int | None = None
-    H_prod: int | None = None
-    h_prod: int | None = None
     poly: str | None = None
 
 
@@ -50,14 +48,21 @@ class BucketSpec:
     def labels(self) -> list[str]:
         return [f"N{i}" for i in range(1, self.n_buckets + 1)]
 
+    def counts(self, events: Iterable[MaximaEvent]) -> Iterator[tuple[int, ...]]:
+        """Each event's counters, in order: how many of the events up to it
+        fall in each bucket."""
+        counts = [0] * self.n_buckets
+        for event in events:
+            counts[self.index(event.record.n_ramified)] += 1
+            yield tuple(counts)
+
 
 @dataclass(frozen=True)
 class MaximaEvent:
-    """A new record value plus the counter snapshot at that point."""
+    """A new record value and its position nd (1-based) in the stream."""
 
     record: FieldRecord
     nd: int
-    buckets: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,6 @@ def _beats(candidate: MetricValue, incumbent: MetricValue, mode: str) -> bool:
 def scan(
     records: Iterable[FieldRecord],
     mode: str = MAXIMA,
-    buckets: BucketSpec = BucketSpec(3),
     initial: MetricValue | None = None,
 ) -> Iterator[MaximaEvent]:
     """Emit the successive records of an ascending stream.
@@ -90,7 +94,6 @@ def scan(
     if mode not in (MAXIMA, MINIMA):
         raise ValueError(f"unknown mode {mode!r}")
     running = initial
-    counts = [0] * buckets.n_buckets
     nd = 0
     last_f = None
     for record in records:
@@ -100,25 +103,22 @@ def scan(
         nd += 1
         if running is None or _beats(record.value, running, mode):
             running = record.value
-            counts[buckets.index(record.n_ramified)] += 1
-            yield MaximaEvent(record=record, nd=nd, buckets=tuple(counts))
+            yield MaximaEvent(record=record, nd=nd)
 
 
 def scan_collect(
     records: Iterable[FieldRecord],
     mode: str = MAXIMA,
-    buckets: BucketSpec = BucketSpec(3),
     initial: MetricValue | None = None,
 ) -> tuple[list[MaximaEvent], int]:
     """Run scan to exhaustion; return (events, total records consumed)."""
     records = list(records)
-    return list(scan(records, mode, buckets, initial)), len(records)
+    return list(scan(records, mode, initial)), len(records)
 
 
 def merge_shards(
     shards: Sequence[ShardResult],
     mode: str = MAXIMA,
-    buckets: BucketSpec = BucketSpec(3),
     initial: MetricValue | None = None,
 ) -> tuple[list[MaximaEvent], int]:
     """Merge per-shard scans into the event list a single sequential scan yields.
@@ -126,8 +126,7 @@ def merge_shards(
     Each shard must have been scanned with a fresh running record over its own
     key range; ranges must be disjoint and ascending.  scan runs over the
     shard events in order, so one survives iff it beats the global running
-    record, and counters are rebuilt globally; each nd is then offset by the
-    records of the shards before it.
+    record; each nd is then offset by the records of the shards before it.
     """
     records: list[FieldRecord] = []
     nds: list[int] = []
@@ -142,5 +141,5 @@ def merge_shards(
         records.extend(event.record for event in shard.events)
         nds.extend(nd_offset + event.nd for event in shard.events)
         nd_offset += shard.total_records
-    merged = [replace(ev, nd=nds[ev.nd - 1]) for ev in scan(records, mode, buckets, initial)]
+    merged = [replace(ev, nd=nds[ev.nd - 1]) for ev in scan(records, mode, initial)]
     return merged, nd_offset

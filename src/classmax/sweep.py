@@ -22,7 +22,7 @@ import numpy as np
 
 from . import arith, classnum
 from .discriminants import IMAGINARY, REAL
-from .maxima import MAXIMA, MINIMA, BucketSpec, FieldRecord, scan
+from .maxima import MAXIMA, MINIMA, FieldRecord, scan
 from .metric import EPS_ZERO, FULL, NONGENUS, RAW_H, RAW_SMALL_H, Epsilon, c_eps
 
 # ---------------------------------------------------------------------------
@@ -784,11 +784,12 @@ def genus_family_rows(
     """The records of Q(sqrt(-m)) for the prefix products m of the given
     primes, nongenus metric at eps.
 
-    The whole list is checked before the first class number; the product of
-    all the primes is the largest prefix product, so its 63-bit bound covers
-    every row.  Rows are produced in prefix order; if a row's class-number
-    computation would start after the time budget is exhausted, the
-    remaining rows are skipped and the flag comes back True.
+    The whole list and the budget (>= 0, so not NaN) are checked before the
+    first class number; the product of all the primes is the largest prefix
+    product, so its 63-bit bound covers every row.  Rows are produced in
+    prefix order; if a row's class-number computation would start after the
+    time budget is exhausted, the remaining rows are skipped and the flag
+    comes back True.
     """
     if len(set(primes)) != len(primes) or not primes:
         raise ValueError("need a nonempty list of distinct primes")
@@ -797,6 +798,8 @@ def genus_family_rows(
             raise ValueError(f"{p} is not prime")
     if math.prod(primes).bit_length() > 63:
         raise ValueError("the product of the primes exceeds the 63-bit input bound")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError("the budget must be a number of seconds >= 0")
     rows: list[FieldRecord] = []
     started = time.monotonic()
     m = 1
@@ -837,7 +840,7 @@ def threshold_search(
 
     def plenty(k: int) -> bool:
         _, records = stream.records(Epsilon.of(grid_step * k))
-        return len(list(islice(scan(iter(records), MAXIMA, BucketSpec(1)), 2))) >= 2
+        return len(list(islice(scan(iter(records), MAXIMA), 2))) >= 2
 
     # plenty holds at every index <= lo and at none >= hi, the first past the grid
     lo, hi = -1, math.ceil(2 / grid_step)

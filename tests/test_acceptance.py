@@ -100,17 +100,17 @@ def test_criterion_04_table_one(request, data_rows):
     with criterion(4, 300.0, "eps=1/50 nongenus table with exact counters"):
         imag_triples = request.getfixturevalue("imag_triples")
         records = sweep.quad_records(imag_triples, IMAGINARY, Epsilon(1, 50), sweep.NONGENUS)
-        events, total = scan_collect(iter(records), buckets=BucketSpec(3))
+        events, total = scan_collect(iter(records))
         gold = [r for r in data_rows("imag_eps_1_50_nongenus_table.csv") if int(r["D"]) <= 1_200_000]
         assert len(events) == len(gold)
         assert any(int(r["D"]) == 1006799 for r in gold)
-        for ev, r in zip(events, gold):
+        for ev, counts, r in zip(events, BucketSpec(3).counts(events), gold):
             rec = ev.record
             assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert ev.nd == int(r["ND"])
-            assert ev.buckets == (int(r["N1"]), int(r["N2"]), int(r["N3"]))
+            assert counts == (int(r["N1"]), int(r["N2"]), int(r["N3"]))
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
 
 
@@ -119,20 +119,21 @@ def test_criterion_05_table_two(request, data_rows):
         imag_triples = request.getfixturevalue("imag_triples")
         triples = [t for t in imag_triples if t[0] <= 10_000]
         records = sweep.quad_records(triples, IMAGINARY, Epsilon(1, 50), sweep.FULL)
-        events, total = scan_collect(iter(records), buckets=BucketSpec(6))
+        events, total = scan_collect(iter(records))
+        counters = list(BucketSpec(6).counts(events))
         gold = [r for r in data_rows("imag_eps_1_50_full_table.csv") if int(r["D"]) <= 10_000]
         assert len(events) == len(gold)
-        for ev, r in zip(events, gold):
+        for ev, counts, r in zip(events, counters, gold):
             rec = ev.record
             assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert ev.nd == int(r["ND"])
-            assert ev.buckets == tuple(int(r[f"N{i}"]) for i in range(1, 7))
+            assert counts == tuple(int(r[f"N{i}"]) for i in range(1, 7))
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
-        snapshot = {e.record.f: e for e in events}[4199]
+        snapshot, snapshot_counts = {e.record.f: (e, c) for e, c in zip(events, counters)}[4199]
         assert snapshot.nd == 1278
-        assert snapshot.buckets[:3] == (21, 17, 1)
+        assert snapshot_counts[:3] == (21, 17, 1)
 
 
 def test_criterion_06_genus_family():
@@ -153,21 +154,22 @@ def test_criterion_07_table_three(request, data_rows):
         real_triples = request.getfixturevalue("real_triples")
         triples = [t for t in real_triples if t[0] <= 100_000]
         records = sweep.quad_records(triples, REAL, Epsilon(1, 50), sweep.NONGENUS)
-        events, total = scan_collect(iter(records), buckets=BucketSpec(3))
+        events, total = scan_collect(iter(records))
+        counters = list(BucketSpec(3).counts(events))
         gold = [r for r in data_rows("real_eps_1_50_nongenus_table.csv") if int(r["D"]) <= 100_000]
         want_keys = [5, 136, 229, 401, 577, 1129, 1297, 7057, 8761, 14401,
                      32401, 41617, 57601, 90001]
         assert [int(r["D"]) for r in gold] == want_keys
         assert len(events) == len(gold)
-        for ev, r in zip(events, gold):
+        for ev, counts, r in zip(events, counters, gold):
             rec = ev.record
             assert (rec.f, rec.H, rec.h, rec.n_ramified) == (
                 int(r["D"]), int(r["H"]), int(r["h"]), int(r["N"])
             )
             assert ev.nd == int(r["ND"])
-            assert ev.buckets == (int(r["N1"]), int(r["N2"]), int(r["N3"]))
+            assert counts == (int(r["N1"]), int(r["N2"]), int(r["N3"]))
             assert rel_err(ev.record.value.approx, r["C"]) < 1e-12
-        assert events[-1].buckets == (13, 1, 0)
+        assert counters[-1] == (13, 1, 0)
 
 
 def test_criterion_08_raw_maxima(request, data_rows):
@@ -235,7 +237,7 @@ def test_criterion_11_cubic_means(bundled_fixtures, data_rows):
         _, recs = stream.records(Epsilon(1, 50))
         events, _ = scan_collect(iter(recs))
         row63 = {e.record.f: e for e in events}[63]
-        mean_h = c_eps(row63.record.H_prod, 1, EPS_ZERO, root=row63.record.n_fields).approx
+        mean_h = c_eps(row63.record.H, 1, EPS_ZERO, root=row63.record.n_fields).approx
         assert rel_err(mean_h, "1.7320508075688772936") < 1e-12
 
 
@@ -295,7 +297,7 @@ def test_criterion_12_property_suites(request):
                         value=c_eps(h, k, eps), H=h, h=h,
                     )
                 )
-            direct, total = scan_collect(iter(records), buckets=BucketSpec(3))
+            direct, total = scan_collect(iter(records))
             n_shards = rng.randint(2, 8)
             edges = sorted(rng.sample(range(2, 100_000), n_shards - 1))
             bounds = [1] + [e for e in edges] + [100_000]
@@ -303,12 +305,16 @@ def test_criterion_12_property_suites(request):
             for i in range(len(bounds) - 1):
                 s_lo, s_hi = bounds[i] + 1, bounds[i + 1]
                 part = [r for r in records if s_lo <= r.f <= s_hi]
-                ev, t = scan_collect(iter(part), buckets=BucketSpec(3))
+                ev, t = scan_collect(iter(part))
                 shards.append(ShardResult(s_lo, s_hi, tuple(ev), t))
-            merged, m_total = merge_shards(shards, buckets=BucketSpec(3))
+            merged, m_total = merge_shards(shards)
             assert m_total == total
             assert [e.record.f for e in merged] == [e.record.f for e in direct]
-            assert [(e.nd, e.buckets) for e in merged] == [(e.nd, e.buckets) for e in direct]
+            # the counters are counted from the events, so equal events give equal counters
+            spec = BucketSpec(3)
+            assert [(e.nd, c) for e, c in zip(merged, spec.counts(merged))] == [
+                (e.nd, c) for e, c in zip(direct, spec.counts(direct))
+            ]
 
         # comparator: exact vs 256-bit float agreement on 1e4 random pairs
         import mpmath

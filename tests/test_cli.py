@@ -356,6 +356,31 @@ class TestScanConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "2^31" in err and err.count("\n") == 1
 
+    def test_buckets_past_fifteen_refused_before_the_sweep(self, monkeypatch, capsys):
+        """N <= 15 below 2^63, so a sixteenth bucket would only count 0:
+        --buckets 16 is one config error line, before any sweep."""
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(sweep, "quad_triples", no_sweep)
+        rc, out = run_cli(
+            ["scan", "--family", "quad-imaginary", "--max", "300000", "--buckets", "16"]
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err == (
+            "config error: buckets must be <= 15, the largest N below 2^63\n"
+        )
+
+    def test_fifteen_buckets_accepted(self):
+        rc, out = run_cli(
+            ["scan", "--family", "quad-imaginary", "--max", "100", "--buckets", "15"]
+        )
+        assert rc == 0
+        assert out.splitlines()[-1] == "ND=31 N1=4 " + " ".join(
+            f"N{i}=0" for i in range(2, 16)
+        )
+
     def test_unknown_mode_rejected_before_the_sweep(self, monkeypatch):
         """ScanConfig.validate rejects a misspelt mode from a library caller,
         which argparse's choices never see, before any sweep starts."""
@@ -561,6 +586,10 @@ class TestGenusFamilyCommand:
         )
         assert rc == cli.EXIT_BUDGET
 
+    def test_infinite_budget_prints_every_row(self):
+        rc, out = run_cli(["genus-family", "--primes", "2,3,5", "--budget-seconds", "inf"])
+        assert rc == 0 and len(out.splitlines()) == 3
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -568,8 +597,13 @@ class TestGenusFamilyCommand:
             (["--primes", ""], "need a nonempty list of distinct primes"),
             (["--primes", "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53", "--budget-seconds", "5"],
              "the product of the primes exceeds the 63-bit input bound"),
+            (["--primes", "2,3,5", "--budget-seconds", "nan"],
+             "the budget must be a number of seconds >= 0"),
+            (["--primes", "2,3,5", "--budget-seconds", "-1"],
+             "the budget must be a number of seconds >= 0"),
         ],
-        ids=["start-with-primes", "empty-primes", "product-past-63-bits"],
+        ids=["start-with-primes", "empty-primes", "product-past-63-bits", "nan-budget",
+             "negative-budget"],
     )
     def test_config_error_line(self, monkeypatch, capsys, argv, message):
         """The whole input is checked before the first class number."""

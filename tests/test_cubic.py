@@ -8,13 +8,12 @@ from classmax.cubic import (
     FamilyStream,
     FixtureStore,
     enumerate_cubic_fields,
-    family_class_numbers,
     family_members,
     family_scan_record,
     iter_conductors,
 )
 from classmax.discriminants import is_cyclic_conductor
-from classmax.maxima import BucketSpec, scan_collect
+from classmax.maxima import scan_collect
 from classmax.metric import EPS_ZERO, Epsilon, c_eps, rel_err
 
 
@@ -27,6 +26,13 @@ def poly_disc(c2: int, c1: int, c0: int) -> int:
         - 4 * c1**3
         - 27 * c0**2
     )
+
+
+def family(f: int, scope: str, lookup) -> list:
+    """Conductor f's members, each (field, H, h), as a FamilyStream over f
+    alone reads them."""
+    ((_, members),) = FamilyStream(f, f, scope, "nongenus", lookup, None).families
+    return members
 
 
 def reference_divisor_conductors(f: int) -> list[int]:
@@ -192,7 +198,7 @@ class TestFixtureStore:
 
     def test_missing_raises_with_polynomial(self, bundled_fixtures):
         with pytest.raises(ClassNumberUnavailable) as err:
-            family_class_numbers(family_members(331, EXACT_CONDUCTOR), bundled_fixtures.get)
+            family(331, EXACT_CONDUCTOR, bundled_fixtures.get)
         assert "331" in str(err.value)
 
     def test_rejects_malformed_lines(self):
@@ -241,29 +247,27 @@ class TestFixtureStore:
 
 class TestFamilyRecords:
     def test_f7_nongenus_mean(self, bundled_fixtures):
-        members = family_class_numbers(family_members(7, EXACT_CONDUCTOR), bundled_fixtures.get)
+        members = family(7, EXACT_CONDUCTOR, bundled_fixtures.get)
         rec = family_scan_record(7, members, Epsilon(1, 100), "nongenus")
         assert rel_err(rec.value.approx, "0.9807290047229") < 1e-10
 
     def test_f63_divisors_mean_h(self, bundled_fixtures):
-        members = family_class_numbers(family_members(63, DIVISORS), bundled_fixtures.get)
+        members = family(63, DIVISORS, bundled_fixtures.get)
         rec = family_scan_record(63, members, Epsilon(1, 50), "full")
         assert rec.n_fields == 4
-        assert rec.H_prod == 9
-        mean_h = c_eps(rec.H_prod, 1, EPS_ZERO, root=rec.n_fields).approx
+        assert rec.H == 9
+        mean_h = c_eps(rec.H, 1, EPS_ZERO, root=rec.n_fields).approx
         assert rel_err(mean_h, "1.7320508075688772936") < 1e-12
         assert rel_err(rec.value.approx, "1.627685591700590660") < 1e-12
 
     def test_single_member_family_is_own_value(self, bundled_fixtures):
-        members = family_class_numbers(family_members(163, EXACT_CONDUCTOR), bundled_fixtures.get)
+        members = family(163, EXACT_CONDUCTOR, bundled_fixtures.get)
         rec = family_scan_record(163, members, Epsilon(1, 100), "nongenus")
         assert rec.h == 4
         assert rec.poly == "x^3+x^2-54*x-169"
 
     def test_per_field_max_picks_max(self, bundled_fixtures):
-        members = family_class_numbers(
-            family_members(165889, EXACT_CONDUCTOR), bundled_fixtures.get
-        )
+        members = family(165889, EXACT_CONDUCTOR, bundled_fixtures.get)
         rec = family_scan_record(165889, members, Epsilon(1, 10), "per-field-max")
         assert rec.H == 2352
         assert rec.h == 784
@@ -283,7 +287,7 @@ class TestFamilyRecords:
         # a lookup is trusted to hold the genus divisibility: breaking it is
         # an internal fault
         with pytest.raises(ArithmeticError):
-            family_class_numbers(fields, dict(zip(fields, (3, 4))).get)
+            family(91, EXACT_CONDUCTOR, dict(zip(fields, (3, 4))).get)
 
 
 class TestFixtureStreams:
@@ -310,7 +314,7 @@ class TestFixtureStreams:
             want = []
             for f, _ in iter_conductors(1, 20_000):
                 try:
-                    members = family_class_numbers(family_members(f, scope), bundled_fixtures.get)
+                    members = family(f, scope, bundled_fixtures.get)
                 except ClassNumberUnavailable:
                     continue
                 want.append(family_scan_record(f, members, eps, metric))
@@ -337,7 +341,7 @@ class TestFixtureStreams:
             1, 200_000, EXACT_CONDUCTOR, "per-field-max", store.get, store.conductors
         )
         _, recs = stream.records(Epsilon(1, 10))
-        events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
+        events, _ = scan_collect(iter(recs), "maxima")
         gold = [r for r in data_rows("cubic_eps_1_10_maxfield_listed.csv") if int(r["f"]) <= 200_000]
         got = [(e.record.f, e.record.H, e.record.h) for e in events]
         want = [(int(r["f"]), int(r["H"]), int(r["h"])) for r in gold]
@@ -351,5 +355,5 @@ class TestFixtureStreams:
         store = extra_store()
         stream = FamilyStream(1, 200_000, EXACT_CONDUCTOR, "nongenus", store.get, store.conductors)
         _, recs = stream.records(Epsilon(1, 10))
-        events, _ = scan_collect(iter(recs), "maxima", BucketSpec(3))
+        events, _ = scan_collect(iter(recs), "maxima")
         assert all(e.record.n_ramified == 1 for e in events)

@@ -26,7 +26,8 @@ SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 def scan_rows(argv) -> list[dict]:
     """The event lines of a text-format scan, run in a child process, as
-    dicts with D (as |D_K|), H, h, N, C and the eps of their block."""
+    dicts with D (as |D_K|), H, h, N, C and the eps of their block; with
+    --counters, also the ND, N1, N2, ... of the counter line after each."""
     env = dict(os.environ, PYTHONPATH=SRC)
     run = subprocess.run(
         [sys.executable, "-m", "classmax.cli", "scan", *argv],
@@ -34,12 +35,15 @@ def scan_rows(argv) -> list[dict]:
     )
     assert (run.returncode, run.stderr) == (0, "")
     rows = []
-    for line in run.stdout.splitlines():
+    lines = iter(run.stdout.splitlines())
+    for line in lines:
         if line.startswith("eps="):
             eps = line.removeprefix("eps=")
         elif line.startswith("D_K="):
             row = dict(field.split("=", 1) for field in line.split())
             row["D"] = str(abs(int(row.pop("D_K"))))
+            if "--counters" in argv:
+                row.update(field.split("=", 1) for field in next(lines).split())
             rows.append({**row, "eps": eps})
     return rows
 
@@ -142,3 +146,36 @@ def test_imaginary_nongenus_to_the_last_row(data_rows):
             c_gold = decimal.Decimal(row["C"])
             exact = exact_c(int(row["h"]), int(row["D"]), eps)
             assert abs(c_gold - exact) < last_unit(c_gold, len(c_gold.as_tuple().digits)), row
+
+
+def test_real_eps_1_50_nongenus_to_the_last_row(data_rows):
+    """The real eps = 1/50 table to its last D, 34574401, with counters.
+    The events are the table's 25 rows, in order, on D, H, h and N, and each
+    event's counter line is the row's ND, N1, N2 and N3.  Every C that
+    classmax prints is h / D^(1/100) correctly rounded to 19 significant
+    digits.  The table's C carry 19 or 20 digits (9 rows carry 20), and 5
+    of its 19-digit strings are not the correctly rounded digits; all but
+    one lie within one unit in their last digit of the exact value: D =
+    90001 is listed as 77.62056135842406069 and the value is
+    77.6205613584240606799576..., 1.004 units below."""
+    eps = Fraction(1, 50)
+    gold = data_rows("real_eps_1_50_nongenus_table.csv")
+    assert int(gold[-1]["D"]) == 34_574_401
+    got = scan_rows(
+        ["--family", "quad-real", "--min", "2", "--max", "34574401", "--eps", "1/50",
+         "--counters", "--shards", "2"]
+    )
+    assert [key(r) for r in got] == [key(r) for r in gold]
+    counters = ("ND", "N1", "N2", "N3")
+    assert [[r[c] for c in counters] for r in got] == [[r[c] for c in counters] for r in gold]
+    assert [got[-1][c] for c in counters] == ["10509357", "24", "1", "0"]
+    for row in got:
+        want = correctly_rounded(int(row["h"]), int(row["D"]), eps)
+        assert decimal.Decimal(row["C"]) == want, row
+    beyond_a_unit = []
+    for row in gold:
+        c_gold = decimal.Decimal(row["C"])
+        exact = exact_c(int(row["h"]), int(row["D"]), eps)
+        if not abs(c_gold - exact) < last_unit(c_gold, len(c_gold.as_tuple().digits)):
+            beyond_a_unit.append(row["D"])
+    assert beyond_a_unit == ["90001"]

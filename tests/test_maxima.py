@@ -9,6 +9,7 @@ from classmax.maxima import (
     MINIMA,
     BucketSpec,
     FieldRecord,
+    MaximaEvent,
     ShardResult,
     merge_shards,
     scan,
@@ -84,9 +85,9 @@ class TestScan:
 
     def test_counters_and_buckets(self):
         records = quad_stream(200, Epsilon(1, 50))
-        events, total = scan_collect(iter(records), buckets=BucketSpec(3))
-        for ev in events:
-            assert sum(ev.buckets) == len([e for e in events if e.nd <= ev.nd])
+        events, total = scan_collect(iter(records))
+        for ev, counts in zip(events, BucketSpec(3).counts(events)):
+            assert sum(counts) == len([e for e in events if e.nd <= ev.nd])
         assert events[0].nd == 1
 
     def test_non_ascending_raises(self):
@@ -109,6 +110,22 @@ class TestBucketSpec:
     def test_six(self):
         spec = BucketSpec(6)
         assert spec.index(6) == spec.index(17) == 5
+
+    def test_counts(self):
+        """Each event's counts are those of the events up to it; an N past
+        the last bucket counts in it."""
+        eps = EPS_ZERO
+        events = [
+            MaximaEvent(
+                FieldRecord(f=k, d_signed=-k, n_ramified=n, value=c_eps(k, 1, eps), H=k, h=k), nd
+            )
+            for k, n, nd in ((1, 1, 1), (2, 3, 4), (3, 2, 5), (4, 9, 7), (5, 1, 8))
+        ]
+        assert list(BucketSpec(3).counts(events)) == [
+            (1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 1, 2), (2, 1, 2)
+        ]
+        assert list(BucketSpec(1).counts(events)) == [(1,), (2,), (3,), (4,), (5,)]
+        assert list(BucketSpec(3).counts([])) == []
 
 
 def shard_stream(
@@ -170,13 +187,14 @@ class TestMergeShards:
             edges = sorted(rng.sample(range(keys[0], keys[-1] + 1), min(n_cuts, len(keys))))
             one = c_eps(1, 1, eps)
             for mode, initial in ((MAXIMA, None), (MAXIMA, one), (MINIMA, one)):
-                direct, total = scan_collect(iter(records), mode, BucketSpec(3), initial)
+                direct, total = scan_collect(iter(records), mode, initial)
                 shards = shard_stream(records, edges, mode)
-                merged, merged_total = merge_shards(shards, mode, BucketSpec(3), initial)
+                merged, merged_total = merge_shards(shards, mode, initial)
                 assert merged_total == total
                 assert [e.record.f for e in merged] == [e.record.f for e in direct]
                 assert [e.nd for e in merged] == [e.nd for e in direct]
-                assert [e.buckets for e in merged] == [e.buckets for e in direct]
+                spec = BucketSpec(3)
+                assert list(spec.counts(merged)) == list(spec.counts(direct))
 
     def test_overlapping_ranges_rejected(self):
         records = quad_stream(50, Epsilon(1, 20))

@@ -839,7 +839,8 @@ MODES = ("maxima", "minima")
 
 def summary(events):
     return [
-        (e.record.f, e.nd, e.buckets, format_value(e.record.value.approx)) for e in events
+        (e.record.f, e.nd, counts, format_value(e.record.value.approx))
+        for e, counts in zip(events, BucketSpec(3).counts(events))
     ]
 
 
@@ -848,7 +849,7 @@ def reference(triples, signature, eps, metric, mode, from_one, records=None):
     if records is None:
         records = sweep.quad_records(triples, signature, eps, metric)
     initial = c_eps(1, 1, eps) if from_one else None
-    events, total = scan_collect(iter(records), mode, BucketSpec(3), initial)
+    events, total = scan_collect(iter(records), mode, initial)
     return summary(events), total
 
 
