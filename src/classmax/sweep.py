@@ -222,9 +222,13 @@ def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, data
 
 
-# (D, b) rows per segment of the real sweep, the only cut of its D list; a
-# segment's arrays then take a few MB whatever the range (see _narrow_counts).
+# (D, b) rows per segment of the real sweep's row step, which cuts each block
+# once more; a segment's arrays then take a few MB whatever the range.
 SEGMENT = 2**15
+
+# Most D per block of the real sweep, the workers' unit of work: the
+# principal rho walk steps every D of a block in lockstep (_principal_walk).
+BLOCK = 2**16
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -262,18 +266,20 @@ def _last_at_most(
     return last
 
 
-def _reduced_forms(
+def _form_rows(
     ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """int64 arrays (j, row, a, b, k): the reduced indefinite forms
-    (a, b, -k) with a > 0 of each discriminant ds[j], in (j, b, a) order;
-    row is the index of the form's row (D, b) among all rows of ds.
+) -> tuple[np.ndarray, ...]:
+    """(j, row, b, m, first, stop, bad) for the rows (D, b) of ds that hold
+    a reduced indefinite form, in (j, b) order: D = ds[j], row is the index
+    of (D, b) among all rows of ds, m = (D - b^2) / 4, and the forms
+    (a, b, -m/a) with a > 0 have a = ddata[first:stop], the cofactor of the
+    entry at p at first + stop - 1 - p.  bad is a bool per D of ds: one of
+    its rows fails a check below.
 
     A form is reduced iff |sqrt(D) - 2a| < b < sqrt(D).  Row (D, b), for
     b = D mod 2 in (0, sqrt D), holds the forms with that b: their a are the
-    divisors of m = (D - b^2) / 4, read from m's ascending row of the CSR
-    divisor table, and k = m / a.  Only a middle slice of that row is
-    reduced:
+    divisors of m, read from m's ascending row [starts, ends) of the CSR
+    divisor table.  Only a middle slice of that row is reduced:
     - a divisor s <= sqrt(m) has 2s <= sqrt(D - b^2) < sqrt(D), so
       |2s - b| < sqrt(D), and it is reduced iff 2s + b > sqrt(D), that is
       iff s (s + b) > m, or, as sqrt(D) is irrational, iff s > t with
@@ -288,12 +294,18 @@ def _reduced_forms(
     unless it exceeds t, and the 68% of rows that hold none (to 1.5e5) are
     dropped before q is found by a bisection (_last_at_most).  The entry at
     offset i from the front of a row times the entry at offset i from its
-    back is m, so k is read, not divided.
+    back is m.
 
-    Every gathered form is checked: a >= 1, a k = m and |a - k| < b.  For
-    a > 0 and D = b^2 + 4ak not a square that is exactly reducedness, so a
-    bad divisor table raises ArithmeticError naming the first D that reads
-    a bad form, instead of yielding a form that is not reduced.
+    Checks, of the entries that decide the slice:
+    - every row: its middle pair, the entry at mid - 1 and its mirror, is
+      >= 1 and multiplies to m, ascends strictly unless the row has odd
+      length (then it is one entry), and the entry below it, if any, is
+      smaller;
+    - every kept row: the entry at first is > t and pairs to m, and the
+      entry before it, if any, is in [1, t] and pairs to m.
+    A table with every entry twice fails the first check in every row (an
+    entry beside its copy), and a zeroed entry that a row reads moves or
+    breaks one of these pairs.
     """
     rows = _row_counts(ds)
     b0 = 2 - (ds & 1)
@@ -302,21 +314,59 @@ def _reduced_forms(
     m = (ds.take(pj) - b * b) >> 2
     t = (_isqrt(ds).take(pj) - b) >> 1
     starts = indptr.take(m)
-    ends = indptr.take(m + 1)
-    mid = (starts + ends + 1) >> 1
-    row = np.flatnonzero(ddata.take(mid - 1) > t)
+    ends = indptr[1:].take(m)
+    span = starts + ends
+    mid = (span + 1) >> 1
+    top = ddata.take(mid - 1)
+    # the middle pair: top at mid - 1, and its mirror at span - mid, which is
+    # mid for a row of even length and mid - 1 itself for one of odd length
+    pair = ddata.take(span - mid)
+    bad = top < 1
+    bad |= np.multiply(top, pair, dtype=np.int64) != m
+    bad |= top + (span & 1 ^ 1) > pair
+    bad |= (mid - 2 >= starts) & (ddata.take(mid - 2) >= top)
+    failed = np.zeros(len(ds), dtype=bool)
+    failed[pj[bad]] = True
+    row = np.flatnonzero(top > t)
     pj, b, m, t = pj.take(row), b.take(row), m.take(row), t.take(row)
-    starts, ends, mid = starts.take(row), ends.take(row), mid.take(row)
-    # the slice [first, ends - (first - starts)) after the small divisors <= t
+    starts, span, mid = starts.take(row), span.take(row), mid.take(row)
+    # the slice [first, stop) after the small divisors <= t and before their cofactors
     first = _last_at_most(ddata, starts, mid, t) + 1
-    cnts = np.maximum(ends + starts - 2 * first, 0)  # negative only on a bad table
-    r = np.repeat(np.arange(len(row)), cnts)
+    stop = span - first
+    at = ddata.take(first)
+    bad = (at <= t) | (np.multiply(at, ddata.take(stop - 1), dtype=np.int64) != m)
+    before = ddata.take(first - 1)
+    low = (before < 1) | (before > t)
+    low |= np.multiply(before, ddata.take(stop, mode="clip"), dtype=np.int64) != m
+    bad |= (first > starts) & low
+    failed[pj[bad]] = True
+    return pj, row, b, m, first, stop, failed
+
+
+def _reduced_forms(
+    ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """int64 arrays (j, row, a, b, k): the reduced indefinite forms
+    (a, b, -k) with a > 0 of each discriminant ds[j], in (j, b, a) order;
+    row is the index of the form's row (D, b) among all rows of ds.  The
+    forms are the middle slices of _form_rows, and k is read, not divided.
+
+    The row checks of _form_rows, then every gathered form, are checked:
+    a >= 1, a k = m and |a - k| < b.  For a > 0 and D = b^2 + 4ak not a
+    square that is exactly reducedness, so a bad divisor table raises
+    ArithmeticError naming a D that reads a bad entry, instead of yielding
+    a form that is not reduced.
+    """
+    j, row, b, m, first, stop, failed = _form_rows(ds, indptr, ddata)
+    _fail_at(failed, "bad divisor row", ds, np.arange(len(ds)))
+    cnts = stop - first
+    r = np.repeat(np.arange(len(j)), cnts)
     pos = np.repeat(first - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(r))
-    j, row, b, m = pj.take(r), row.take(r), b.take(r), m.take(r)
+    k = ddata.take((first + stop - 1).take(r) - pos).astype(np.int64)
+    j, row, b, m = j.take(r), row.take(r), b.take(r), m.take(r)
     a = ddata.take(pos).astype(np.int64)
-    k = ddata.take((starts + ends - 1).take(r) - pos).astype(np.int64)
     bad = (a < 1) | (a * k != m) | (np.abs(a - k) >= b)
-    _fail_at(bad, "rho walk escaped the reduced set", ds, j)
+    _fail_at(bad, "gathered form is not reduced", ds, j)
     return j, row, a, b, k
 
 
@@ -331,8 +381,8 @@ def reduced_form_pairs(
 
 
 def _fail_at(bad: np.ndarray, what: str, ds: np.ndarray, j: np.ndarray) -> None:
-    """Raise ArithmeticError naming the discriminant of the first bad form,
-    in its message and as its attribute d."""
+    """Raise ArithmeticError naming ds[j[i]] for the first i with bad[i], in
+    its message and as its attribute d."""
     if bad.any():
         d = int(ds[j[np.argmax(bad)]])
         err = ArithmeticError(f"{what} at d = {d}")
@@ -352,111 +402,227 @@ def _segments(ds: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _blocks(ds: np.ndarray, workers: int) -> list[tuple[int, int]]:
+    """Bounds (i, j) of the runs ds[i:j] that tile [0, len(ds)) in order,
+    the workers' units of work.  ds is cut at n equal shares of its rows
+    (D, b), which the row step and the walk both take in about proportion,
+    with n = workers ceil(len(ds) / (workers BLOCK)); each run of more than
+    BLOCK D is cut again into the fewest equal runs of at most BLOCK D.
+    Equal shares let the workers finish together, and few runs keep the
+    walk's per-step overhead low."""
+    if not len(ds):
+        return []
+    before = np.concatenate(([0], np.cumsum(_row_counts(ds))))
+    n = workers * -(-len(ds) // (workers * BLOCK))
+    edges = np.unique(np.searchsorted(before, before[-1] * np.arange(n + 1) / n)).tolist()
+    cuts = [0]
+    for i, j in zip(edges, edges[1:]):
+        parts = -(-(j - i) // BLOCK)
+        cuts += [i + (j - i) * p // parts for p in range(1, parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _row_distances(
+    ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, N, failed) per D of ds: T, the float64 sum of the distance term
+    over the reduced forms of D, both signs; N, the int64 number of those
+    with a > 0; failed, the row checks of _form_rows.  Taken per run of
+    _segments, from the rows alone (see _narrow_counts)."""
+    total = np.empty(len(ds))
+    forms = np.empty(len(ds), dtype=np.int64)
+    failed = np.empty(len(ds), dtype=bool)
+    for i, j in _segments(ds):
+        seg = ds[i:j]
+        pj, _, b, m, first, stop, failed[i:j] = _form_rows(seg, indptr, ddata)
+        n_row = stop - first
+        weight = np.log(np.square(np.sqrt(seg.take(pj).astype(np.float64)) + b) / (4 * m))
+        total[i:j] = np.bincount(pj, weights=n_row * weight, minlength=j - i)
+        forms[i:j] = np.bincount(pj, weights=n_row, minlength=j - i)
+    return total, forms, failed
+
+
+# Steps between renormalizations of _principal_walk's product: each factor
+# is below sqrt(D) < 2^16, so 32 of them stay below 2^512.
+RENORM = 32
+LOG2 = math.log(2)
+
+
+def _principal_walk(ds: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, steps) per D of ds: the float64 distance L and the length of D's
+    principal rho cycle, walked from (1, b0, -(D - b0^2) / 4), with b0 the b
+    of D's last row; steps = 0 where the walk has not returned within
+    bound[i] steps.
+
+    Every D of ds is walked in lockstep until its walk returns, so the
+    per-step numpy overhead is shared by the block.  A form
+    (+-a, b, -+k) with a, k > 0 is held as 2a, b and 2k in float64; its
+    term is log((b + sqrt D) / 2a), and rho takes it to (-+k, b', +-k')
+    with b' = 2k q - b, q = floor((s + b) / 2k), s = isqrt(D) (the b' = -b
+    mod 2k in (sqrt(D) - 2k, sqrt(D))), and 2k' = 2a - q (b' - b), which is
+    (D - b'^2) / 2k.  Every value is an integer below 2^34, so exact; the
+    quotient is below 2^17 and at least 1 / 2k from the next integer unless
+    it is one, so its floor is exact too.  The sign of a alternates, so the
+    walk is back at its start only after an even number of steps.
+    """
+    s = _isqrt(ds)
+    root = np.sqrt(ds.astype(np.float64))
+    start = (s - ((s ^ ds) & 1)).astype(np.float64)
+    a2, b, k2 = np.full(len(ds), 2.0), start.copy(), (ds - start * start) / 2
+    s = s.astype(np.float64)
+    live = np.arange(len(ds))
+    length = np.zeros(len(ds))
+    steps = np.zeros(len(ds), dtype=np.int64)
+    # the product of the terms' arguments is prod 2^exp, prod renormalized into
+    # [1/2, 1) every RENORM steps, before it can overflow
+    prod, exp = np.ones(len(ds)), np.zeros(len(ds))
+    bound = bound.astype(np.float64)
+    step = finished = 0
+    while len(live):
+        term = b + root
+        term /= a2
+        prod *= term
+        q = s + b
+        q /= k2
+        np.floor(q, out=q)
+        nxt = k2 * q
+        nxt -= b
+        term = nxt - b
+        term *= q
+        a2, k2 = k2, a2 - term
+        b = nxt
+        step += 1
+        if step % RENORM == 0:
+            prod, more = np.frexp(prod)
+            exp += more
+        if step % 2:
+            continue
+        back = (a2 == 2) & (b == start)
+        done = back | (step >= bound)
+        if not done.any():
+            continue
+        length[live[back]] = np.log(prod[back]) + exp[back] * LOG2
+        steps[live[back]] = step
+        # a finished D walks on, unmatched, until an eighth of the block has
+        # finished and the arrays are compacted
+        start[done], bound[done] = np.nan, np.inf
+        finished += np.count_nonzero(done)
+        if 8 * finished >= len(live):
+            keep = bound < np.inf
+            live, a2, b, k2 = live[keep], a2[keep], b[keep], k2[keep]
+            prod, exp, root, s, start, bound = (
+                x[keep] for x in (prod, exp, root, s, start, bound)
+            )
+            finished = 0
+    return length, steps
+
+
+def _ratio_bound(
+    forms: np.ndarray, rows: np.ndarray, steps: np.ndarray, h: np.ndarray, length: np.ndarray
+) -> np.ndarray:
+    """The bound 2^-40 (N R + H l (1 + L)) / L of |T / L - H| in float64,
+    per D, from N forms with a > 0, R rows, the walk's l steps and L, and H
+    (see _narrow_counts)."""
+    return 2.0**-40 * (forms * rows + h * steps * (1 + length)) / length
+
+
 # worker globals (populated before fork, shared copy-on-write)
 _W: dict = {}
 
 
-def _narrow_segment(bounds: tuple[int, int]) -> np.ndarray:
+def _narrow_block(bounds: tuple[int, int]) -> np.ndarray:
     """H+ of the fundamental discriminants ds[i:j] of the sweep, for
-    bounds = (i, j), one of the runs of _segments (see _narrow_counts).
+    bounds = (i, j), one of the runs of _blocks.
 
-    Each check of _narrow_counts names the first D of the run that fails
-    it, which need not be the first D that is wrong: a bad divisor entry
-    can make a later D fail an earlier check.  So on an ArithmeticError
-    the D before the one it names are counted again one at a time, in
-    order, and the first error of a single D is raised, or the original
-    error if none fails alone.  This runs only on the failure path.
+    Each check of _narrow_counts depends only on one D's own rows or its
+    own walk, so the D that it names is the first D of the run that fails
+    alone, and no D is counted again after an error.
     """
-    ds = _W["ds"][slice(*bounds)]
-    try:
-        return _narrow_counts(ds)
-    except ArithmeticError as err:
-        for i in range(int(np.searchsorted(ds, err.d))):
-            _narrow_counts(ds[i : i + 1])
-        raise
+    return _narrow_counts(_W["ds"][slice(*bounds)], _W["indptr"], _W["ddata"])
 
 
-def _narrow_counts(ds: np.ndarray) -> np.ndarray:
-    """H+ of the fundamental discriminants ds, ascending.
+def _narrow_counts(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np.ndarray:
+    """H+ of the fundamental discriminants ds, ascending, as round(T / L).
 
-    Within ds, the positive half of the reduced indefinite forms,
-    (a, b) with a > 0 and c = (b^2 - D) / 4a, is indexed in (D, b, a) order
-    (see _reduced_forms).  sigma = negation o rho maps it to itself, and
-    sigma o sigma = rho o rho, because rho commutes with negation and every
-    reduced form has ac < 0.  So each rho cycle, of even length 2l, meets
-    the positive half in one sigma^2 cycle of length l, and H+ is the number
-    of sigma^2 cycles (Cohen, A Course in Computational Algebraic Number
-    Theory, 5.6).  They are counted by pointer doubling
-    (Hillis and Steele, CACM 1986): label = minimum(label, label[q]),
-    q = q[q], until a round changes no label; H+ is then the number of forms
-    that are their own label.
+    Distance.  A reduced indefinite form f = (a, b, c) of D has ac < 0 and
+    the term delta(f) = log((b + sqrt D) / 2|a|) > 0.  For D fundamental:
+    every rho cycle of reduced forms has the same distance, the sum of
+    delta over its forms, L = log eps+, with eps+ > 1 the least totally
+    positive unit of Q(sqrt D).  So T, the sum of delta over every reduced
+    form of D, is H+ L, and H+ = T / L exactly.
+    Proof.  Let J_f = Z + Z w_f, w_f = (-b + sqrt D) / 2a, a fractional
+    ideal of the maximal order O; it fixes f, as w_f - conj(w_f) = sqrt(D)
+    / a gives a with its sign, and w_f mod 1 then gives b mod 2a, and a
+    reduced form is fixed by a and b mod 2|a|.  For rho(f) = (c, b', c'),
+    psi = (b + sqrt D) / 2 has psi w_f = -c and psi = (-b' + sqrt D) / 2 mod
+    cZ, so psi J_f = Z psi + Z c = c J_rho(f): J_rho(f) = kappa_f J_f with
+    kappa_f = (b + sqrt D) / 2c, of norm a / c and |kappa_f| > 1, as
+    reducedness gives sqrt(D) - b < 2|a|.  Around a cycle f_0, ...,
+    f_n = f_0, c_i = a_(i+1), so the sum of log |kappa_f| is the distance
+    (the ratios |a_i / c_i| cancel), and K, the product of the kappa_f,
+    has K J_f0 = J_f0 and norm 1: |K| > 1 is a totally positive unit,
+    eps+^e with e >= 1.  Up to sign, theta_i = 1 / (kappa_f0 ...
+    kappa_f(i-1)) for i >= 0 are all the minima of the lattice J_f0, in
+    order (Voronoi's theorem; H. W. Lenstra Jr., On the calculation of
+    regulators and class numbers of quadratic fields, LMS Lecture Note
+    Ser. 56, 1982; J. Buchmann and U. Vollmer, Binary Quadratic Forms,
+    Springer 2007), and 1 / eps+ is one, as 1 is and J_f0 / eps+ = J_f0.
+    So 1 / eps+ = +-theta_i for some 0 < i <= n, where theta_n = 1 / K;
+    then J_(f_i) = J_f0 / theta_i = J_f0, so f_i = f_0, and as the cycle
+    first returns to f_0 at n, i = n and e = 1.  The tests check every
+    cycle of every fundamental D < 3000 against log eps+.
+    T is read from the rows (_row_distances): the forms of row (D, b) with
+    a > 0 are its n_row slice entries a, a set closed under a -> m / a, so
+    their terms sum to n_row log((b + sqrt D)^2 / 4m) / 2, and a form and
+    its negation share their term.  So row (D, b) adds
+    n_row log((sqrt D + b)^2 / 4m) to T, and no form is gathered.  L is one
+    walk of the principal cycle (_principal_walk).
+    Float64 error.  Let u = 2^-53, and allow each np.log an absolute error
+    of 2^-42 (see QuadStream).  A row's weight is log((sqrt D + b)^2 / 4m)
+    <= log D < 22, as sqrt D + b < 2 sqrt D and m >= 1, and its argument is
+    computed with relative error below 7u, so the weight is within
+    2^-42 + 7u; times n_row and summed over at most R rows of D, T is
+    within N (2^-42 + 30 R u) < 2^-41 N R, with N the forms with a > 0.
+    The walk multiplies the l arguments (b + sqrt D) / 2|a| of its terms,
+    each within relative 3.01u, with l more roundings and exact scalings by
+    powers of 2, and takes one log, so L is within
+    2^-42 + 5 l u + 3u (L + 1) < l (1 + L) (2^-42 + 8u).
+    L >= 2 log((1 + sqrt 5) / 2) > 0.96 (its least value, at D = 5), so
+    |T / L - H| is at most bound = 2^-40 (N R + H l (1 + L)) / L
+    (_ratio_bound), with the float quotient's own rounding inside the slack.
+    To 1e6 the bound is at most 7.0e-8, and the deviation at most 3.4e-13.
 
-    sigma(a, b, -k) = (k, b', -k'), with b' = 2k floor((s + b) / 2k) - b
-    for s = isqrt(D): the b' = -b mod 2k in (sqrt(D) - 2k, sqrt(D)).  It is
-    found by inverting a sort.  A form's key is row W + a, with row the
-    index of its row (D, b) in ds (_reduced_forms) and
-    W = isqrt(max D) + 1; its successor's target is (row + (b' - b) / 2) W + k,
-    in row (D, b') of the same D, since b' = b mod 2 and 0 < b' <= s.  A
-    reduced form has a, k < sqrt(D) and b' <= s, so the keys are injective,
-    and keys and targets are below rows W, which fits int64 at any D that
-    _isqrt allows.
+    Checks.  Each raises ArithmeticError naming the first D of ds that
+    fails one (see _fail_at); a D's first failed check, in this order,
+    names the error:
+    - the row checks of _form_rows;
+    - the walk returns within 2N + 2 steps, two more than the reduced
+      forms of D, both signs;
+    - |T / L - round(T / L)| <= bound < 1 / 2, and round(T / L) >= 1.
 
-    Checks keep the failure modes of a walk form by form.  They run in this
-    order, and each raises ArithmeticError naming the first D of ds that
-    fails it (see _fail_at):
-    - every gathered form is reduced (_reduced_forms: a >= 1, a k = m and
-      |a - k| < b), which also gives c = -k < 0, so rho alternates the sign
-      of a and every rho cycle is even, and gives b' >= 1 (checked anyway);
-    - the keys strictly ascend, so no form is gathered twice (a table with
-      every divisor duplicated passes every other check and gives wrong H);
-    - the sorted targets equal the keys.  As the keys are distinct, this
-      one comparison proves both that every successor is a gathered form of
-      the same D (no lookup of each successor in its row is needed) and
-      that sigma hits each form once (no count of hits per form is
-      needed); sigma is then order's inverse, sigma[order] = 0, 1, ...;
-    - every D has its principal form (1, b, -(D - b^2) / 4), with b the b of
-      D's last row, which is reduced, so a table that hides a whole cycle
-      of D's forms cannot do so with the principal one;
-    - the doubling ends within ceil(log2 n) + 2 rounds for n forms.
-
-    Memory.  A segment's arrays are int64 with one entry per D, per row or
-    per reduced form, about fifteen of each at most at a time.  Rows are at
-    most max(SEGMENT, rows of one D), and only the rows that hold a form and
-    the middle slice of their divisors are ever gathered.  There are about
-    1.2 forms per row up to 1e6 (at most about 1.3 per segment), so at
-    SEGMENT = 2^15 each array takes at most about 350 kB and a segment a
-    few MB, whatever the length of the sweep.
+    Memory.  The row step takes one run of _segments at a time: int64
+    arrays of one entry per row, at most max(SEGMENT, rows of one D), and
+    of one per kept row.  The walk holds about ten float64 arrays of one
+    entry per D of ds, at most BLOCK, so about 5 MB.
     """
-    j, row, a, b, k = _reduced_forms(ds, _W["indptr"], _W["ddata"])
-    n = len(j)
-    s = _isqrt(ds)
-    width = int(s[-1]) + 1
-    bp = 2 * k * ((s.take(j) + b) // (2 * k)) - b
-    _fail_at(bp < 1, "rho walk escaped the reduced set", ds, j)
-    key = row * width + a
-    _fail_at(key[1:] <= key[:-1], "rho is not a permutation", ds, j[1:])
-    target = (row + ((bp - b) >> 1)) * width + k
-    order = np.argsort(target)
-    _fail_at(target.take(order) != key, "rho walk escaped the reduced set", ds, j)
-    principal = (np.cumsum(_row_counts(ds)) - 1) * width + 1
-    # the appended 0 is read for a principal key above every key, and is no key
-    found = np.append(key, 0).take(np.searchsorted(key, principal))
-    _fail_at(found != principal, "no principal form", ds, np.arange(len(ds)))
-    sigma = np.empty(n, dtype=np.int64)
-    sigma[order] = np.arange(n)
-    # label[i] = least index among the first 2^r forms of i's sigma^2 orbit
-    q = sigma[sigma]
-    label = np.arange(n)
-    for _ in range((n - 1).bit_length() + 2):
-        nxt = np.minimum(label, label[q])
-        changed = nxt != label
-        if not changed.any():
-            break
-        label = nxt
-        q = q[q]
-    else:
-        _fail_at(changed, "pointer doubling did not converge", ds, j)
-    return np.bincount(j[label == np.arange(n)], minlength=len(ds))
+    total, forms, failed = _row_distances(ds, indptr, ddata)
+    length, steps = _principal_walk(ds, 2 * forms + 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = total / length
+        h = np.rint(ratio)
+        bound = _ratio_bound(forms, _row_counts(ds), steps, h, length)
+        off = ~(np.abs(ratio - h) <= bound) | ~(bound < 0.5) | (h < 1)
+    checks = (
+        (failed, "bad divisor row"),
+        (steps == 0, "principal rho walk did not return"),
+        (off, "T / L is not a positive integer"),
+    )
+    bad = np.logical_or.reduce([flags for flags, _ in checks])
+    if bad.any():
+        first = int(np.argmax(bad))
+        what = next(what for flags, what in checks if flags[first])
+        _fail_at(bad, what, ds, np.arange(len(ds)))
+    return h.astype(np.int64)
 
 
 def _imag_part(first: int) -> np.ndarray:
@@ -475,13 +641,12 @@ def _fork_map(fn, items: list, workers: int) -> Iterator:
     """Yield fn(x) for x in items, in order, on a fork pool of `workers`
     processes if >= 2.  Results are yielded as they arrive, so the caller
     can store each one before the next, instead of holding all of them;
-    chunks are sized as Pool.map sizes them."""
+    each item is one task, so a worker that finishes early takes the next."""
     if workers <= 1:
         yield from map(fn, items)
         return
-    chunk = max(1, -(-len(items) // (4 * workers)))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(fn, items, chunk)
+        yield from pool.imap(fn, items)
 
 
 # glibc's malloc moves its mmap and trim thresholds up to the largest block
@@ -555,8 +720,8 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
     signature; the workers compute only H.  Both sweeps fork at most
     min(workers, os.cpu_count()) workers; the result does not depend on
     their number.  The imaginary form-count table is split by a mod the
-    worker count.  The real sweep cuts the D column once, into the runs of
-    _segments, and the workers take those runs one at a time (a single
+    worker count.  The real sweep cuts the D column once, into the blocks
+    of _blocks, and the workers take those blocks one at a time (a single
     worker maps them in this process).
     """
     if not 1 <= lo <= hi:
@@ -580,11 +745,11 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
             for part in _fork_map(_imag_part, list(range(1, workers + 1)), workers):
                 h += part  # in place, as each part arrives
             return QuadTable(ds, n, h)
-        bounds = _segments(ds)
+        bounds = _blocks(ds, workers)
         _W["indptr"], _W["ddata"] = divisor_table(hi // 4 + 1)
         _reset_malloc()  # neither the map nor the forked workers keep the freed sieve heap
         h = np.empty(len(ds), dtype=np.int64)
-        for (i, j), part in zip(bounds, _fork_map(_narrow_segment, bounds, workers)):
+        for (i, j), part in zip(bounds, _fork_map(_narrow_block, bounds, workers)):
             h[i:j] = part
         return QuadTable(ds, n, h)
     finally:

@@ -5,7 +5,9 @@ the default run deselects them (the `golden_full` marker).  Run them with
 
     python -m pytest -m golden_full tests/test_goldens_full.py
 
-A mismatch is a finding about classmax or about the golden, not a reason to
+Each test also recomputes every event's H with the per-discriminant
+reference of `classnum`, which the sweeps must match bit for bit.  A
+mismatch is a finding about classmax or about the golden, not a reason to
 edit the golden.
 """
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from classmax import cli
+from classmax import classnum, cli
 
 pytestmark = pytest.mark.golden_full
 
@@ -52,6 +54,15 @@ def key(row: dict) -> tuple[int, int, int, int]:
     return int(row["D"]), int(row["H"]), int(row["h"]), int(row["N"])
 
 
+def assert_reference_h(rows: list[dict], real: bool) -> None:
+    """Every event's H equals classnum's narrow_class_number_real(D) (real)
+    or class_number_imaginary(-D), each distinct D computed once."""
+    h_of = {int(r["D"]): int(r["H"]) for r in rows}
+    for d, big_h in h_of.items():
+        want = classnum.narrow_class_number_real(d) if real else classnum.class_number_imaginary(-d)
+        assert big_h == want, (d, big_h, want)
+
+
 @pytest.mark.parametrize(
     "metric, name, last_d",
     [("raw-H", "real_raw_H_listed.csv", 7_064_521), ("raw-h", "real_raw_h_listed.csv", 7_290_001)],
@@ -67,6 +78,7 @@ def test_real_raw_maxima_to_the_last_row(data_rows, metric, name, last_d):
          "--metric", metric, "--shards", "2"]
     )
     assert [key(r) for r in got] == [key(r) for r in gold]
+    assert_reference_h(got, real=True)
 
 
 def last_unit(x: decimal.Decimal, digits: int = 19) -> decimal.Decimal:
@@ -110,6 +122,7 @@ def test_imaginary_eps_one_minima_readme_example(data_rows):
              "minima", "--compat-minima-init-one"]
         )
     }
+    assert_reference_h(list(got.values()), real=False)
     for row in gold:
         ours = got.get(int(row["D"]))
         assert ours is not None and key(ours) == key(row), row
@@ -132,6 +145,7 @@ def test_imaginary_nongenus_to_the_last_row(data_rows):
         ["--family", "quad-imaginary", "--max", "106105271", "--eps", "1/20", "--eps", "1",
          "--shards", "2"]
     )
+    assert_reference_h(got, real=False)
     for row in got:
         want = correctly_rounded(int(row["h"]), int(row["D"]), Fraction(row["eps"]))
         assert decimal.Decimal(row["C"]) == want, row
@@ -169,6 +183,7 @@ def test_real_eps_1_50_nongenus_to_the_last_row(data_rows):
     counters = ("ND", "N1", "N2", "N3")
     assert [[r[c] for c in counters] for r in got] == [[r[c] for c in counters] for r in gold]
     assert [got[-1][c] for c in counters] == ["10509357", "24", "1", "0"]
+    assert_reference_h(got, real=True)
     for row in got:
         want = correctly_rounded(int(row["h"]), int(row["D"]), eps)
         assert decimal.Decimal(row["C"]) == want, row

@@ -367,9 +367,37 @@ class TestRealSegments:
         monkeypatch.setattr(sweep, "SEGMENT", segment)
         assert list(sweep.quad_triples(REAL, 2, 5000)) == [t for t in reference if t[0] <= 5000]
 
+    @pytest.mark.parametrize("block", [1, 1000, 2**16])
+    def test_block_bounds_tile_the_column(self, block, monkeypatch):
+        """The blocks tile [0, len(ds)) in order, each of at most BLOCK D;
+        there are at least `workers` of them while ds has that many D.  To
+        1.5e5 (45,590 D) no share is cut again, and the workers' shares of
+        rows differ by at most two D's rows."""
+        monkeypatch.setattr(sweep, "BLOCK", block)
+        for lo, hi in ((6, 6), (5, 5), (2, 40), (2, 150_000)):
+            ds = np.flatnonzero(sweep.fundamental_mask(hi, REAL)[lo : hi + 1]) + lo
+            rows = sweep._row_counts(ds)
+            for workers in (1, 2, 3):
+                bounds = sweep._blocks(ds, workers)
+                edges = [0] + [j for _, j in bounds]
+                assert bounds == list(zip(edges, edges[1:])) and edges[-1] == len(ds)
+                assert all(0 < j - i <= block for i, j in bounds), (lo, hi, workers)
+                assert len(bounds) >= min(workers, len(ds)), (lo, hi, workers)
+                if block == 2**16 and hi == 150_000:
+                    shares = [int(rows[i:j].sum()) for i, j in bounds]
+                    assert len(bounds) == workers
+                    assert max(shares) - min(shares) <= 2 * int(rows.max()), shares
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_results(self, reference, block, monkeypatch):
+        monkeypatch.setattr(sweep, "BLOCK", block)
+        for workers in (1, 2):
+            got = sweep.quad_triples(REAL, 2, 3000, workers)
+            assert list(got) == [t for t in reference if t[0] <= 3000], workers
+
     def test_corrupted_divisor_table_raises(self, monkeypatch):
-        """A wrong divisor drops the form (2, 2, -3) of D = 28 from the
-        reduced set, so the rho successor of (3, 2, -2) is missing."""
+        """A wrong divisor in row m = 6, [1, 4, 3, 6], breaks its middle
+        pair (4 * 3 != 6), which D = 28 reads first."""
         table = sweep.divisor_table
 
         def corrupted(limit):
@@ -380,14 +408,14 @@ class TestRealSegments:
             return indptr, ddata
 
         monkeypatch.setattr(sweep, "divisor_table", corrupted)
-        with pytest.raises(ArithmeticError, match="escaped the reduced set at d = 28$"):
+        with pytest.raises(ArithmeticError, match="bad divisor row at d = 28$"):
             sweep.quad_triples(REAL, 2, 100)
 
     def test_successor_lookup_stays_in_its_row(self, monkeypatch):
-        """Emptying row (85, 5) of D = 85, whose forms are (3, 5, -5) and
-        (5, 5, -3), leaves two rho successors missing.  The next row (85, 7)
-        starts with the same a = 3, so a lookup that read past the end of the
-        empty row would find (3, 7, -3) there instead of failing."""
+        """Filling row m = 15 with ones hides the forms (3, 5, -5) and
+        (5, 5, -3) of row (85, 5) of D = 85, whose next row (85, 7) starts
+        with the same a = 3; the middle pair of row m = 15, 1 * 1 != 15,
+        catches it."""
         table = sweep.divisor_table
         assert sweep.reduced_form_pairs(85, *table(22)) == ([3, 5, 3, 1], [5, 5, 7, 9])
 
@@ -399,7 +427,7 @@ class TestRealSegments:
             return indptr, ddata
 
         monkeypatch.setattr(sweep, "divisor_table", corrupted)
-        with pytest.raises(ArithmeticError, match="escaped the reduced set at d = 85$"):
+        with pytest.raises(ArithmeticError, match="bad divisor row at d = 85$"):
             sweep.quad_triples(REAL, 85, 85)
 
     @staticmethod
@@ -424,25 +452,29 @@ class TestRealSegments:
 
     def test_duplicated_divisors_raise(self, monkeypatch):
         """With every entry twice, the offsets from both ends still pair
-        each divisor with its cofactor, so every form passes the reducedness
-        check, twice; only the strict ascent of the keys catches it."""
+        each divisor with its cofactor, so every slice entry pairs to m and
+        every count doubles, with every H.  Only the strict ascent of each
+        row's middle pair catches it: row m = 1, [1, 1], which D = 5 reads
+        alone, has a middle pair that does not ascend."""
         self.corrupt(monkeypatch, lambda indptr, ddata: (2 * indptr, np.repeat(ddata, 2)))
-        with pytest.raises(ArithmeticError, match="rho is not a permutation at d = 5$"):
+        with pytest.raises(ArithmeticError, match="bad divisor row at d = 5$"):
             sweep.quad_triples(REAL, 2, 3000)
 
     @pytest.mark.parametrize(
         "offset, first_bad, what",
         [
-            (0, 60, "no principal form"),  # D = 60 reads only [2, 3], a closed pair
-            (1, 28, "rho walk escaped the reduced set"),  # hides the row from D = 28
-            (2, 28, "rho walk escaped the reduced set"),  # a = 2 read with a bad k
-            (3, 60, "rho walk escaped the reduced set"),  # a = 1 read with a bad k
+            (0, 28, "bad divisor row"),  # the entry before D = 28's slice is below 1
+            (1, 28, "bad divisor row"),  # the middle pair holds a value below 1
+            (2, 28, "bad divisor row"),  # the middle pair does not multiply to 6
+            (3, 28, "bad divisor row"),  # the entry before the slice pairs with a bad k
         ],
     )
     @pytest.mark.parametrize("bad", [lambda x: 0, lambda x: -x], ids=["zero", "negated"])
     def test_bad_entry_raises(self, monkeypatch, offset, first_bad, what, bad):
-        """One entry of row m = 6 zeroed or negated, swept to 3000 (one
-        segment): the error names first_bad, the first D that fails alone."""
+        """One entry of row m = 6 zeroed or negated, swept to 3000: the
+        error names first_bad, the first D that fails alone.  D = 28 reads
+        the middle pair [2, 3] and, as its t = 1, the entry 1 before its
+        slice [2, 3] with its cofactor 6, so it reads every entry."""
 
         def edit(indptr, ddata):
             row = self.row_of_6(indptr, ddata)
@@ -456,17 +488,16 @@ class TestRealSegments:
     @pytest.mark.parametrize(
         "i, k, what",
         [
-            (1, 2, "rho is not a permutation"),  # forms (3, 2) and (2, 2) out of order
-            (0, 1, "rho walk escaped the reduced set"),  # row hidden: its last small divisor is 1
-            (2, 3, "rho walk escaped the reduced set"),  # a = 2 read with k = 6
-            (0, 3, "rho walk escaped the reduced set"),  # a = 6, k = 1 is not reduced
+            (1, 2, "bad divisor row"),  # middle pair (3, 2) descends; every count stays right
+            (0, 1, "bad divisor row"),  # middle pair (1, 3) does not multiply to 6
+            (2, 3, "bad divisor row"),  # middle pair (2, 6) does not multiply to 6
+            (0, 3, "bad divisor row"),  # the entry 6 below the middle pair is not smaller
         ],
     )
     def test_swapped_entries_raise(self, monkeypatch, i, k, what):
-        """Swaps in row m = 6, whose first reader is D = 28.  Over the sweep
-        to 3000, one segment, D = 60 fails the reducedness check under the
-        swap (0, 1), before D = 28 fails a later check; the error still
-        names D = 28, the first D that fails alone."""
+        """Swaps in row m = 6, whose first reader is D = 28.  The swap (1, 2)
+        leaves the slice of every reader, and so every form count, as it
+        was; it is caught only because the middle pair must ascend."""
 
         def edit(indptr, ddata):
             row = self.row_of_6(indptr, ddata)
@@ -478,15 +509,15 @@ class TestRealSegments:
             sweep.quad_triples(REAL, 2, 3000)
 
     def test_missing_principal_form_raises(self, monkeypatch):
-        """Hiding row m = 1 leaves D = 5, 8, 13 and 29 with no form at all,
-        so no successor is missing."""
+        """Zeroing row m = 1, [1], hides the principal form of D = 5, 8, 13
+        and 29; the row's middle pair, 0, is below 1."""
 
         def edit(indptr, ddata):
             ddata[indptr[1]] = 0
             return indptr, ddata
 
         self.corrupt(monkeypatch, edit)
-        with pytest.raises(ArithmeticError, match="no principal form at d = 5$"):
+        with pytest.raises(ArithmeticError, match="bad divisor row at d = 5$"):
             sweep.quad_triples(REAL, 2, 30)
 
     @pytest.mark.parametrize("kind", ["zero", "negated", "swapped"])
@@ -576,7 +607,7 @@ class TestNarrowOracle:
         for d in sample:
             assert abs(narrow_class_number_analytic(d) - triples[d]) < 1e-6, d
 
-    @pytest.mark.parametrize("top, count", [(10**6, 14), (4 * 10**6, 6)])
+    @pytest.mark.parametrize("top, count", [(10**6, 14), (4 * 10**6, 6), (10**7, 4)])
     def test_single_discriminants_far_out(self, top, count):
         """Seeded fundamental D in [top - 20000, top], each swept alone (its
         divisor table built to top / 4), against the per-D rho walk."""
@@ -585,6 +616,88 @@ class TestNarrowOracle:
         for d in random.Random(top).sample(ds.tolist(), count):
             want = (d, arith.omega(d), classnum.narrow_class_number_real(d))
             assert list(sweep.quad_triples(REAL, d, d)) == [want], d
+
+
+def log_eps_plus(d: int) -> mpmath.mpf:
+    """log of the least totally positive unit eps+ > 1 of discriminant d > 0,
+    to 40 digits."""
+    x, y, norm = fundamental_unit(d)
+    with mpmath.workdps(40):
+        log_eps = mpmath.log((x + y * mpmath.sqrt(d)) / 2)
+        return log_eps if norm == 1 else 2 * log_eps
+
+
+class TestNarrowDistance:
+    """H+ = T / L: the lemma in _narrow_counts, its float64 bound, and the
+    checks that use them."""
+
+    def test_every_cycle_has_the_same_distance(self):
+        """Every rho cycle of every fundamental D < 3000 (classnum.form_cycles)
+        has distance log eps+; the principal walk finds that distance, and
+        the length of the cycle of (1, b0, c)."""
+        ds = np.flatnonzero(sweep.fundamental_mask(2999, REAL))
+        length, steps = sweep._principal_walk(ds, np.full(len(ds), 10**6))
+        for d, walked, n in zip(ds.tolist(), length.tolist(), steps.tolist()):
+            want = float(log_eps_plus(d))
+            root = math.sqrt(d)
+            b0 = math.isqrt(d) - ((math.isqrt(d) ^ d) & 1)
+            for cycle in classnum.form_cycles(d):
+                dist = math.fsum(math.log((f.b + root) / (2 * abs(f.a))) for f in cycle)
+                assert abs(dist - want) < 1e-12 * want, (d, cycle[0])
+                if classnum.QuadraticForm(1, b0, -(d - b0 * b0) // 4) in cycle:
+                    assert n == len(cycle), d
+            assert abs(walked - want) < 1e-12 * want, d
+
+    def test_ratio_far_below_its_bound_to_1e6(self, monkeypatch):
+        """Over every fundamental D to 1e6, |T / L - H| stays at least 1000
+        times below the bound of _narrow_counts' docstring."""
+        parts = []
+        row_distances, principal_walk = sweep._row_distances, sweep._principal_walk
+
+        def rows_seen(ds, indptr, ddata):
+            got = row_distances(ds, indptr, ddata)
+            parts.append((ds, *got))
+            return got
+
+        def walk_seen(ds, bound):
+            got = principal_walk(ds, bound)
+            parts[-1] += got
+            return got
+
+        monkeypatch.setattr(sweep, "_row_distances", rows_seen)
+        monkeypatch.setattr(sweep, "_principal_walk", walk_seen)
+        table = sweep.quad_triples(REAL, 2, 10**6, workers=1)
+        ds, total, forms, _, length, steps = (np.concatenate(c) for c in zip(*parts))
+        assert np.array_equal(ds, table.d) and len(ds) == 303_957
+        ratio = total / length
+        bound = sweep._ratio_bound(forms, sweep._row_counts(ds), steps, table.h, length)
+        assert (np.abs(ratio - table.h) / bound).max() <= 1e-3
+        assert np.abs(ratio - table.h).max() < 1e-11
+
+    def test_scaled_walk_raises(self, monkeypatch):
+        """An L that is 1e-3 off puts T / L out of the bound at the first D."""
+        principal_walk = sweep._principal_walk
+
+        def scaled(ds, bound):
+            length, steps = principal_walk(ds, bound)
+            return length * (1 + 1e-3), steps
+
+        monkeypatch.setattr(sweep, "_principal_walk", scaled)
+        with pytest.raises(ArithmeticError, match=r"T / L is not a positive integer at d = 5$"):
+            sweep.quad_triples(REAL, 2, 3000)
+
+    def test_walk_that_does_not_return_raises(self, monkeypatch):
+        """With no form counted, the walk may take 2 steps: D = 17 is the
+        first D whose principal cycle is longer (6 forms)."""
+        row_distances = sweep._row_distances
+
+        def no_forms(ds, indptr, ddata):
+            total, forms, failed = row_distances(ds, indptr, ddata)
+            return total, 0 * forms, failed
+
+        monkeypatch.setattr(sweep, "_row_distances", no_forms)
+        with pytest.raises(ArithmeticError, match="principal rho walk did not return at d = 17$"):
+            sweep.quad_triples(REAL, 2, 3000)
 
 
 class TestRecords:
