@@ -194,32 +194,41 @@ def imag_class_table(limit: int, first: int = 1, stride: int = 1) -> np.ndarray:
 
 
 def divisor_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, data): divisors of m are data[indptr[m]:indptr[m+1]], ascending.
+    """(indptr, data): the divisors a <= sqrt(m) of m, ascending, are
+    data[indptr[m]:indptr[m+1]].
 
-    One pass per a <= sqrt(limit): a divides a^2 once, and each m = a k with
-    k > a twice, as a and as k.  The small divisors a fill m's row ascending
-    from the front, the cofactors k descending from the back.
+    One pass per a <= sqrt(limit) counts a in each row m = a k, k >= a, and
+    one more writes it.  uint16 is exact: quad_triples refuses hi >= 2^31,
+    so limit <= 2^29 + 1 and every entry is at most isqrt(limit) = 23,170.
+    indptr is int64: the entry count passes 2^32 near that limit.
     """
     dcount = np.zeros(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
     for a in range(1, root + 1):
-        dcount[a * a] += 1
-        dcount[a * (a + 1) :: a] += 2
+        dcount[a * a :: a] += 1
     indptr = np.zeros(limit + 2, dtype=np.int64)
     np.cumsum(dcount, out=indptr[1:])
     del dcount
-    data = np.empty(int(indptr[-1]), dtype=np.int32)
+    data = np.empty(int(indptr[-1]), dtype=np.uint16)
     offs = indptr[:-1].copy()
     for a in range(1, root + 1):
         pos = offs[a * a :: a]
         data[pos] = a
         pos += 1
-    np.subtract(indptr[1:], 1, out=offs)
-    for a in range(1, root + 1):
-        pos = offs[a * (a + 1) :: a]
-        data[pos] = np.arange(a + 1, limit // a + 1, dtype=np.int32)
-        pos -= 1
     return indptr, data
+
+
+def _check_size(limit: int, indptr: np.ndarray, ddata: np.ndarray) -> None:
+    """Raise ArithmeticError unless the divisor table holds limit + 1 rows
+    and one entry per divisor a <= sqrt(m) of each m <= limit.  The row
+    checks of _form_rows cannot see a missing divisor, as the rest of its
+    row still ascends and divides m, and T / L stays an integer where the
+    missing forms make whole cycles: without the divisor 1 of row m = 10,
+    D = 140 would get H = 2 instead of 4."""
+    a = np.arange(1, math.isqrt(limit) + 1)
+    want = int((limit // a - a + 1).sum())
+    if not (len(indptr) == limit + 2 and len(ddata) == indptr[-1] == want):
+        raise ArithmeticError(f"bad divisor table: {len(ddata)} entries, not {want}")
 
 
 # (D, b) rows per segment of the real sweep's row step, which cuts each block
@@ -269,43 +278,37 @@ def _last_at_most(
 def _form_rows(
     ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """(j, row, b, m, first, stop, bad) for the rows (D, b) of ds that hold
-    a reduced indefinite form, in (j, b) order: D = ds[j], row is the index
-    of (D, b) among all rows of ds, m = (D - b^2) / 4, and the forms
-    (a, b, -m/a) with a > 0 have a = ddata[first:stop], the cofactor of the
-    entry at p at first + stop - 1 - p.  bad is a bool per D of ds: one of
-    its rows fails a check below.
+    """(j, row, b, m, first, ends, n_row, bad) for the rows (D, b) of ds
+    that hold a reduced indefinite form, in (j, b) order: D = ds[j], row is
+    the index of (D, b) among all rows of ds, m = (D - b^2) / 4, and the
+    forms (a, b, -m/a) with a > 0 are the n_row values s and m / s for s in
+    ddata[first:ends], with s = m / s once.  bad is a bool per D of ds: one
+    of its rows fails a check below.
 
     A form is reduced iff |sqrt(D) - 2a| < b < sqrt(D).  Row (D, b), for
     b = D mod 2 in (0, sqrt D), holds the forms with that b: their a are the
-    divisors of m, read from m's ascending row [starts, ends) of the CSR
-    divisor table.  Only a middle slice of that row is reduced:
-    - a divisor s <= sqrt(m) has 2s <= sqrt(D - b^2) < sqrt(D), so
-      |2s - b| < sqrt(D), and it is reduced iff 2s + b > sqrt(D), that is
-      iff s (s + b) > m, or, as sqrt(D) is irrational, iff s > t with
-      t = (isqrt(D) - b) // 2;
-    - its cofactor m / s >= sqrt(m) has (2 m/s + b)^2 >= D + 4b m/s > D,
-      and (2 m/s - b)^2 < D iff (m/s) (m/s - b) < m iff m/s < s + b iff
-      s (s + b) > m: the same test;
-    - so if q small divisors are at most t, the first q and the last q
-      divisors of the row fail and the slice between them is reduced.
-    The small divisors are the first ceil(d(m) / 2) of the row, and the
-    last of them, at mid - 1, is the largest: a row holds no reduced form
-    unless it exceeds t, and the 68% of rows that hold none (to 1.5e5) are
-    dropped before q is found by a bisection (_last_at_most).  The entry at
-    offset i from the front of a row times the entry at offset i from its
-    back is m.
+    divisors s <= sqrt(m) of m, m's ascending row [starts, ends) of the
+    divisor table, and their cofactors m / s, both reduced iff s > t:
+    - s has 2s <= sqrt(D - b^2) < sqrt(D), so |2s - b| < sqrt(D), and it is
+      reduced iff 2s + b > sqrt(D), that is iff s (s + b) > m, or, as
+      sqrt(D) is irrational, iff s > t with t = (isqrt(D) - b) // 2;
+    - m / s >= sqrt(m) has (2 m/s + b)^2 >= D + 4b m/s > D, and
+      (2 m/s - b)^2 < D iff (m/s) (m/s - b) < m iff m/s < s + b iff
+      s (s + b) > m: the same test.
+    So n_row = 2 (ends - first) - [top^2 = m], with top the row's last and
+    largest entry.  A row holds none unless top > t, and the 68% of rows
+    that hold none (to 1.5e5) are dropped before first, past the entries
+    <= t, is found by a bisection (_last_at_most).
 
-    Checks, of the entries that decide the slice:
-    - every row: its middle pair, the entry at mid - 1 and its mirror, is
-      >= 1 and multiplies to m, ascends strictly unless the row has odd
-      length (then it is one entry), and the entry below it, if any, is
-      smaller;
-    - every kept row: the entry at first is > t and pairs to m, and the
-      entry before it, if any, is in [1, t] and pairs to m.
-    A table with every entry twice fails the first check in every row (an
-    entry beside its copy), and a zeroed entry that a row reads moves or
-    breaks one of these pairs.
+    Checks, of the entries that decide n_row, with products and remainders
+    in int64 (a uint16 product wraps):
+    - every row: it is not empty, top >= 1 divides m, top^2 <= m, and the
+      entry below top, if any, is smaller;
+    - every kept row: the entry at first is > t and divides m, the entry
+      before it, if any, is in [1, t] and divides m, and the entries from
+      first - 2 to first + 1 that lie in the row ascend strictly.
+    A table with every entry twice fails the first check in every row, and
+    a zeroed, wrapped or swapped entry that a row reads breaks one of them.
     """
     rows = _row_counts(ds)
     b0 = 2 - (ds & 1)
@@ -315,32 +318,26 @@ def _form_rows(
     t = (_isqrt(ds).take(pj) - b) >> 1
     starts = indptr.take(m)
     ends = indptr[1:].take(m)
-    span = starts + ends
-    mid = (span + 1) >> 1
-    top = ddata.take(mid - 1)
-    # the middle pair: top at mid - 1, and its mirror at span - mid, which is
-    # mid for a row of even length and mid - 1 itself for one of odd length
-    pair = ddata.take(span - mid)
-    bad = top < 1
-    bad |= np.multiply(top, pair, dtype=np.int64) != m
-    bad |= top + (span & 1 ^ 1) > pair
-    bad |= (mid - 2 >= starts) & (ddata.take(mid - 2) >= top)
+    top = ddata.take(ends - 1, mode="clip").astype(np.int64)
+    bad = (ends <= starts) | (top < 1) | (top * top > m) | (m % np.maximum(top, 1) != 0)
+    bad |= (ends - 2 >= starts) & (ddata.take(ends - 2, mode="clip") >= top)
     failed = np.zeros(len(ds), dtype=bool)
     failed[pj[bad]] = True
     row = np.flatnonzero(top > t)
-    pj, b, m, t = pj.take(row), b.take(row), m.take(row), t.take(row)
-    starts, span, mid = starts.take(row), span.take(row), mid.take(row)
-    # the slice [first, stop) after the small divisors <= t and before their cofactors
-    first = _last_at_most(ddata, starts, mid, t) + 1
-    stop = span - first
-    at = ddata.take(first)
-    bad = (at <= t) | (np.multiply(at, ddata.take(stop - 1), dtype=np.int64) != m)
-    before = ddata.take(first - 1)
-    low = (before < 1) | (before > t)
-    low |= np.multiply(before, ddata.take(stop, mode="clip"), dtype=np.int64) != m
+    pj, b, m, t, top = pj.take(row), b.take(row), m.take(row), t.take(row), top.take(row)
+    starts, ends = starts.take(row), ends.take(row)
+    first = _last_at_most(ddata, starts, ends, t) + 1
+    at = ddata.take(first, mode="clip").astype(np.int64)
+    before = ddata.take(first - 1, mode="clip").astype(np.int64)
+    bad = (at <= t) | (m % np.maximum(at, 1) != 0)
+    low = (before < 1) | (before > t) | (m % np.maximum(before, 1) != 0)
     bad |= (first > starts) & low
+    # the ascent before < at follows from before <= t < at
+    bad |= (first - 2 >= starts) & (ddata.take(first - 2, mode="clip") >= before)
+    bad |= (first + 1 < ends) & (ddata.take(first + 1, mode="clip") <= at)
     failed[pj[bad]] = True
-    return pj, row, b, m, first, stop, failed
+    n_row = 2 * (ends - first) - (top * top == m)
+    return pj, row, b, m, first, ends, n_row, failed
 
 
 def _reduced_forms(
@@ -348,23 +345,25 @@ def _reduced_forms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """int64 arrays (j, row, a, b, k): the reduced indefinite forms
     (a, b, -k) with a > 0 of each discriminant ds[j], in (j, b, a) order;
-    row is the index of the form's row (D, b) among all rows of ds.  The
-    forms are the middle slices of _form_rows, and k is read, not divided.
+    row is the index of the form's row (D, b) among all rows of ds.  A row's
+    forms are its entries s of _form_rows, ascending, then m // s for the
+    same s in reverse order, without the square's duplicate; k is m // a.
 
     The row checks of _form_rows, then every gathered form, are checked:
-    a >= 1, a k = m and |a - k| < b.  For a > 0 and D = b^2 + 4ak not a
-    square that is exactly reducedness, so a bad divisor table raises
-    ArithmeticError naming a D that reads a bad entry, instead of yielding
-    a form that is not reduced.
+    a >= 1, a k = m (so a divides m) and |a - k| < b.  For a > 0 and
+    D = b^2 + 4ak not a square that is exactly reducedness, so a bad
+    divisor table raises ArithmeticError naming a D that reads a bad entry,
+    instead of yielding a form that is not reduced.
     """
-    j, row, b, m, first, stop, failed = _form_rows(ds, indptr, ddata)
+    j, row, b, m, first, ends, n_row, failed = _form_rows(ds, indptr, ddata)
     _fail_at(failed, "bad divisor row", ds, np.arange(len(ds)))
-    cnts = stop - first
-    r = np.repeat(np.arange(len(j)), cnts)
-    pos = np.repeat(first - (np.cumsum(cnts) - cnts), cnts) + np.arange(len(r))
-    k = ddata.take((first + stop - 1).take(r) - pos).astype(np.int64)
+    r = np.repeat(np.arange(len(j)), n_row)
+    i = np.arange(len(r)) - np.repeat(np.cumsum(n_row) - n_row, n_row)
+    small = i < (ends - first).take(r)
+    s = ddata.take(first.take(r) + np.where(small, i, n_row.take(r) - 1 - i)).astype(np.int64)
     j, row, b, m = j.take(r), row.take(r), b.take(r), m.take(r)
-    a = ddata.take(pos).astype(np.int64)
+    a = np.where(small, s, m // np.maximum(s, 1))
+    k = m // np.maximum(a, 1)
     bad = (a < 1) | (a * k != m) | (np.abs(a - k) >= b)
     _fail_at(bad, "gathered form is not reduced", ds, j)
     return j, row, a, b, k
@@ -434,8 +433,7 @@ def _row_distances(
     failed = np.empty(len(ds), dtype=bool)
     for i, j in _segments(ds):
         seg = ds[i:j]
-        pj, _, b, m, first, stop, failed[i:j] = _form_rows(seg, indptr, ddata)
-        n_row = stop - first
+        pj, _, b, m, _, _, n_row, failed[i:j] = _form_rows(seg, indptr, ddata)
         weight = np.log(np.square(np.sqrt(seg.take(pj).astype(np.float64)) + b) / (4 * m))
         total[i:j] = np.bincount(pj, weights=n_row * weight, minlength=j - i)
         forms[i:j] = np.bincount(pj, weights=n_row, minlength=j - i)
@@ -572,9 +570,9 @@ def _narrow_counts(ds: np.ndarray, indptr: np.ndarray, ddata: np.ndarray) -> np.
     first returns to f_0 at n, i = n and e = 1.  The tests check every
     cycle of every fundamental D < 3000 against log eps+.
     T is read from the rows (_row_distances): the forms of row (D, b) with
-    a > 0 are its n_row slice entries a, a set closed under a -> m / a, so
-    their terms sum to n_row log((b + sqrt D)^2 / 4m) / 2, and a form and
-    its negation share their term.  So row (D, b) adds
+    a > 0 are its n_row values a of _form_rows, a set closed under
+    a -> m / a, so their terms sum to n_row log((b + sqrt D)^2 / 4m) / 2,
+    and a form and its negation share their term.  So row (D, b) adds
     n_row log((sqrt D + b)^2 / 4m) to T, and no form is gathered.  L is one
     walk of the principal cycle (_principal_walk).
     Float64 error.  Let u = 2^-53, and allow each np.log an absolute error
@@ -746,7 +744,8 @@ def quad_triples(signature: str, lo: int, hi: int, workers: int = 1) -> QuadTabl
                 h += part  # in place, as each part arrives
             return QuadTable(ds, n, h)
         bounds = _blocks(ds, workers)
-        _W["indptr"], _W["ddata"] = divisor_table(hi // 4 + 1)
+        _W["indptr"], _W["ddata"] = table = divisor_table(hi // 4 + 1)
+        _check_size(hi // 4 + 1, *table)
         _reset_malloc()  # neither the map nor the forked workers keep the freed sieve heap
         h = np.empty(len(ds), dtype=np.int64)
         for (i, j), part in zip(bounds, _fork_map(_narrow_block, bounds, workers)):

@@ -395,15 +395,26 @@ class TestRealSegments:
             got = sweep.quad_triples(REAL, 2, 3000, workers)
             assert list(got) == [t for t in reference if t[0] <= 3000], workers
 
+    def test_divisor_table_rows(self):
+        """Every row m <= 20000 holds the divisors a <= sqrt(m) of m,
+        ascending, in uint16."""
+        limit = 20000
+        indptr, ddata = sweep.divisor_table(limit)
+        assert (indptr.dtype, ddata.dtype) == (np.int64, np.uint16)
+        assert len(indptr) == limit + 2 and indptr[-1] == len(ddata)
+        for m in range(limit + 1):
+            want = [a for a in range(1, math.isqrt(m) + 1) if m % a == 0]
+            assert ddata[indptr[m] : indptr[m + 1]].tolist() == want, m
+
     def test_corrupted_divisor_table_raises(self, monkeypatch):
-        """A wrong divisor in row m = 6, [1, 4, 3, 6], breaks its middle
-        pair (4 * 3 != 6), which D = 28 reads first."""
+        """A wrong divisor in row m = 6, [1, 4]: its top 4 does not divide 6
+        and 4^2 > 6, which D = 28 reads first."""
         table = sweep.divisor_table
 
         def corrupted(limit):
             indptr, ddata = table(limit)
             ddata = ddata.copy()
-            assert list(ddata[indptr[6] : indptr[7]]) == [1, 2, 3, 6]
+            assert list(ddata[indptr[6] : indptr[7]]) == [1, 2]
             ddata[indptr[6] + 1] = 4
             return indptr, ddata
 
@@ -414,15 +425,15 @@ class TestRealSegments:
     def test_successor_lookup_stays_in_its_row(self, monkeypatch):
         """Filling row m = 15 with ones hides the forms (3, 5, -5) and
         (5, 5, -3) of row (85, 5) of D = 85, whose next row (85, 7) starts
-        with the same a = 3; the middle pair of row m = 15, 1 * 1 != 15,
-        catches it."""
+        with the same a = 3; the top of row m = 15, 1, is not above the
+        entry below it, which catches it."""
         table = sweep.divisor_table
         assert sweep.reduced_form_pairs(85, *table(22)) == ([3, 5, 3, 1], [5, 5, 7, 9])
 
         def corrupted(limit):
             indptr, ddata = table(limit)
             ddata = ddata.copy()
-            assert list(ddata[indptr[15] : indptr[16]]) == [1, 3, 5, 15]
+            assert list(ddata[indptr[15] : indptr[16]]) == [1, 3]
             ddata[indptr[15] : indptr[16]] = 1  # m = (85 - 5^2) / 4 = 15
             return indptr, ddata
 
@@ -442,75 +453,132 @@ class TestRealSegments:
 
         monkeypatch.setattr(sweep, "divisor_table", corrupted)
 
-    @staticmethod
-    def row_of_6(indptr, ddata):
-        """Row m = 6, [1, 2, 3, 6]: D = 28, 33 and 40 (t = 1) read only its
-        middle [2, 3], D = 60 (b = 6, t = 0) all of it."""
-        row = ddata[indptr[6] : indptr[7]]
-        assert row.tolist() == [1, 2, 3, 6]
-        return row
+    def corrupt_row(self, monkeypatch, m, edit) -> None:
+        """As corrupt, with edit(row) on a view of row m, such as m = 6,
+        [1, 2], or m = 30, [1, 2, 3, 5].  D = 28, 33 and 40 (t = 1) read
+        all of row 6; D = 124 (b = 2, t = 4) reads the entries 2, 3 and 5
+        of row 30 around its first entry above t, 5, and D = 184 (b = 8,
+        t = 2) reads all of it."""
+
+        def edit_table(indptr, ddata):
+            row = ddata[indptr[m] : indptr[m + 1]]
+            assert row.tolist() == [a for a in range(1, math.isqrt(m) + 1) if m % a == 0]
+            edit(row)
+            return indptr, ddata
+
+        self.corrupt(monkeypatch, edit_table)
 
     def test_duplicated_divisors_raise(self, monkeypatch):
-        """With every entry twice, the offsets from both ends still pair
-        each divisor with its cofactor, so every slice entry pairs to m and
-        every count doubles, with every H.  Only the strict ascent of each
-        row's middle pair catches it: row m = 1, [1, 1], which D = 5 reads
-        alone, has a middle pair that does not ascend."""
-        self.corrupt(monkeypatch, lambda indptr, ddata: (2 * indptr, np.repeat(ddata, 2)))
+        """With every entry twice, each count of entries above t doubles,
+        and so does every H.  The sweep's size check catches it, and so,
+        past that check, does the strict ascent of each row's top: row
+        m = 1, [1, 1], which D = 5 reads alone, has a top that is not above
+        the entry below it."""
+        indptr, ddata = sweep.divisor_table(3000 // 4 + 1)
+        indptr, ddata = 2 * indptr, np.repeat(ddata, 2)
+        monkeypatch.setattr(sweep, "divisor_table", lambda limit: (indptr, ddata))
+        with pytest.raises(ArithmeticError, match="bad divisor table: 5118 entries, not 2559$"):
+            sweep.quad_triples(REAL, 2, 3000)
+        ds = np.flatnonzero(sweep.fundamental_mask(3000, REAL))
         with pytest.raises(ArithmeticError, match="bad divisor row at d = 5$"):
+            sweep._narrow_counts(ds, indptr, ddata)
+
+    # a negated uint16 entry x wraps to (-x) mod 2^16
+    BAD_ENTRIES = pytest.mark.parametrize(
+        "bad", [lambda x: 0, lambda x: -int(x) % 2**16], ids=["zero", "negated"]
+    )
+
+    @pytest.mark.parametrize(
+        "offset, first_bad, what",
+        [
+            (0, 28, "bad divisor row"),  # the entry 1 before D = 28's first is below 1 or above t
+            (1, 28, "bad divisor row"),  # the top 2 is below 1, or its square is above 6
+        ],
+    )
+    @BAD_ENTRIES
+    def test_bad_entry_raises(self, monkeypatch, offset, first_bad, what, bad):
+        """One entry of row m = 6 zeroed or wrapped, swept to 3000: the
+        error names first_bad, the first D that fails alone.  D = 28 has
+        t = 1, so it reads both entries: 1 before its first and 2 at it."""
+
+        def edit(row):
+            row[offset] = bad(row[offset])
+
+        self.corrupt_row(monkeypatch, 6, edit)
+        with pytest.raises(ArithmeticError, match=f"{what} at d = {first_bad}$"):
             sweep.quad_triples(REAL, 2, 3000)
 
     @pytest.mark.parametrize(
         "offset, first_bad, what",
         [
-            (0, 28, "bad divisor row"),  # the entry before D = 28's slice is below 1
-            (1, 28, "bad divisor row"),  # the middle pair holds a value below 1
-            (2, 28, "bad divisor row"),  # the middle pair does not multiply to 6
-            (3, 28, "bad divisor row"),  # the entry before the slice pairs with a bad k
+            (2, 124, "bad divisor row"),  # the entry 3 before D = 124's first is below 1 or above t
+            (3, 124, "bad divisor row"),  # the top 5 is below 1, or its square is above 30
         ],
     )
-    @pytest.mark.parametrize("bad", [lambda x: 0, lambda x: -x], ids=["zero", "negated"])
-    def test_bad_entry_raises(self, monkeypatch, offset, first_bad, what, bad):
-        """One entry of row m = 6 zeroed or negated, swept to 3000: the
-        error names first_bad, the first D that fails alone.  D = 28 reads
-        the middle pair [2, 3] and, as its t = 1, the entry 1 before its
-        slice [2, 3] with its cofactor 6, so it reads every entry."""
+    @BAD_ENTRIES
+    def test_bad_entry_of_row_30_raises(self, monkeypatch, offset, first_bad, what, bad):
+        """As test_bad_entry_raises, on the entries 3 and 5 of row m = 30,
+        whose first reader is D = 124."""
 
-        def edit(indptr, ddata):
-            row = self.row_of_6(indptr, ddata)
+        def edit(row):
             row[offset] = bad(row[offset])
-            return indptr, ddata
 
-        self.corrupt(monkeypatch, edit)
+        self.corrupt_row(monkeypatch, 30, edit)
         with pytest.raises(ArithmeticError, match=f"{what} at d = {first_bad}$"):
             sweep.quad_triples(REAL, 2, 3000)
 
     @pytest.mark.parametrize(
         "i, k, what",
-        [
-            (1, 2, "bad divisor row"),  # middle pair (3, 2) descends; every count stays right
-            (0, 1, "bad divisor row"),  # middle pair (1, 3) does not multiply to 6
-            (2, 3, "bad divisor row"),  # middle pair (2, 6) does not multiply to 6
-            (0, 3, "bad divisor row"),  # the entry 6 below the middle pair is not smaller
-        ],
+        [(0, 1, "bad divisor row")],  # row [2, 1]: the top 1 is not above the entry below it
     )
     def test_swapped_entries_raise(self, monkeypatch, i, k, what):
-        """Swaps in row m = 6, whose first reader is D = 28.  The swap (1, 2)
-        leaves the slice of every reader, and so every form count, as it
-        was; it is caught only because the middle pair must ascend."""
+        """The swap of the two entries of row m = 6, whose first reader is
+        D = 28."""
 
-        def edit(indptr, ddata):
-            row = self.row_of_6(indptr, ddata)
+        def edit(row):
             row[[i, k]] = row[[k, i]]
-            return indptr, ddata
 
-        self.corrupt(monkeypatch, edit)
+        self.corrupt_row(monkeypatch, 6, edit)
         with pytest.raises(ArithmeticError, match=f"{what} at d = 28$"):
             sweep.quad_triples(REAL, 2, 3000)
 
+    @pytest.mark.parametrize(
+        "i, k, what",
+        [
+            (1, 2, "bad divisor row"),  # [1, 3, 2, 5]: the entries before D = 124's first descend
+            (2, 3, "bad divisor row"),  # [1, 2, 5, 3]: the top 3 is not above the entry below it
+            (0, 3, "bad divisor row"),  # [5, 2, 3, 1]: the top 1 is not above the entry below it
+        ],
+    )
+    def test_swapped_entries_of_row_30_raise(self, monkeypatch, i, k, what):
+        """Swaps in row m = 30, whose first reader is D = 124.  The swap
+        (1, 2) leaves the first entry above t of every reader, and so every
+        form count, as it was; it is caught only because the entries around
+        the first must ascend."""
+
+        def edit(row):
+            row[[i, k]] = row[[k, i]]
+
+        self.corrupt_row(monkeypatch, 30, edit)
+        with pytest.raises(ArithmeticError, match=f"{what} at d = 124$"):
+            sweep.quad_triples(REAL, 2, 3000)
+
+    def test_swap_after_first_raises(self, monkeypatch):
+        """Row m = 60 with its entries 2 and 3 swapped, [1, 3, 2, 4, 5, 6],
+        read by D = 865 (b = 25, t = 2) alone: the bisection stops before 3,
+        so the row would count 5 entries above t instead of 4, and only the
+        entry after the first, 2 <= 3, shows it."""
+
+        def edit(row):
+            row[[1, 2]] = row[[2, 1]]
+
+        self.corrupt_row(monkeypatch, 60, edit)
+        with pytest.raises(ArithmeticError, match="bad divisor row at d = 865$"):
+            sweep.quad_triples(REAL, 865, 865)
+
     def test_missing_principal_form_raises(self, monkeypatch):
         """Zeroing row m = 1, [1], hides the principal form of D = 5, 8, 13
-        and 29; the row's middle pair, 0, is below 1."""
+        and 29; the row's top, 0, is below 1."""
 
         def edit(indptr, ddata):
             ddata[indptr[1]] = 0
@@ -520,14 +588,30 @@ class TestRealSegments:
         with pytest.raises(ArithmeticError, match="bad divisor row at d = 5$"):
             sweep.quad_triples(REAL, 2, 30)
 
-    @pytest.mark.parametrize("kind", ["zero", "negated", "swapped"])
+    def test_empty_row_raises(self, monkeypatch):
+        """Moving the boundary between rows m = 0 and 1 empties row 1 and
+        keeps the table's size; D = 5, whose only row is m = 1, must not
+        read the entry past the row as its top."""
+
+        def edit(indptr, ddata):
+            indptr = indptr.copy()
+            indptr[1] += 1
+            return indptr, ddata
+
+        self.corrupt(monkeypatch, edit)
+        with pytest.raises(ArithmeticError, match="bad divisor row at d = 5$"):
+            sweep.quad_triples(REAL, 2, 30)
+
+    @pytest.mark.parametrize("kind", ["zero", "negated", "swapped", "dropped"])
     def test_any_bad_entry_raises_or_is_harmless(self, monkeypatch, kind):
         """For 30 seeded entries of the table to 3000, and the divisor 1 of 10
         seeded rows m <= 30 (the last rows (D, b) of some D, read in full), a
-        zeroed or negated entry, or one swapped with the next in its row:
-        every fundamental D <= 3000 that reads the entry's row m
-        (D = 4m + b^2), swept alone, raises ArithmeticError or gets its true
-        H."""
+        zeroed entry, one negated (wrapped to (-x) mod 2^16), one swapped with
+        the next in its row, or one dropped from its row (the rows after it
+        move down by one): every fundamental D <= 3000 that reads the entry's
+        row m (D = 4m + b^2), swept alone, raises ArithmeticError or gets its
+        true H.  A dropped entry is caught by the size of the table
+        (_check_size), as the row checks can miss it."""
         table = sweep.quad_triples(REAL, 2, 3000)
         want = dict(zip(table.d.tolist(), table.h.tolist()))
         indptr, ddata = sweep.divisor_table(3000 // 4 + 1)
@@ -538,12 +622,17 @@ class TestRealSegments:
             m = int(np.searchsorted(indptr, e, "right")) - 1
             if kind == "swapped" and e + 1 == indptr[m + 1]:
                 continue  # the last entry of its row
-            bad = ddata.copy()
+            bad, bad_indptr = ddata.copy(), indptr
             if kind == "swapped":
                 bad[[e, e + 1]] = bad[[e + 1, e]]
+            elif kind == "dropped":
+                bad = np.delete(bad, e)
+                bad_indptr = indptr.copy()
+                bad_indptr[m + 1 :] -= 1
             else:
-                bad[e] = 0 if kind == "zero" else -bad[e]
-            monkeypatch.setattr(sweep, "divisor_table", lambda limit, bad=bad: (indptr, bad))
+                bad[e] = 0 if kind == "zero" else -int(bad[e]) % 2**16
+            table = (bad_indptr, bad)
+            monkeypatch.setattr(sweep, "divisor_table", lambda limit, table=table: table)
             for d in (4 * m + b * b for b in range(1, math.isqrt(3000) + 1)):
                 if d not in want:
                     continue
